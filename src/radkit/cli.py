@@ -11,17 +11,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import __version__
 from .corpus import build_index, load_corpus_jsonl, load_index, serialize_index
 from .distill import (
     TrainingTemplate,
+    answer_matches,
     emit_training_example,
-    filter_by_verdicts,
     filter_rationales,
     ingest_rationales,
     load_verdicts,
@@ -53,6 +51,7 @@ from .reranker import (
     serialize_model,
     train,
 )
+from .records import atomic_write, jsonl_text, read_jsonl
 
 
 def _sha256(path: Path) -> str:
@@ -61,23 +60,6 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def _write_manifest(args, command: str, params: dict, inputs: list[Path], outputs: list[Path]):
@@ -93,7 +75,7 @@ def _write_manifest(args, command: str, params: dict, inputs: list[Path], output
     if target is None and outputs:
         target = str(outputs[0]) + ".manifest.json"
     if target is not None:
-        _atomic_write_text(Path(target), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        atomic_write(Path(target), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _say(args, message: str) -> None:
@@ -113,7 +95,7 @@ def cmd_index(args) -> int:
     docs = load_corpus_jsonl(corpus_path)
     index = build_index(docs, k1=args.k1, b=args.b)
     out = Path(args.out)
-    _atomic_write_bytes(out, serialize_index(index))
+    atomic_write(out, serialize_index(index))
     _write_manifest(
         args, "index", {"k1": args.k1, "b": args.b}, [corpus_path], [out]
     )
@@ -124,16 +106,15 @@ def cmd_index(args) -> int:
 def _load_filtered_records(args):
     records = ingest_rationales(args.rationales)
     mode = args.filter
+    if mode == "none":
+        return records, {}
     if mode == "answer-match":
-        records, drops = filter_rationales(records)
+        keep = answer_matches
     elif mode.startswith("verdict-file:"):
-        verdicts = load_verdicts(mode[len("verdict-file:"):])
-        records, drops = filter_by_verdicts(records, verdicts)
-    elif mode == "none":
-        drops = {}
+        keep = load_verdicts(mode[len("verdict-file:"):])
     else:
         raise ValueError(f"unknown --filter mode {mode!r}")
-    return records, drops
+    return filter_rationales(records, keep)
 
 
 def cmd_emit_train(args) -> int:
@@ -156,7 +137,7 @@ def cmd_emit_train(args) -> int:
                 )
             )
     out = Path(args.out)
-    _atomic_write_text(out, training_jsonl_text(examples))
+    atomic_write(out, training_jsonl_text(examples))
     _write_manifest(
         args,
         "emit-train",
@@ -185,7 +166,7 @@ def cmd_candidates(args) -> int:
         for j in range(len(record.rationales)):
             sets.append(build_candidate_set(index, record, j, args.kappa1, args.kappa2))
     out = Path(args.out)
-    _atomic_write_text(out, candidates_jsonl_text(sets))
+    atomic_write(out, candidates_jsonl_text(sets))
     _write_manifest(
         args,
         "candidates",
@@ -216,7 +197,7 @@ def cmd_rerank_train(args) -> int:
         shuffle=args.shuffle,
     )
     out = Path(args.out)
-    _atomic_write_text(out, serialize_model(trained))
+    atomic_write(out, serialize_model(trained))
     _write_manifest(
         args,
         "rerank-train",
@@ -248,26 +229,20 @@ def cmd_rerank_infer(args) -> int:
     index = load_index(index_path)
     file_scorer = FileScorer.load(args.score_file) if args.score_file else None
     model = load_model(args.model) if args.model else RerankerModel.identity()
+    questions = read_jsonl(questions_path, lambda obj: (str(obj["id"]), str(obj["question"])))
     rows = []
-    with open(questions_path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            example_id, question = str(obj["id"]), str(obj["question"])
-            scorer = file_scorer.for_example(example_id) if file_scorer else model
-            ranked = rerank_inference(index, scorer, question, args.kappa_star, args.k)
-            rows.append(
-                {
-                    "id": example_id,
-                    "doc_ids": [sd.doc_id for sd in ranked],
-                    "scores": [sd.score for sd in ranked],
-                }
-            )
+    for example_id, question in questions:
+        scorer = file_scorer.for_example(example_id) if file_scorer else model
+        ranked = rerank_inference(index, scorer, question, args.kappa_star, args.k)
+        rows.append(
+            {
+                "id": example_id,
+                "doc_ids": [sd.doc_id for sd in ranked],
+                "scores": [sd.score for sd in ranked],
+            }
+        )
     out = Path(args.out)
-    _atomic_write_text(
-        out, "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
-    )
+    atomic_write(out, jsonl_text(rows))
     _write_manifest(
         args,
         "rerank-infer",
@@ -299,13 +274,9 @@ def cmd_eval(args) -> int:
             for r in records
             if len(r.rationales) > args.j_gold
         }
-        retrieved = {}
-        with open(retrieved_path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                retrieved[str(obj["id"])] = list(obj["doc_ids"])
+        retrieved = dict(
+            read_jsonl(retrieved_path, lambda obj: (str(obj["id"]), list(obj["doc_ids"])))
+        )
         ks = [int(k) for k in args.ks.split(",")]
         mode = "all" if args.all_silver else "any"
         report.update(hits_report(retrieved, silver, ks, mode))
@@ -321,7 +292,7 @@ def cmd_eval(args) -> int:
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         out = Path(args.out)
-        _atomic_write_text(out, text + "\n")
+        atomic_write(out, text + "\n")
         _write_manifest(
             args,
             "eval",
@@ -379,15 +350,13 @@ def cmd_simulate(args) -> int:
         report = run_simulation(SimConfig(**base))
         text = report.to_json() + "\n"
     if args.out:
-        _atomic_write_text(Path(args.out), text)
+        atomic_write(Path(args.out), text)
         _write_manifest(args, "simulate", base | {"sweep": args.sweep}, [], [Path(args.out)])
     print(text, end="")
     return 0
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker cap (stages currently run single-worker)")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     parser.add_argument("--manifest-out", default=None, help="run-manifest path (default: <out>.manifest.json)")
 
@@ -441,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=DEFAULT_EMBEDDING_DIM)
     p.add_argument("--hash-seed", type=int, default=0)
     p.add_argument("--shuffle", action="store_true")
+    p.add_argument("--seed", type=int, default=0, help="shuffle seed")
     _add_common(p)
     p.set_defaults(func=cmd_rerank_train)
 
@@ -476,6 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--tests", type=int, default=500)
     p.add_argument("--sweep", default=None, help="param=start:stop:step, e.g. R=0:200:50")
+    p.add_argument("--seed", type=int, default=0, help="random seed for the trials")
     p.add_argument("--out", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_simulate)

@@ -15,13 +15,8 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import (
-    DuplicateDocId,
-    EmptyDocument,
-    InvalidOrdinal,
-    ParseError,
-    UnknownFormatVersion,
-)
+from .errors import DuplicateDocId, EmptyDocument, InvalidOrdinal, UnknownFormatVersion
+from .records import atomic_write, read_jsonl
 
 INDEX_FORMAT_VERSION = 1
 TOKENIZER_VERSION = "lower-alnum-1"
@@ -193,27 +188,15 @@ def retrieve(index: PostingsIndex, query: str, k: int) -> list[ScoredDoc]:
     ]
 
 
+def _document(obj: dict) -> Document:
+    return Document(
+        doc_id=str(obj["id"]), title=str(obj.get("title", "")), text=str(obj["text"])
+    )
+
+
 def load_corpus_jsonl(path: str | Path) -> list[Document]:
-    """Read a JSONL corpus of {"id", "title", "text"} objects."""
-    docs = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(line_no, f"invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
-                raise ParseError(line_no, 'expected an object with "id" and "text"')
-            docs.append(
-                Document(
-                    doc_id=str(obj["id"]),
-                    title=str(obj.get("title", "")),
-                    text=str(obj["text"]),
-                )
-            )
-    return docs
+    """Read a JSONL corpus of {"id", "title", "text"} objects ("title" optional)."""
+    return read_jsonl(path, _document)
 
 
 def serialize_index(index: PostingsIndex) -> bytes:
@@ -260,7 +243,7 @@ def deserialize_index(data: bytes) -> PostingsIndex:
 
 
 def save_index(index: PostingsIndex, path: str | Path) -> None:
-    Path(path).write_bytes(serialize_index(index))
+    atomic_write(path, serialize_index(index))
 
 
 def load_index(path: str | Path) -> PostingsIndex:

@@ -8,14 +8,14 @@ external seq2seq trainer.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .answers import extract_answer, option_letters
 from .corpus import Document, PostingsIndex, ScoredDoc, retrieve
-from .errors import AnswerNotInOptions, NoKnowledge, ParseError
+from .errors import AnswerNotInOptions, NoKnowledge
+from .records import jsonl_text, read_jsonl
 
 QUESTION_MARKER = "Question: "
 KNOWLEDGE_MARKER = "Knowledge: "
@@ -72,56 +72,53 @@ class TrainingTemplate:
         raise ValueError(f"unknown template {name!r}")
 
 
+def _rationale_record(obj: dict) -> RationaleRecord:
+    rationales = obj.get("rationales", [])
+    if not isinstance(rationales, list) or not all(isinstance(r, str) for r in rationales):
+        raise ValueError('"rationales" must be a list of strings')
+    record = RationaleRecord(
+        example_id=str(obj["id"]),
+        question=str(obj["question"]),
+        answer=str(obj["answer"]).strip().upper(),
+        rationales=tuple(rationales),
+    )
+    options = option_letters(record.question)
+    if record.answer not in options:
+        raise AnswerNotInOptions(record.example_id, record.answer, options)
+    return record
+
+
 def ingest_rationales(path: str | Path) -> list[RationaleRecord]:
     """Read and validate a JSONL file of {"id", "question", "answer", "rationales"}.
 
     Raises ParseError with the offending line number, or AnswerNotInOptions
     when a gold answer is not among the question's option letters.
     """
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(line_no, f"invalid JSON: {exc}") from exc
-            missing = {"id", "question", "answer"} - set(obj)
-            if missing:
-                raise ParseError(line_no, f"missing fields: {sorted(missing)}")
-            rationales = obj.get("rationales", [])
-            if not isinstance(rationales, list) or not all(
-                isinstance(r, str) for r in rationales
-            ):
-                raise ParseError(line_no, '"rationales" must be a list of strings')
-            record = RationaleRecord(
-                example_id=str(obj["id"]),
-                question=str(obj["question"]),
-                answer=str(obj["answer"]).strip().upper(),
-                rationales=tuple(rationales),
-            )
-            options = option_letters(record.question)
-            if record.answer not in options:
-                raise AnswerNotInOptions(record.example_id, record.answer, options)
-            records.append(record)
-    return records
+    return read_jsonl(path, _rationale_record)
+
+
+# keep(record, j) decides whether rationale j of a record survives filtering.
+KeepRule = Callable[[RationaleRecord, int], bool]
+
+
+def answer_matches(record: RationaleRecord, j: int) -> bool:
+    """Rationale ``j`` declares the gold answer; undeclared counts as incorrect."""
+    return extract_answer(record.rationales[j]) == record.answer
 
 
 def filter_rationales(
-    records: Sequence[RationaleRecord],
-    extract: Callable[[str], str | None] = extract_answer,
+    records: Sequence[RationaleRecord], keep: KeepRule = answer_matches
 ) -> tuple[list[RationaleRecord], dict[str, int]]:
-    """Keep rationales whose extracted answer equals the gold answer.
+    """Keep the rationales ``keep`` accepts (by default, answer matches gold).
 
-    Rationales without an extractable answer count as incorrect. Records
-    left with no rationales are dropped. Returns the surviving records and
-    a per-record count of dropped rationales. Idempotent.
+    Records left with no rationales are dropped. Returns the surviving
+    records and a per-record count of dropped rationales. Idempotent for
+    rules that look only at the rationale text.
     """
     kept_records = []
     drops: dict[str, int] = {}
     for record in records:
-        kept = tuple(r for r in record.rationales if extract(r) == record.answer)
+        kept = tuple(r for j, r in enumerate(record.rationales) if keep(record, j))
         dropped = len(record.rationales) - len(kept)
         if dropped:
             drops[record.example_id] = dropped
@@ -130,42 +127,21 @@ def filter_rationales(
     return kept_records, drops
 
 
-def filter_by_verdicts(
-    records: Sequence[RationaleRecord], verdicts: dict[tuple[str, int], bool]
-) -> tuple[list[RationaleRecord], dict[str, int]]:
-    """Filter with an external verdict table keyed by (example_id, rationale index).
+def load_verdicts(path: str | Path) -> KeepRule:
+    """Read a verdict JSONL file of {"id", "j", "keep"} objects as a keep rule.
 
-    Pairs absent from the table are dropped (the table is an allowlist).
+    The file is an allowlist: (example id, rationale index) pairs it does
+    not list are dropped. A later line for the same pair overrides an
+    earlier one.
     """
-    kept_records = []
-    drops: dict[str, int] = {}
-    for record in records:
-        kept = tuple(
-            r
-            for j, r in enumerate(record.rationales)
-            if verdicts.get((record.example_id, j), False)
-        )
-        dropped = len(record.rationales) - len(kept)
-        if dropped:
-            drops[record.example_id] = dropped
-        if kept:
-            kept_records.append(replace(record, rationales=kept))
-    return kept_records, drops
+    verdicts = dict(
+        read_jsonl(path, lambda obj: ((str(obj["id"]), int(obj["j"])), bool(obj["keep"])))
+    )
 
+    def keep(record: RationaleRecord, j: int) -> bool:
+        return verdicts.get((record.example_id, j), False)
 
-def load_verdicts(path: str | Path) -> dict[tuple[str, int], bool]:
-    """Read a verdict JSONL file of {"id", "j", "keep"} objects."""
-    verdicts: dict[tuple[str, int], bool] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(line_no, f"invalid JSON: {exc}") from exc
-            verdicts[(str(obj["id"]), int(obj["j"]))] = bool(obj["keep"])
-    return verdicts
+    return keep
 
 
 def retrieve_knowledge(
@@ -248,40 +224,13 @@ def parse_training_example(input_text: str, target_text: str) -> ParsedExample:
 
 
 def training_jsonl_text(examples: Sequence[TrainingExample]) -> str:
-    return "".join(
-        json.dumps(
-            {
-                "id": ex.example_id,
-                "j": ex.rationale_index,
-                "input": ex.input_text,
-                "target": ex.target_text,
-                "doc_ids": list(ex.knowledge_doc_ids),
-            },
-            ensure_ascii=False,
-        )
-        + "\n"
+    return jsonl_text(
+        {
+            "id": ex.example_id,
+            "j": ex.rationale_index,
+            "input": ex.input_text,
+            "target": ex.target_text,
+            "doc_ids": list(ex.knowledge_doc_ids),
+        }
         for ex in examples
     )
-
-
-def write_training_jsonl(examples: Sequence[TrainingExample], path: str | Path) -> None:
-    Path(path).write_text(training_jsonl_text(examples), encoding="utf-8")
-
-
-def read_training_jsonl(path: str | Path) -> list[TrainingExample]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            out.append(
-                TrainingExample(
-                    example_id=obj["id"],
-                    rationale_index=int(obj["j"]),
-                    input_text=obj["input"],
-                    target_text=obj["target"],
-                    knowledge_doc_ids=tuple(obj["doc_ids"]),
-                )
-            )
-    return out

@@ -29,8 +29,9 @@ class UnknownFormatVersion(RadkitError):
 
 
 class ParseError(RadkitError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, path, line_no: int, message: str):
+        super().__init__(f"{path}: line {line_no}: {message}")
+        self.path = path
         self.line_no = line_no
 
 

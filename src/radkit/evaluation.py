@@ -8,7 +8,6 @@ generated texts per example.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,8 @@ from typing import Mapping, Sequence
 from .answers import extract_answer
 from .corpus import PostingsIndex, retrieve
 from .distill import RationaleRecord
-from .errors import EmptyEvaluation, MissingSilver, ParseError
+from .errors import EmptyEvaluation, MissingSilver
+from .records import read_jsonl
 
 SILVER_K = 3
 
@@ -131,25 +131,17 @@ def accuracy(bundles: Sequence[PredictionBundle]) -> float:
     return correct / len(bundles)
 
 
+def _prediction_bundle(obj: dict) -> PredictionBundle:
+    texts = obj["texts"]
+    if not isinstance(texts, list) or not texts:
+        raise ValueError('"texts" must be a non-empty list')
+    return PredictionBundle(
+        example_id=str(obj["id"]),
+        generated_texts=tuple(str(t) for t in texts),
+        gold_answer=str(obj["gold"]).strip().upper(),
+    )
+
+
 def load_predictions_jsonl(path: str | Path) -> list[PredictionBundle]:
     """Read {"id", "texts", "gold"} prediction bundles."""
-    bundles = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(line_no, f"invalid JSON: {exc}") from exc
-            texts = obj.get("texts")
-            if not isinstance(texts, list) or not texts:
-                raise ParseError(line_no, '"texts" must be a non-empty list')
-            bundles.append(
-                PredictionBundle(
-                    example_id=str(obj["id"]),
-                    generated_texts=tuple(str(t) for t in texts),
-                    gold_answer=str(obj["gold"]).strip().upper(),
-                )
-            )
-    return bundles
+    return read_jsonl(path, _prediction_bundle)

@@ -1,0 +1,70 @@
+"""JSONL records and atomic file writes.
+
+Stages hand over to each other, and to external trainers and scorers,
+through JSONL files of one JSON object per line. This module is the one
+place that format is read and written: ``read_jsonl`` turns each line into
+a record and reports a malformed line as a ParseError naming the file, the
+line and the field; ``atomic_write`` replaces a file only with complete
+new content, so a failed write leaves the old file as it was.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import tempfile
+from pathlib import Path
+from typing import Callable, Iterable, TypeVar
+
+from .errors import ParseError
+
+T = TypeVar("T")
+
+
+def read_jsonl(path: str | Path, make: Callable[[dict], T]) -> list[T]:
+    """One ``make(obj)`` per non-blank line of a JSONL file, in file order.
+
+    A line that is not a JSON object, a field ``make`` looks up and does not
+    find (KeyError), or a value it rejects (TypeError/ValueError) raises
+    ParseError with the file and line number.
+    """
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(path, line_no, f"invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise ParseError(path, line_no, f"expected a JSON object, got {line.strip()[:40]}")
+            try:
+                records.append(make(obj))
+            except KeyError as exc:
+                raise ParseError(path, line_no, f'missing field "{exc.args[0]}"') from exc
+            except (TypeError, ValueError) as exc:
+                raise ParseError(path, line_no, str(exc)) from exc
+    return records
+
+
+def jsonl_text(rows: Iterable[dict]) -> str:
+    """One compact JSON object per line, non-ASCII text kept as is."""
+    return "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+
+
+def atomic_write(path: str | Path, data: bytes | str) -> None:
+    """Write ``data`` (str as UTF-8) to a temporary sibling, then rename it over ``path``."""
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

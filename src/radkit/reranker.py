@@ -32,6 +32,7 @@ from .errors import (
     NonPositiveTemperature,
     UnknownFormatVersion,
 )
+from .records import atomic_write, jsonl_text, read_jsonl
 
 MODEL_FORMAT_VERSION = 1
 
@@ -168,10 +169,6 @@ class RerankerModel:
         q = self.query_projection @ self.featurize(query_text)
         d = self.doc_projection @ self.featurize(doc_text)
         return float(q @ d + self.bias)
-
-
-def score(model: RerankerModel, doc_text: str, query_text: str) -> float:
-    return model.score(doc_text, query_text)
 
 
 def softmax_normalize(
@@ -416,14 +413,10 @@ class FileScorer:
 
     @classmethod
     def load(cls, path: str | Path) -> "FileScorer":
-        scores: dict[tuple[str, str], float] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                scores[(str(obj["id"]), str(obj["doc_id"]))] = float(obj["score"])
-        return cls(scores)
+        rows = read_jsonl(
+            path, lambda obj: ((str(obj["id"]), str(obj["doc_id"])), float(obj["score"]))
+        )
+        return cls(dict(rows))
 
     def for_example(self, example_id: str) -> Scorer:
         def scorer(doc_id: str, doc_text: str, query_text: str) -> float:
@@ -446,7 +439,7 @@ def serialize_model(model: RerankerModel) -> str:
 
 
 def save_model(model: RerankerModel, path: str | Path) -> None:
-    Path(path).write_text(serialize_model(model), encoding="utf-8")
+    atomic_write(path, serialize_model(model))
 
 
 def load_model(path: str | Path) -> RerankerModel:
@@ -466,40 +459,27 @@ def load_model(path: str | Path) -> RerankerModel:
 
 
 def candidates_jsonl_text(sets: Sequence[CandidateSet]) -> str:
-    return "".join(
-        json.dumps(
-            {
-                "example_id": cs.example_id,
-                "j": cs.rationale_index,
-                "question": cs.question,
-                "doc_ids": list(cs.doc_ids),
-                "teacher_scores": list(cs.teacher_scores),
-            },
-            ensure_ascii=False,
-        )
-        + "\n"
+    return jsonl_text(
+        {
+            "example_id": cs.example_id,
+            "j": cs.rationale_index,
+            "question": cs.question,
+            "doc_ids": list(cs.doc_ids),
+            "teacher_scores": list(cs.teacher_scores),
+        }
         for cs in sets
     )
 
 
-def write_candidates_jsonl(sets: Sequence[CandidateSet], path: str | Path) -> None:
-    Path(path).write_text(candidates_jsonl_text(sets), encoding="utf-8")
+def _candidate_set(obj: dict) -> CandidateSet:
+    return CandidateSet(
+        example_id=str(obj["example_id"]),
+        rationale_index=int(obj["j"]),
+        question=obj["question"],
+        doc_ids=tuple(obj["doc_ids"]),
+        teacher_scores=tuple(float(s) for s in obj["teacher_scores"]),
+    )
 
 
 def read_candidates_jsonl(path: str | Path) -> list[CandidateSet]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            out.append(
-                CandidateSet(
-                    example_id=str(obj["example_id"]),
-                    rationale_index=int(obj["j"]),
-                    question=obj["question"],
-                    doc_ids=tuple(obj["doc_ids"]),
-                    teacher_scores=tuple(float(s) for s in obj["teacher_scores"]),
-                )
-            )
-    return out
+    return read_jsonl(path, _candidate_set)

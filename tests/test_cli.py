@@ -307,3 +307,86 @@ class TestSimulateCommand:
         )
         assert proc.returncode == 0, proc.stderr
         assert len(out.read_text().splitlines()) == 4
+
+
+
+# Every JSONL input of every stage: a valid row, the fields its reader
+# requires, and the stage invocation that reads it from {bad}.
+JSONL_INPUTS = {
+    "corpus": (
+        {"id": "d1", "title": "t", "text": "alpha beta"},
+        ("id", "text"),
+        "index --corpus {bad} --out {out}",
+    ),
+    "rationales": (
+        {"id": "r1", "question": "q (A) x (B) y", "answer": "A", "rationales": ["Answer: A"]},
+        ("id", "question", "answer"),
+        "emit-train --index {index} --rationales {bad} --out {out}",
+    ),
+    "verdict file": (
+        {"id": "ex-01", "j": 0, "keep": True},
+        ("id", "j", "keep"),
+        "emit-train --index {index} --rationales {rationales} --out {out}"
+        " --filter verdict-file:{bad}",
+    ),
+    "candidates": (
+        {"example_id": "ex-01", "j": 0, "question": "thyroid",
+         "doc_ids": ["med-001", "med-002"], "teacher_scores": [1.0, 0.5]},
+        ("example_id", "j", "question", "doc_ids", "teacher_scores"),
+        "rerank-train --index {index} --candidates {bad} --out {out} --epochs 1 --dim 8",
+    ),
+    "questions": (
+        {"id": "ex-01", "question": "thyroid hormone"},
+        ("id", "question"),
+        "rerank-infer --index {index} --questions {bad} --out {out} --kappa-star 10",
+    ),
+    "score file": (
+        {"id": "ex-01", "doc_id": "med-001", "score": 1.0},
+        ("id", "doc_id", "score"),
+        "rerank-infer --index {index} --questions {rationales} --out {out} --kappa-star 10"
+        " --score-file {bad}",
+    ),
+    "retrieved": (
+        {"id": "ex-01", "doc_ids": ["med-001"], "scores": [1.0]},
+        ("id", "doc_ids"),
+        "eval --index {index} --rationales {rationales} --retrieved {bad}",
+    ),
+    "predictions": (
+        {"id": "e1", "texts": ["x Answer: B"], "gold": "B"},
+        ("id", "texts", "gold"),
+        "eval --predictions {bad}",
+    ),
+}
+# Each required field left out, and a line that is not an object (field None).
+MALFORMED_CASES = [
+    pytest.param(name, field, id=f"{name}-{field or 'non-object'}")
+    for name, (_, fields, _) in JSONL_INPUTS.items()
+    for field in (*fields, None)
+]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("name,field", MALFORMED_CASES)
+    def test_one_error_line_names_file_line_and_field(self, pipeline, tmp_path, name, field):
+        paths, _, _ = pipeline
+        row, _, command = JSONL_INPUTS[name]
+        if field is None:
+            second, expected = "5", "expected a JSON object"
+        else:
+            second = json.dumps({k: v for k, v in row.items() if k != field})
+            expected = f'missing field "{field}"'
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(row) + "\n" + second + "\n")
+        where = {
+            "bad": bad,
+            "out": tmp_path / "out",
+            "index": paths["index"],
+            "rationales": DATA_DIR / "rationales.jsonl",
+        }
+        proc = run_cli(*(arg.format(**where) for arg in command.split()))
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith(f"error: {bad}: line 2: "), lines[0]
+        assert expected in lines[0], lines[0]

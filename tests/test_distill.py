@@ -11,9 +11,9 @@ from radkit.distill import (
     RationaleRecord,
     TrainingTemplate,
     emit_training_example,
-    filter_by_verdicts,
     filter_rationales,
     ingest_rationales,
+    load_verdicts,
     parse_training_example,
     retrieve_knowledge,
 )
@@ -124,9 +124,11 @@ class TestFilter:
         assert len(by_id["ex-01"].rationales) == 2  # one wrong letter dropped
         assert drops["ex-03"] == 1  # missing declaration dropped
 
-    def test_verdict_file_is_an_allowlist(self):
+    def test_verdict_file_is_an_allowlist(self, tmp_path):
         record = RationaleRecord("e", "q (A) x (B) y", "B", ("r0. Answer: B", "r1. Answer: B"))
-        kept, drops = filter_by_verdicts([record], {("e", 1): True})
+        path = tmp_path / "verdicts.jsonl"
+        path.write_text(json.dumps({"id": "e", "j": 1, "keep": True}) + "\n")
+        kept, drops = filter_rationales([record], load_verdicts(path))
         assert kept[0].rationales == ("r1. Answer: B",)
         assert drops == {"e": 1}
 

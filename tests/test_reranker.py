@@ -19,6 +19,7 @@ from radkit.reranker import (
     Distribution,
     RerankerModel,
     build_candidate_set,
+    candidates_jsonl_text,
     featurize,
     kl_loss,
     load_model,
@@ -29,7 +30,6 @@ from radkit.reranker import (
     save_model,
     softmax_normalize,
     train,
-    write_candidates_jsonl,
 )
 
 from helpers import (
@@ -407,7 +407,7 @@ class TestModelSerialization:
             CandidateSet("e2", 1, "question two", ("c", "b"), (0.0, -1.0)),
         ]
         path = tmp_path / "cands.jsonl"
-        write_candidates_jsonl(sets, path)
+        path.write_text(candidates_jsonl_text(sets), encoding="utf-8")
         assert read_candidates_jsonl(path) == sets
 
     def test_unknown_checkpoint_version_rejected(self, tmp_path):
