@@ -178,23 +178,24 @@ def cmd_candidates(args) -> int:
     return 0
 
 
+def _known_doc_ids(obj: dict, doc_texts: dict) -> None:
+    for doc_id in obj["doc_ids"]:
+        if doc_id not in doc_texts:
+            raise ValueError(f'unknown doc id "{doc_id}"')
+
+
 def cmd_rerank_train(args) -> int:
     index_path, cand_path = Path(args.index), Path(args.candidates)
     _check_inputs([index_path, cand_path])
     index = load_index(index_path)
     sets = read_candidates_jsonl(cand_path)
     doc_texts = {d.doc_id: d.text for d in index.documents}
+    if any(doc_id not in doc_texts for cs in sets for doc_id in cs.doc_ids):
+        # Read the file again only to name the line of the first unknown id.
+        read_jsonl(cand_path, lambda obj: _known_doc_ids(obj, doc_texts))
     model = RerankerModel.identity(args.dim, hash_seed=args.hash_seed)
     trained, trace = train(
-        model,
-        sets,
-        doc_texts,
-        epochs=args.epochs,
-        lr=args.lr,
-        seed=args.seed,
-        tau1=args.tau1,
-        tau2=args.tau2,
-        shuffle=args.shuffle,
+        model, sets, doc_texts, epochs=args.epochs, lr=args.lr, tau1=args.tau1, tau2=args.tau2
     )
     out = Path(args.out)
     atomic_write(out, serialize_model(trained))
@@ -206,10 +207,8 @@ def cmd_rerank_train(args) -> int:
             "tau2": args.tau2,
             "lr": args.lr,
             "epochs": args.epochs,
-            "seed": args.seed,
             "dim": args.dim,
             "hash_seed": args.hash_seed,
-            "shuffle": args.shuffle,
         },
         [index_path, cand_path],
         [out],
@@ -409,8 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--dim", type=int, default=DEFAULT_EMBEDDING_DIM)
     p.add_argument("--hash-seed", type=int, default=0)
-    p.add_argument("--shuffle", action="store_true")
-    p.add_argument("--seed", type=int, default=0, help="shuffle seed")
     _add_common(p)
     p.set_defaults(func=cmd_rerank_train)
 

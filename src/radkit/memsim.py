@@ -197,7 +197,7 @@ def infer_budgeted_traced(
     query: Query,
     m: int,
     rng: np.random.Generator,
-    prefix_index: Mapping[bytes, tuple[int, ...]] | None = None,
+    prefix_index: Mapping[bytes, tuple[int, ...]],
 ) -> tuple[int, str, int]:
     """Predict the next bit; also report which case fired and the KB match count.
 
@@ -205,6 +205,7 @@ def infer_budgeted_traced(
     budget length m -> uniform pick among KB rows sharing the stored
     prefix, answer read from the picked row; shorter entry covering the
     queried position -> direct read; otherwise random guess.
+    ``prefix_index`` must be ``build_prefix_index(kb, m)``.
     """
     j, prefix = query
     l_t = len(prefix)
@@ -212,12 +213,7 @@ def infer_budgeted_traced(
     if stored is None:
         return int(rng.integers(0, 2)), CASE_UNSEEN, 0
     if len(stored) == m:
-        if prefix_index is not None:
-            matches = prefix_index[stored.tobytes()]
-        else:
-            matches = tuple(
-                i for i in range(kb.shape[0]) if bool(np.all(kb[i, :m] == stored))
-            )
+        matches = prefix_index[stored.tobytes()]
         pick = matches[int(rng.integers(0, len(matches)))]
         return int(kb[pick, l_t]), CASE_KB_LOOKUP, len(matches)
     if l_t < len(stored):
@@ -231,7 +227,7 @@ def infer_budgeted(
     query: Query,
     m: int,
     rng: np.random.Generator,
-    prefix_index: Mapping[bytes, tuple[int, ...]] | None = None,
+    prefix_index: Mapping[bytes, tuple[int, ...]],
 ) -> int:
     return infer_budgeted_traced(state, kb, query, m, rng, prefix_index)[0]
 

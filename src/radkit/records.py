@@ -16,7 +16,7 @@ import tempfile
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
-from .errors import ParseError
+from .errors import ParseError, RadkitError
 
 T = TypeVar("T")
 
@@ -24,13 +24,18 @@ T = TypeVar("T")
 def read_jsonl(path: str | Path, make: Callable[[dict], T]) -> list[T]:
     """One ``make(obj)`` per non-blank line of a JSONL file, in file order.
 
-    A line that is not a JSON object, a field ``make`` looks up and does not
-    find (KeyError), or a value it rejects (TypeError/ValueError) raises
-    ParseError with the file and line number.
+    A line that is not UTF-8 or not a JSON object, a field ``make`` looks up
+    and does not find (KeyError), or a value it rejects (TypeError/ValueError)
+    raises ParseError with the file and line number. A RadkitError from
+    ``make`` keeps its type and gains the same location in its message.
     """
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(path, line_no, "not valid UTF-8") from exc
             if not line.strip():
                 continue
             try:
@@ -45,6 +50,9 @@ def read_jsonl(path: str | Path, make: Callable[[dict], T]) -> list[T]:
                 raise ParseError(path, line_no, f'missing field "{exc.args[0]}"') from exc
             except (TypeError, ValueError) as exc:
                 raise ParseError(path, line_no, str(exc)) from exc
+            except RadkitError as exc:
+                exc.args = (f"{path}: line {line_no}: {exc}",)
+                raise
     return records
 
 

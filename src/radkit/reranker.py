@@ -8,7 +8,8 @@ question. Training minimizes mean KL(Q || P) by plain gradient descent.
 
 The scorer is a hashed bag-of-terms bilinear model: deterministic,
 dependency-free, and swappable for an external neural scorer through a
-score-file exchange at inference time.
+score-file exchange at inference time. ``RerankerModel.scores`` scores one
+query against many documents; training computes its logits the same way.
 """
 
 from __future__ import annotations
@@ -165,10 +166,9 @@ class RerankerModel:
     def featurize(self, text: str) -> np.ndarray:
         return featurize(text, self.embedding_dim, self.hash_seed)
 
-    def score(self, doc_text: str, query_text: str) -> float:
-        q = self.query_projection @ self.featurize(query_text)
-        d = self.doc_projection @ self.featurize(doc_text)
-        return float(q @ d + self.bias)
+    def scores(self, query_text: str, doc_texts: Sequence[str]) -> np.ndarray:
+        """Score of each document against the query; the query is featurized once."""
+        return _project(self, *_features(self, query_text, doc_texts))[2]
 
 
 def softmax_normalize(
@@ -211,12 +211,24 @@ class RerankerGradient:
     d_bias: float
 
 
-def _candidate_features(
-    model: RerankerModel, cs: CandidateSet, doc_texts: Mapping[str, str]
+def _features(
+    model: RerankerModel, query_text: str, doc_texts: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray]:
-    qv = model.featurize(cs.question)
-    dv = np.stack([model.featurize(doc_texts[doc_id]) for doc_id in cs.doc_ids])
-    return qv, dv
+    """The query's feature vector and the documents' feature rows."""
+    return model.featurize(query_text), np.stack([model.featurize(t) for t in doc_texts])
+
+
+def _project(
+    model: RerankerModel, qv: np.ndarray, dv: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u = Wq q, the rows of V = D Wd^T, and the logits V u + bias.
+
+    Training and inference both score through here, so they compute the
+    same numbers the same way.
+    """
+    u = model.query_projection @ qv
+    v = dv @ model.doc_projection.T
+    return u, v, v @ u + model.bias
 
 
 def _set_loss_and_gradient(
@@ -226,21 +238,22 @@ def _set_loss_and_gradient(
     tau2: float,
     qv: np.ndarray,
     dv: np.ndarray,
-    want_gradient: bool = True,
-) -> tuple[float, RerankerGradient | None]:
+) -> tuple[float, RerankerGradient]:
     teacher = softmax_normalize(cs.teacher_scores, tau1, cs.doc_ids)
-    u = model.query_projection @ qv
-    v = dv @ model.doc_projection.T
-    logits = v @ u + model.bias
+    u, v, logits = _project(model, qv, dv)
     student = softmax_normalize(tuple(logits), tau2, cs.doc_ids)
     loss = kl_loss(teacher, student)
-    if not want_gradient:
-        return loss, None
     # dKL/dlogit_i = (P_i - Q_i) / tau2, pushed through the bilinear form.
     g = (np.asarray(student.probabilities) - np.asarray(teacher.probabilities)) / tau2
     d_query = np.outer(g @ v, qv)
     d_doc = np.outer(u, g @ dv)
     return loss, RerankerGradient(d_query, d_doc, float(g.sum()))
+
+
+def _candidate_features(
+    model: RerankerModel, cs: CandidateSet, doc_texts: Mapping[str, str]
+) -> tuple[np.ndarray, np.ndarray]:
+    return _features(model, cs.question, [doc_texts[doc_id] for doc_id in cs.doc_ids])
 
 
 def loss_gradient(
@@ -252,9 +265,7 @@ def loss_gradient(
 ) -> tuple[float, RerankerGradient]:
     """Analytic KL loss and gradient for one candidate set."""
     qv, dv = _candidate_features(model, candidate_set, doc_texts)
-    loss, grad = _set_loss_and_gradient(model, candidate_set, tau1, tau2, qv, dv)
-    assert grad is not None
-    return loss, grad
+    return _set_loss_and_gradient(model, candidate_set, tau1, tau2, qv, dv)
 
 
 def mean_loss(
@@ -266,9 +277,7 @@ def mean_loss(
 ) -> float:
     total = 0.0
     for cs in candidate_sets:
-        qv, dv = _candidate_features(model, cs, doc_texts)
-        loss, _ = _set_loss_and_gradient(model, cs, tau1, tau2, qv, dv, want_gradient=False)
-        total += loss
+        total += loss_gradient(model, cs, tau1, tau2, doc_texts)[0]
     return total / len(candidate_sets)
 
 
@@ -278,54 +287,40 @@ def train(
     doc_texts: Mapping[str, str],
     epochs: int,
     lr: float,
-    seed: int = 0,
     tau1: float = DEFAULT_TAU1,
     tau2: float = DEFAULT_TAU2,
-    shuffle: bool = False,
 ) -> tuple[RerankerModel, list[float]]:
     """Full-batch gradient descent on mean KL(Q || P).
 
     Returns a trained copy of the model and the loss trace: entry 0 is the
-    mean loss before training, entry e the mean loss after epoch e.
-    Deterministic given the seed; accumulation order is fixed.
+    mean loss before training, entry e the mean loss after epoch e. Pass e
+    takes entry e and the gradient at the same parameters, then applies
+    update e + 1; the last pass updates nothing. Gradients accumulate in set
+    order, so training is deterministic.
     """
     if not candidate_sets:
         raise ValueError("no candidate sets to train on")
     trained = model.copy()
-    rng = np.random.default_rng(seed)
     features = [_candidate_features(trained, cs, doc_texts) for cs in candidate_sets]
-    order = list(range(len(candidate_sets)))
+    scale = lr / len(candidate_sets)
     trace: list[float] = []
-
-    def epoch_pass(apply_update: bool) -> float:
+    for epoch in range(epochs + 1):
         total = 0.0
         acc_q = np.zeros_like(trained.query_projection)
         acc_d = np.zeros_like(trained.doc_projection)
         acc_b = 0.0
-        for i in order:
-            qv, dv = features[i]
-            loss, grad = _set_loss_and_gradient(
-                trained, candidate_sets[i], tau1, tau2, qv, dv, want_gradient=apply_update
-            )
+        for cs, (qv, dv) in zip(candidate_sets, features):
+            loss, grad = _set_loss_and_gradient(trained, cs, tau1, tau2, qv, dv)
             total += loss
-            if apply_update:
-                acc_q += grad.d_query_projection
-                acc_d += grad.d_doc_projection
-                acc_b += grad.d_bias
-        if apply_update:
-            scale = lr / len(candidate_sets)
+            acc_q += grad.d_query_projection
+            acc_d += grad.d_doc_projection
+            acc_b += grad.d_bias
+        trace.append(total / len(candidate_sets))
+        if epoch < epochs:
             trained.query_projection -= scale * acc_q
             trained.doc_projection -= scale * acc_d
             trained.bias -= scale * acc_b
             trained.step += 1
-        return total / len(candidate_sets)
-
-    trace.append(epoch_pass(apply_update=False))
-    for _ in range(epochs):
-        if shuffle:
-            order = list(rng.permutation(len(candidate_sets)))
-        epoch_pass(apply_update=True)
-        trace.append(epoch_pass(apply_update=False))
     return trained, trace
 
 
@@ -375,7 +370,8 @@ def rerank_inference(
 ) -> list[ScoredDoc]:
     """Two-stage retrieval: BM25 top-kappa_star, then rerank and keep top-k.
 
-    ``model`` may be a RerankerModel or any (doc_id, doc_text, query_text)
+    ``model`` may be a RerankerModel, which scores all candidates in one
+    ``RerankerModel.scores`` call, or any (doc_id, doc_text, query_text)
     -> score callable. Output is always a subset of the BM25 candidates;
     ties break by ascending doc_id.
     """
@@ -384,17 +380,12 @@ def rerank_inference(
     candidates = retrieve(index, question, kappa_star)
     if not candidates:
         raise EmptyCandidates(question)
+    texts = [index.document(sd.doc_id).text for sd in candidates]
     if isinstance(model, RerankerModel):
-        def scorer(doc_id: str, doc_text: str, query: str) -> float:
-            return model.score(doc_text, query)
+        scores = model.scores(question, texts).tolist()
     else:
-        scorer = model
-    rescored = sorted(
-        (
-            (-scorer(sd.doc_id, index.document(sd.doc_id).text, question), sd.doc_id)
-            for sd in candidates
-        ),
-    )
+        scores = [model(sd.doc_id, text, question) for sd, text in zip(candidates, texts)]
+    rescored = sorted((-score, sd.doc_id) for score, sd in zip(scores, candidates))
     return [
         ScoredDoc(doc_id=doc_id, score=-neg, rank=rank)
         for rank, (neg, doc_id) in enumerate(rescored[:k], start=1)

@@ -357,26 +357,50 @@ JSONL_INPUTS = {
         "eval --predictions {bad}",
     ),
 }
-# Each required field left out, and a line that is not an object (field None).
+
+
+def _second_line(name: str, field: str | None) -> tuple[bytes, str]:
+    """A line without ``field`` (a bare number for None) and the error it must give."""
+    if field is None:
+        return b"5", "expected a JSON object"
+    row = {k: v for k, v in JSONL_INPUTS[name][0].items() if k != field}
+    return json.dumps(row).encode(), f'missing field "{field}"'
+
+
+# Each required field left out and a line that is not an object, then lines
+# that parse but are still wrong.
 MALFORMED_CASES = [
-    pytest.param(name, field, id=f"{name}-{field or 'non-object'}")
+    pytest.param(name, *_second_line(name, field), id=f"{name}-{field or 'non-object'}")
     for name, (_, fields, _) in JSONL_INPUTS.items()
     for field in (*fields, None)
+] + [
+    pytest.param(
+        "corpus", b'{"id": "d2", "text": "caf\xe9"}', "not valid UTF-8", id="corpus-latin-1"
+    ),
+    pytest.param(
+        "rationales",
+        json.dumps({**JSONL_INPUTS["rationales"][0], "answer": "E"}).encode(),
+        "answer 'E' is not among options",
+        id="rationales-answer-not-in-options",
+    ),
+    pytest.param(
+        "candidates",
+        json.dumps({**JSONL_INPUTS["candidates"][0], "doc_ids": ["med-001", "zz"]}).encode(),
+        'unknown doc id "zz"',
+        id="candidates-unknown-doc-id",
+    ),
 ]
 
 
 class TestMalformedInput:
-    @pytest.mark.parametrize("name,field", MALFORMED_CASES)
-    def test_one_error_line_names_file_line_and_field(self, pipeline, tmp_path, name, field):
+    @pytest.mark.parametrize("name,second,expected", MALFORMED_CASES)
+    def test_one_error_line_names_file_line_and_field(
+        self, pipeline, tmp_path, name, second, expected
+    ):
         paths, _, _ = pipeline
         row, _, command = JSONL_INPUTS[name]
-        if field is None:
-            second, expected = "5", "expected a JSON object"
-        else:
-            second = json.dumps({k: v for k, v in row.items() if k != field})
-            expected = f'missing field "{field}"'
         bad = tmp_path / "bad.jsonl"
-        bad.write_text(json.dumps(row) + "\n" + second + "\n")
+        bad.write_bytes(json.dumps(row).encode() + b"\n" + second + b"\n")
         where = {
             "bad": bad,
             "out": tmp_path / "out",

@@ -185,7 +185,9 @@ class TestInferBudgeted:
         refs = np.array([[1, 0, 1, 1, 0]], dtype=np.uint8)
         state = MemorizedState(m=4, subpop_count=1, entries={0: refs[0, :3].copy()})
         rng = np.random.default_rng(0)
-        bit, case, _ = infer_budgeted_traced(state, refs, (0, refs[0, :1]), 4, rng)
+        bit, case, _ = infer_budgeted_traced(
+            state, refs, (0, refs[0, :1]), 4, rng, build_prefix_index(refs, 4)
+        )
         assert case == CASE_PREFIX_READ
         assert bit == 0  # second stored bit
 
@@ -240,11 +242,15 @@ class TestInferBudgeted:
         refs = np.array([[1, 1, 1, 1]], dtype=np.uint8)
         rng = np.random.default_rng(7)
         empty = MemorizedState(m=3, subpop_count=1, entries={})
-        seen = {int(infer_budgeted(empty, refs, (0, refs[0, :2]), 3, rng)) for _ in range(50)}
+        index = build_prefix_index(refs, 3)
+        seen = {
+            int(infer_budgeted(empty, refs, (0, refs[0, :2]), 3, rng, index)) for _ in range(50)
+        }
         assert seen == {0, 1}
         short = MemorizedState(m=3, subpop_count=1, entries={0: refs[0, :1].copy()})
         bits = {
-            infer_budgeted_traced(short, refs, (0, refs[0, :2]), 3, rng)[1] for _ in range(20)
+            infer_budgeted_traced(short, refs, (0, refs[0, :2]), 3, rng, index)[1]
+            for _ in range(20)
         }
         assert bits == {CASE_GUESS}
 

@@ -103,16 +103,33 @@ class TestFeaturize:
 class TestScore:
     def test_empty_query_scores_bias(self):
         model = RerankerModel(embedding_dim=16, bias=2.5)
-        assert model.score("some document text", "") == 2.5
+        assert model.scores("", ["some document text"])[0] == 2.5
 
     def test_identity_self_similarity_is_one(self):
         model = RerankerModel.identity(embedding_dim=32)
-        assert model.score("fever chills malaria", "fever chills malaria") == pytest.approx(1.0)
+        text = "fever chills malaria"
+        assert model.scores(text, [text])[0] == pytest.approx(1.0)
 
     def test_bag_of_terms_order_invariance(self):
         model = RerankerModel.identity(embedding_dim=32)
         q = "does fever respond to rest"
-        assert model.score("a b", q) == model.score("b a", q)
+        assert model.scores(q, ["a b"])[0] == model.scores(q, ["b a"])[0]
+
+    def test_batch_matches_one_document_at_a_time(self):
+        rng = np.random.default_rng(21)
+        model = RerankerModel(
+            embedding_dim=16,
+            hash_seed=3,
+            query_projection=rng.normal(0, 1, (16, 16)),
+            doc_projection=rng.normal(0, 1, (16, 16)),
+            bias=0.7,
+        )
+        words = ["fever", "rest", "thyroid", "iodine", "malaria", "chills", "dose"]
+        docs = [" ".join(rng.choice(words, size=int(rng.integers(0, 9)))) for _ in range(25)]
+        q = "fever dose for malaria"
+        batch = model.scores(q, docs)
+        single = np.array([model.scores(q, [d])[0] for d in docs])
+        np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-12)
 
 
 class TestSoftmax:
@@ -207,7 +224,7 @@ class TestLossGradient:
         model = RerankerModel.identity(embedding_dim=16)
         question = "which treatment helps"
         doc_texts = {"a": "one passage", "b": "another text here", "c": "third entry"}
-        logits = [model.score(doc_texts[d], question) for d in ("a", "b", "c")]
+        logits = [model.scores(question, [doc_texts[d]])[0] for d in ("a", "b", "c")]
         cs = CandidateSet("e", 0, question, ("a", "b", "c"), tuple(logits))
         loss, grad = loss_gradient(model, cs, tau1=2.0, tau2=2.0, doc_texts=doc_texts)
         assert loss == 0.0
@@ -257,7 +274,7 @@ class TestLossGradient:
 class TestTrain:
     def test_zero_learning_rate_changes_nothing(self):
         model, sets, doc_texts = convergence_fixture()
-        trained, trace = train(model, sets, doc_texts, epochs=3, lr=0.0, seed=1)
+        trained, trace = train(model, sets, doc_texts, epochs=3, lr=0.0)
         assert np.array_equal(trained.query_projection, model.query_projection)
         assert np.array_equal(trained.doc_projection, model.doc_projection)
         assert trained.bias == model.bias
@@ -265,25 +282,31 @@ class TestTrain:
 
     def test_separable_fixture_converges(self):
         model, sets, doc_texts = convergence_fixture()
-        trained, trace = train(
-            model, sets, doc_texts, epochs=50, lr=1e-2, seed=0, tau1=1.0, tau2=100.0
-        )
+        trained, trace = train(model, sets, doc_texts, epochs=50, lr=1e-2, tau1=1.0, tau2=100.0)
         assert trace[-1] < trace[0]
         assert trace[-1] <= 0.5 * trace[0]
         targets = convergence_targets()
         aligned = 0
         for cs, target in zip(sets, targets):
-            logits = [trained.score(doc_texts[d], cs.question) for d in cs.doc_ids]
+            logits = [trained.scores(cs.question, [doc_texts[d]])[0] for d in cs.doc_ids]
             aligned += int(np.argmax(logits)) == target
         assert aligned >= 9
 
     def test_same_seed_bit_identical(self):
         model, sets, doc_texts = convergence_fixture()
-        a, _ = train(model, sets, doc_texts, epochs=5, lr=1e-2, seed=3, shuffle=True)
-        b, _ = train(model, sets, doc_texts, epochs=5, lr=1e-2, seed=3, shuffle=True)
+        a, _ = train(model, sets, doc_texts, epochs=5, lr=1e-2)
+        b, _ = train(model, sets, doc_texts, epochs=5, lr=1e-2)
         assert a.query_projection.tobytes() == b.query_projection.tobytes()
         assert a.doc_projection.tobytes() == b.doc_projection.tobytes()
         assert a.bias == b.bias
+
+    def test_trace_entry_is_loss_after_that_many_epochs(self):
+        model, sets, doc_texts = convergence_fixture()
+        _, trace = train(model, sets, doc_texts, epochs=6, lr=1e-2)
+        assert len(trace) == 7
+        for e in range(7):
+            _, shorter = train(model, sets, doc_texts, epochs=e, lr=1e-2)
+            assert trace[e] == shorter[-1]
 
     def test_small_step_does_not_increase_single_set_loss(self):
         rng = np.random.default_rng(13)
@@ -399,7 +422,7 @@ class TestModelSerialization:
         clone = load_model(path)
         assert clone.step == 17
         for doc, query in [("fever chills", "malaria"), ("a b c", "c d")]:
-            assert clone.score(doc, query) == model.score(doc, query)
+            assert clone.scores(query, [doc])[0] == model.scores(query, [doc])[0]
 
     def test_candidates_jsonl_round_trip(self, tmp_path):
         sets = [
