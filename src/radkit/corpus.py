@@ -7,18 +7,21 @@ the log so it is never negative, and the defaults are k1=0.9, b=0.4.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
-from bisect import bisect_left
+import zipfile
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DuplicateDocId, EmptyDocument, InvalidOrdinal, UnknownFormatVersion
 from .records import atomic_write, read_jsonl
 
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
 TOKENIZER_VERSION = "lower-alnum-1"
 
 DEFAULT_K1 = 0.9
@@ -52,60 +55,67 @@ def tokenize(text: str) -> list[str]:
     return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
-class PostingsIndex:
-    """Immutable BM25 inverted index.
+class _Rows:
+    """``rows[t]`` is ``values[offsets[t]:offsets[t + 1]]``, row ``t`` of a CSR array (a view)."""
 
-    Postings are per-term lists of (doc_ordinal, term_frequency) sorted
-    strictly ascending by ordinal. Ordinals follow corpus input order.
-    The source documents are embedded so downstream stages can resolve
-    passage texts from the index file alone.
+    def __init__(self, offsets: np.ndarray, values: np.ndarray):
+        self.offsets, self.values = offsets, values
+
+    def __getitem__(self, row: int) -> np.ndarray:
+        return self.values[self.offsets[row] : self.offsets[row + 1]]
+
+
+class PostingsIndex:
+    """Immutable BM25 inverted index in CSR form.
+
+    Term ``t``'s postings, ``postings[t]``, are ``ordinals[offsets[t]:offsets[t + 1]]``,
+    strictly ascending; ordinals follow corpus input order. ``tfs`` and
+    ``impacts`` run parallel to ``ordinals``: a posting's BM25 contribution
+    is ``idf * tf * (k1 + 1) / (tf + norm)``, evaluated in that order. The
+    source documents are embedded so downstream stages can resolve passage
+    texts from the index file alone.
     """
 
     def __init__(
         self,
         documents: list[Document],
         vocabulary: dict[str, int],
-        postings: list[list[tuple[int, int]]],
-        doc_lengths: list[int],
+        offsets: np.ndarray,
+        ordinals: np.ndarray,
+        tfs: np.ndarray,
+        doc_lengths: np.ndarray,
         k1: float,
         b: float,
-        tokenizer_version: str = TOKENIZER_VERSION,
     ):
         self.documents = documents
         self.vocabulary = vocabulary
-        self.postings = postings
+        self.offsets = offsets
+        self.ordinals = ordinals
+        self.tfs = tfs
         self.doc_lengths = doc_lengths
         self.k1 = k1
         self.b = b
-        self.tokenizer_version = tokenizer_version
         self.doc_count = len(documents)
-        self.avg_doc_length = sum(doc_lengths) / self.doc_count
+        self.avg_doc_length = int(doc_lengths.sum()) / self.doc_count
         self.doc_ids = [d.doc_id for d in documents]
         self._ordinal_by_id = {d.doc_id: i for i, d in enumerate(documents)}
+        # Rank of each ordinal's doc_id in ascending string order, the tie-break.
+        self.doc_id_rank = np.argsort(sorted(range(self.doc_count), key=self.doc_ids.__getitem__))
+        self.postings = _Rows(offsets, ordinals)
+        # idf by math.log, not np.log, once per distinct document frequency.
+        n, df = self.doc_count, np.diff(offsets)
+        distinct, of_term = np.unique(df, return_inverse=True)
+        idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in distinct.tolist()])
+        norm = k1 * (1.0 - b + b * doc_lengths / self.avg_doc_length)
+        self.impacts = np.repeat(idf[of_term], df) * tfs * (k1 + 1.0) / (tfs + norm[ordinals])
+        # term_id * doc_count + ordinal per posting: ascending, so one searchsorted finds pairs.
+        self.posting_keys = np.repeat(np.arange(len(df), dtype=np.int64) * n, df) + ordinals
 
     def ordinal(self, doc_id: str) -> int:
         return self._ordinal_by_id[doc_id]
 
     def document(self, doc_id: str) -> Document:
         return self.documents[self._ordinal_by_id[doc_id]]
-
-    def term_frequency(self, term: str, doc_ordinal: int) -> int:
-        """Frequency of ``term`` in the given document, 0 if absent."""
-        term_id = self.vocabulary.get(term)
-        if term_id is None:
-            return 0
-        plist = self.postings[term_id]
-        pos = bisect_left(plist, (doc_ordinal,))
-        if pos < len(plist) and plist[pos][0] == doc_ordinal:
-            return plist[pos][1]
-        return 0
-
-    def idf(self, term: str) -> float:
-        term_id = self.vocabulary.get(term)
-        if term_id is None:
-            return 0.0
-        df = len(self.postings[term_id])
-        return math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
 
 
 def build_index(
@@ -121,7 +131,7 @@ def build_index(
         raise ValueError("cannot index an empty corpus")
     seen: set[str] = set()
     vocabulary: dict[str, int] = {}
-    postings: list[list[tuple[int, int]]] = []
+    postings: list[int] = []  # flat (term_id, ordinal, tf) triples
     doc_lengths: list[int] = []
     for ordinal, doc in enumerate(docs):
         if doc.doc_id in seen:
@@ -131,15 +141,15 @@ def build_index(
         if not tokens:
             raise EmptyDocument(doc.doc_id)
         doc_lengths.append(len(tokens))
-        counts = Counter(tokens)
-        for term in sorted(counts):
-            term_id = vocabulary.get(term)
-            if term_id is None:
-                term_id = len(vocabulary)
-                vocabulary[term] = term_id
-                postings.append([])
-            postings[term_id].append((ordinal, counts[term]))
-    return PostingsIndex(list(docs), vocabulary, postings, doc_lengths, k1, b)
+        for term, tf in sorted(Counter(tokens).items()):
+            postings.extend((vocabulary.setdefault(term, len(vocabulary)), ordinal, tf))
+    # A stable sort by term id keeps each term's postings in ordinal order.
+    flat = np.array(postings, dtype=np.int32).reshape(-1, 3)
+    term_ids, ordinals, tfs = flat[np.argsort(flat[:, 0], kind="stable")].T.copy()
+    offsets = np.zeros(len(vocabulary) + 1, dtype=np.int32)
+    np.cumsum(np.bincount(term_ids, minlength=len(vocabulary)), out=offsets[1:])
+    lengths = np.array(doc_lengths, dtype=np.int32)
+    return PostingsIndex(list(docs), vocabulary, offsets, ordinals, tfs, lengths, k1, b)
 
 
 def bm25_score(index: PostingsIndex, query_terms: list[str], doc_ordinal: int) -> float:
@@ -149,14 +159,13 @@ def bm25_score(index: PostingsIndex, query_terms: list[str], doc_ordinal: int) -
     """
     if not 0 <= doc_ordinal < index.doc_count:
         raise InvalidOrdinal(doc_ordinal, index.doc_count)
-    dl = index.doc_lengths[doc_ordinal]
-    norm = index.k1 * (1.0 - index.b + index.b * dl / index.avg_doc_length)
+    term_ids = [t for t in map(index.vocabulary.get, dict.fromkeys(query_terms)) if t is not None]
+    wanted = np.array(term_ids, dtype=np.int64) * index.doc_count + doc_ordinal
+    keys = index.posting_keys
+    pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
     score = 0.0
-    for term in dict.fromkeys(query_terms):
-        tf = index.term_frequency(term, doc_ordinal)
-        if tf == 0:
-            continue
-        score += index.idf(term) * tf * (index.k1 + 1.0) / (tf + norm)
+    for impact in index.impacts[pos[keys[pos] == wanted]].tolist():
+        score += impact  # term by term, in query order, as retrieve's bincount adds
     return score
 
 
@@ -167,24 +176,21 @@ def retrieve(index: PostingsIndex, query: str, k: int) -> list[ScoredDoc]:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    terms = dict.fromkeys(tokenize(query))
-    accum: dict[int, float] = {}
-    for term in terms:
-        term_id = index.vocabulary.get(term)
-        if term_id is None:
-            continue
-        idf = index.idf(term)
-        for ordinal, tf in index.postings[term_id]:
-            dl = index.doc_lengths[ordinal]
-            norm = index.k1 * (1.0 - index.b + index.b * dl / index.avg_doc_length)
-            accum[ordinal] = accum.get(ordinal, 0.0) + idf * tf * (index.k1 + 1.0) / (tf + norm)
-    ranked = sorted(
-        ((score, index.doc_ids[ordinal]) for ordinal, score in accum.items() if score > 0.0),
-        key=lambda item: (-item[0], item[1]),
-    )
+    ids = [t for t in map(index.vocabulary.get, dict.fromkeys(tokenize(query))) if t is not None]
+    rows = [slice(index.offsets[t], index.offsets[t + 1]) for t in ids]
+    if not rows:
+        return []
+    ordinals = np.concatenate([index.ordinals[r] for r in rows])
+    impacts = np.concatenate([index.impacts[r] for r in rows])
+    # bincount adds each document's impacts in query-term order, as a loop would.
+    scores = np.bincount(ordinals, weights=impacts, minlength=index.doc_count)
+    hits = np.flatnonzero(scores > 0.0)
+    if len(hits) > k:  # keep every hit tied with the k-th best; the tie-break cuts
+        hits = hits[scores[hits] >= np.partition(scores[hits], len(hits) - k)[len(hits) - k]]
+    top = hits[np.lexsort((index.doc_id_rank[hits], -scores[hits]))[:k]]
     return [
-        ScoredDoc(doc_id=doc_id, score=score, rank=rank)
-        for rank, (score, doc_id) in enumerate(ranked[:k], start=1)
+        ScoredDoc(doc_id=index.doc_ids[o], score=float(scores[o]), rank=rank)
+        for rank, o in enumerate(top.tolist(), start=1)
     ]
 
 
@@ -199,47 +205,48 @@ def load_corpus_jsonl(path: str | Path) -> list[Document]:
     return read_jsonl(path, _document)
 
 
+_ARRAYS = ("offsets", "ordinals", "tfs", "doc_lengths")
+
+
 def serialize_index(index: PostingsIndex) -> bytes:
-    """Canonical JSON bytes; identical corpora serialize identically."""
-    terms_by_id = sorted(index.vocabulary, key=index.vocabulary.get)
-    payload = {
+    """Index format 2: an uncompressed ``.npz`` of the int32 CSR arrays.
+
+    A ``meta`` member holds UTF-8 JSON with the format version, the build
+    parameters, the terms in id order and the documents as [id, title, text]
+    triples. Impacts are not stored; they are recomputed at load. Identical
+    corpora serialize identically (``np.savez`` gives every member one fixed date).
+    """
+    meta = {
         "format_version": INDEX_FORMAT_VERSION,
-        "build_params": {
-            "tokenizer_version": index.tokenizer_version,
-            "k1": index.k1,
-            "b": index.b,
-        },
-        "documents": [
-            {"id": d.doc_id, "title": d.title, "text": d.text} for d in index.documents
-        ],
-        "doc_lengths": index.doc_lengths,
-        "terms": terms_by_id,
-        "postings": [index.postings[index.vocabulary[t]] for t in terms_by_id],
+        "build_params": {"tokenizer_version": TOKENIZER_VERSION, "k1": index.k1, "b": index.b},
+        "terms": sorted(index.vocabulary, key=index.vocabulary.get),
+        "documents": [[d.doc_id, d.title, d.text] for d in index.documents],
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    text = json.dumps(meta, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    arrays = {name: getattr(index, name) for name in _ARRAYS}
+    buf = io.BytesIO()
+    np.savez(buf, meta=np.frombuffer(text.encode("utf-8"), dtype=np.uint8), **arrays)
+    return buf.getvalue()
 
 
 def deserialize_index(data: bytes) -> PostingsIndex:
-    payload = json.loads(data.decode("utf-8"))
-    version = payload.get("format_version")
-    if version != INDEX_FORMAT_VERSION:
-        raise UnknownFormatVersion(version, INDEX_FORMAT_VERSION)
-    params = payload["build_params"]
-    documents = [
-        Document(doc_id=d["id"], title=d["title"], text=d["text"])
-        for d in payload["documents"]
-    ]
-    vocabulary = {term: i for i, term in enumerate(payload["terms"])}
-    postings = [[(int(o), int(tf)) for o, tf in plist] for plist in payload["postings"]]
-    return PostingsIndex(
-        documents,
-        vocabulary,
-        postings,
-        [int(n) for n in payload["doc_lengths"]],
-        float(params["k1"]),
-        float(params["b"]),
-        tokenizer_version=params["tokenizer_version"],
-    )
+    """Read format 2. Any other file, format 1's JSON included, raises UnknownFormatVersion."""
+    try:
+        if data[:1] == b"{":  # format 1 was one JSON object
+            raise UnknownFormatVersion(json.loads(data).get("format_version"), INDEX_FORMAT_VERSION)
+        with np.load(io.BytesIO(data), allow_pickle=False) as members:
+            meta = json.loads(members["meta"].tobytes().decode("utf-8"))
+            arrays = [members[name] for name in _ARRAYS]
+        if meta.get("format_version") != INDEX_FORMAT_VERSION:
+            raise UnknownFormatVersion(meta.get("format_version"), INDEX_FORMAT_VERSION)
+        params = meta["build_params"]
+        if params["tokenizer_version"] != TOKENIZER_VERSION:
+            raise UnknownFormatVersion(params["tokenizer_version"], TOKENIZER_VERSION, "tokenizer")
+        documents = [Document(*d) for d in meta["documents"]]
+        vocabulary = {term: i for i, term in enumerate(meta["terms"])}
+    except (AttributeError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise UnknownFormatVersion(None, INDEX_FORMAT_VERSION) from exc
+    return PostingsIndex(documents, vocabulary, *arrays, float(params["k1"]), float(params["b"]))
 
 
 def save_index(index: PostingsIndex, path: str | Path) -> None:

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 from .answers import extract_answer, option_letters
 from .corpus import Document, PostingsIndex, ScoredDoc, retrieve
 from .errors import AnswerNotInOptions, NoKnowledge
-from .records import jsonl_text, read_jsonl
+from .records import field, jsonl_text, read_jsonl
 
 QUESTION_MARKER = "Question: "
 KNOWLEDGE_MARKER = "Knowledge: "
@@ -135,7 +135,7 @@ def load_verdicts(path: str | Path) -> KeepRule:
     earlier one.
     """
     verdicts = dict(
-        read_jsonl(path, lambda obj: ((str(obj["id"]), int(obj["j"])), bool(obj["keep"])))
+        read_jsonl(path, lambda obj: ((str(obj["id"]), field(obj, "j", int)), bool(obj["keep"])))
     )
 
     def keep(record: RationaleRecord, j: int) -> bool:

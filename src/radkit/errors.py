@@ -24,8 +24,8 @@ class InvalidOrdinal(RadkitError):
 
 
 class UnknownFormatVersion(RadkitError):
-    def __init__(self, found, expected):
-        super().__init__(f"unknown file format version {found!r} (expected {expected!r})")
+    def __init__(self, found, expected, what: str = "file format"):
+        super().__init__(f"unknown {what} version {found!r} (expected {expected!r})")
 
 
 class ParseError(RadkitError):

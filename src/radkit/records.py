@@ -56,6 +56,17 @@ def read_jsonl(path: str | Path, make: Callable[[dict], T]) -> list[T]:
     return records
 
 
+def field(obj: dict, name: str, convert: Callable = lambda value: value, many: bool = False):
+    """``convert(obj[name])``, per item into a tuple if ``many``; a bad value names the field."""
+    value = obj[name]
+    if many and not isinstance(value, list):
+        raise ValueError(f'field "{name}" must be a list')
+    try:
+        return tuple(map(convert, value)) if many else convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f'field "{name}": {exc}') from exc
+
+
 def jsonl_text(rows: Iterable[dict]) -> str:
     """One compact JSON object per line, non-ASCII text kept as is."""
     return "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)

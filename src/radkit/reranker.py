@@ -33,7 +33,7 @@ from .errors import (
     NonPositiveTemperature,
     UnknownFormatVersion,
 )
-from .records import atomic_write, jsonl_text, read_jsonl
+from .records import atomic_write, field, jsonl_text, read_jsonl
 
 MODEL_FORMAT_VERSION = 1
 
@@ -405,7 +405,7 @@ class FileScorer:
     @classmethod
     def load(cls, path: str | Path) -> "FileScorer":
         rows = read_jsonl(
-            path, lambda obj: ((str(obj["id"]), str(obj["doc_id"])), float(obj["score"]))
+            path, lambda obj: ((str(obj["id"]), str(obj["doc_id"])), field(obj, "score", float))
         )
         return cls(dict(rows))
 
@@ -465,10 +465,10 @@ def candidates_jsonl_text(sets: Sequence[CandidateSet]) -> str:
 def _candidate_set(obj: dict) -> CandidateSet:
     return CandidateSet(
         example_id=str(obj["example_id"]),
-        rationale_index=int(obj["j"]),
+        rationale_index=field(obj, "j", int),
         question=obj["question"],
-        doc_ids=tuple(obj["doc_ids"]),
-        teacher_scores=tuple(float(s) for s in obj["teacher_scores"]),
+        doc_ids=field(obj, "doc_ids", many=True),
+        teacher_scores=field(obj, "teacher_scores", float, many=True),
     )
 
 

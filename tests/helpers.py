@@ -17,6 +17,13 @@ from radkit.reranker import CandidateSet, RerankerModel
 
 DATA_DIR = Path(__file__).parent / "data"
 
+# A format-1 (JSON) index of one document "alpha", byte for byte as format 1 wrote it.
+FORMAT_1_INDEX = (
+    b'{"build_params":{"b":0.4,"k1":0.9,"tokenizer_version":"lower-alnum-1"},'
+    b'"doc_lengths":[1],"documents":[{"id":"a","text":"alpha","title":""}],'
+    b'"format_version":1,"postings":[[[0,1]]],"terms":["alpha"]}'
+)
+
 
 def bm25_oracle_score(
     doc_tokens: list[list[str]], query_terms: list[str], doc: int, k1: float, b: float
@@ -36,10 +43,10 @@ def bm25_oracle_score(
     return total
 
 
-def bm25_oracle_topk(
+def bm25_oracle_ranked(
     docs: list[Document], query: str, k: int, k1: float, b: float
-) -> list[str]:
-    """Exhaustively score every document, sort, drop zeros, take k ids."""
+) -> list[tuple[str, float]]:
+    """Exhaustively score every document, sort, drop zeros, take k (id, score) pairs."""
     doc_tokens = [tokenize(d.text) for d in docs]
     terms = tokenize(query)
     scored = []
@@ -48,7 +55,14 @@ def bm25_oracle_topk(
         if s > 0.0:
             scored.append((-s, d.doc_id))
     scored.sort()
-    return [doc_id for _, doc_id in scored[:k]]
+    return [(doc_id, -neg) for neg, doc_id in scored[:k]]
+
+
+def bm25_oracle_topk(
+    docs: list[Document], query: str, k: int, k1: float, b: float
+) -> list[str]:
+    """The ids of ``bm25_oracle_ranked``."""
+    return [doc_id for doc_id, _ in bm25_oracle_ranked(docs, query, k, k1, b)]
 
 
 def random_corpus(rng: np.random.Generator, n_docs: int, vocab_size: int = 40) -> list[Document]:

@@ -163,7 +163,7 @@ def test_criterion_4_distillation_convergence():
 
 
 def test_criterion_5_bm25_oracle_equivalence():
-    """Exhaustive formula evaluation reproduces retrieve() on 1000 docs."""
+    """Exhaustive formula evaluation reproduces retrieve()'s ids and scores on 1000 docs."""
     rng = np.random.default_rng(1000)
     vocab = [f"w{i:03d}" for i in range(150)]
     docs = []
@@ -176,14 +176,14 @@ def test_criterion_5_bm25_oracle_equivalence():
     for _ in range(100):
         terms = [vocab[int(i)] for i in rng.integers(0, len(vocab), size=int(rng.integers(1, 6)))]
         query = " ".join(terms)
-        got = [sd.doc_id for sd in retrieve(index, query, 10)]
+        got = [(sd.doc_id, sd.score) for sd in retrieve(index, query, 10)]
         scored = []
         for ordinal, doc in enumerate(docs):
             s = bm25_oracle_score(doc_tokens, terms, ordinal, index.k1, index.b)
             if s > 0.0:
                 scored.append((-s, doc.doc_id))
         scored.sort()
-        want = [doc_id for _, doc_id in scored[:10]]
+        want = [(doc_id, -neg) for neg, doc_id in scored[:10]]
         mismatches += got != want
     single = build_index([Document("only", "", "term")])
     hand = abs(bm25_score(single, ["term"], 0) - math.log(4 / 3))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import DATA_DIR
+from helpers import DATA_DIR, FORMAT_1_INDEX
 
 
 def run_cli(*args, cwd=None):
@@ -104,6 +104,20 @@ class TestIndexCommand:
         proc = run_cli("index", "--corpus", str(missing), "--out", str(tmp_path / "x.json"))
         assert proc.returncode == 1
         assert str(missing) in proc.stderr
+
+
+    def test_format_1_index_exits_one_without_traceback(self, tmp_path):
+        index = tmp_path / "index.json"
+        index.write_bytes(FORMAT_1_INDEX)
+        proc = run_cli(
+            "emit-train", "--index", str(index),
+            "--rationales", str(DATA_DIR / "rationales.jsonl"), "--out", str(tmp_path / "out"),
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            "error: unknown file format version 1 (expected 2)"
+        ], proc.stderr
 
 
 class TestPipeline:
@@ -389,6 +403,21 @@ MALFORMED_CASES = [
         'unknown doc id "zz"',
         id="candidates-unknown-doc-id",
     ),
+] + [
+    # A string where a list belongs, and values that do not convert.
+    pytest.param(
+        name,
+        json.dumps({**JSONL_INPUTS[name][0], field: value}).encode(),
+        expected,
+        id=f"{name.replace(' ', '-')}-{field}-{value}",
+    )
+    for name, field, value, expected in [
+        ("candidates", "teacher_scores", "12", 'field "teacher_scores" must be a list'),
+        ("candidates", "doc_ids", "med-001", 'field "doc_ids" must be a list'),
+        ("candidates", "j", "x", 'field "j": invalid literal'),
+        ("verdict file", "j", "x", 'field "j": invalid literal'),
+        ("score file", "score", "x", 'field "score": could not convert'),
+    ]
 ]
 
 

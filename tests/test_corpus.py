@@ -1,23 +1,42 @@
 """Index construction and BM25 retrieval against an exhaustive oracle."""
 
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
 from radkit.corpus import (
+    TOKENIZER_VERSION,
     Document,
     build_index,
     bm25_score,
     deserialize_index,
     load_corpus_jsonl,
+    load_index,
     retrieve,
+    save_index,
     serialize_index,
     tokenize,
 )
-from radkit.errors import DuplicateDocId, EmptyDocument, InvalidOrdinal, UnknownFormatVersion
+from radkit.errors import (
+    DuplicateDocId,
+    EmptyDocument,
+    InvalidOrdinal,
+    RadkitError,
+    UnknownFormatVersion,
+)
 
-from helpers import DATA_DIR, bm25_oracle_score, bm25_oracle_topk, random_corpus, random_query
+from helpers import (
+    DATA_DIR,
+    FORMAT_1_INDEX,
+    bm25_oracle_ranked,
+    bm25_oracle_score,
+    bm25_oracle_topk,
+    random_corpus,
+    random_query,
+)
 
 FIVE_DOCS = [
     Document("d1", "", "fever cough fever"),
@@ -67,9 +86,10 @@ class TestBuildIndex:
             Document("c", "", "fever"),
         ]
         index = build_index(docs)
-        plist = index.postings[index.vocabulary["fever"]]
-        assert plist == [(0, 1), (2, 1)]
-        ordinals = [o for o, _ in plist]
+        term_id = index.vocabulary["fever"]
+        ordinals = index.postings[term_id].tolist()
+        assert ordinals == [0, 2]
+        assert index.tfs[index.offsets[term_id] : index.offsets[term_id + 1]].tolist() == [1, 1]
         assert ordinals == sorted(ordinals)
 
     def test_rebuild_is_byte_identical(self):
@@ -192,13 +212,48 @@ class TestRetrieve:
                 assert retrieve(index, query, k) == big[:k]
 
     def test_matches_exhaustive_oracle(self):
+        """Ids and float scores equal the exhaustive oracle's exactly.
+
+        Queries repeat a term and carry one out of the vocabulary; k runs
+        past the hit count; over a 3-word vocabulary many documents tie, so
+        ties straddle the top-k cut.
+        """
         rng = np.random.default_rng(37)
-        for _ in range(20):
-            docs = random_corpus(rng, n_docs=int(rng.integers(3, 60)))
-            index = build_index(docs)
-            query = random_query(rng)
-            got = [sd.doc_id for sd in retrieve(index, query, 10)]
-            assert got == bm25_oracle_topk(docs, query, 10, index.k1, index.b)
+        straddles = 0
+        for vocab_size in (40, 3):
+            for _ in range(20):
+                docs = random_corpus(rng, n_docs=int(rng.integers(3, 60)), vocab_size=vocab_size)
+                index = build_index(docs)
+                terms = random_query(rng, vocab_size=vocab_size)
+                query = f"{terms} {terms.split()[0]} zebra"
+                every = bm25_oracle_ranked(docs, query, len(docs), index.k1, index.b)
+                for k in (1, 3, 10, len(docs) + 5):
+                    got = [(sd.doc_id, sd.score) for sd in retrieve(index, query, k)]
+                    assert got == every[:k]
+                    straddles += k < len(every) and every[k - 1][1] == every[k][1]
+        assert straddles > 0
+
+
+def _npz_bytes(**arrays) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+def _npy_bytes(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+def _with_meta(data: bytes, change) -> bytes:
+    """A format-2 index file rewritten with ``change`` applied to its meta member."""
+    with np.load(io.BytesIO(data)) as members:
+        arrays = {name: members[name] for name in members.files}
+    meta = json.loads(arrays["meta"].tobytes())
+    change(meta)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    return _npz_bytes(**arrays)
 
 
 class TestSerialization:
@@ -211,18 +266,69 @@ class TestSerialization:
 
     def test_unknown_version_rejected(self):
         data = serialize_index(build_index(FIVE_DOCS))
-        tampered = data.replace(b'"format_version":1', b'"format_version":99')
-        with pytest.raises(UnknownFormatVersion):
+        assert deserialize_index(_with_meta(data, lambda meta: None)).doc_count == 5
+        tampered = _with_meta(data, lambda meta: meta.update(format_version=99))
+        with pytest.raises(UnknownFormatVersion, match="99"):
             deserialize_index(tampered)
 
-    def test_file_round_trip(self, tmp_path):
-        from radkit.corpus import load_index, save_index
+    def test_format_1_json_rejected(self):
+        with pytest.raises(UnknownFormatVersion) as err:
+            deserialize_index(FORMAT_1_INDEX)
+        assert str(err.value) == str(UnknownFormatVersion(1, 2))
 
-        index = build_index(FIVE_DOCS)
+    def test_other_tokenizer_rejected_naming_both(self):
+        data = serialize_index(build_index(FIVE_DOCS))
+        tampered = _with_meta(
+            data, lambda meta: meta["build_params"].update(tokenizer_version="stem-porter-9")
+        )
+        with pytest.raises(RadkitError) as err:
+            deserialize_index(tampered)
+        assert "stem-porter-9" in str(err.value)
+        assert TOKENIZER_VERSION in str(err.value)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"",
+            b"not an index\n",
+            b"{broken",
+            b"[1, 2]",
+            bytes(range(256)),
+            b"PK\x03\x04 truncated",
+            _npy_bytes(np.arange(3)),
+            _npz_bytes(offsets=np.arange(3)),
+            serialize_index(build_index(FIVE_DOCS))[:600],
+            _with_meta(serialize_index(build_index(FIVE_DOCS)), lambda m: m.pop("build_params")),
+            _npz_bytes(meta=np.frombuffer(b"[2]", dtype=np.uint8)),
+        ],
+        ids=[
+            "empty", "text", "bad-json", "json-list", "binary", "bad-zip", "npy", "npz-no-meta",
+            "truncated", "meta-without-params", "meta-not-an-object",
+        ],
+    )
+    def test_neither_format_is_a_radkit_error(self, data):
+        with pytest.raises(RadkitError):
+            deserialize_index(data)
+
+    def test_file_round_trip(self, tmp_path):
+        docs = load_corpus_jsonl(DATA_DIR / "corpus.jsonl")
+        index = build_index(docs, k1=1.3, b=0.65)
         path = tmp_path / "index.json"
         save_index(index, path)
         clone = load_index(path)
-        assert retrieve(clone, "malaria fever", 3) == retrieve(index, "malaria fever", 3)
+        for name in ("offsets", "ordinals", "tfs", "doc_lengths", "impacts"):
+            want, got = getattr(index, name), getattr(clone, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        assert clone.vocabulary == index.vocabulary
+        assert clone.documents == index.documents
+        assert (clone.k1, clone.b, clone.avg_doc_length) == (1.3, 0.65, index.avg_doc_length)
+        for query in ["methimazole graves", "pregnancy nitrofurantoin", "malaria fever fever"]:
+            assert retrieve(clone, query, 100) == retrieve(index, query, 100)
+            terms = tokenize(query)
+            for ordinal in range(index.doc_count):
+                assert bm25_score(clone, terms, ordinal) == bm25_score(index, terms, ordinal)
+        assert serialize_index(clone) == serialize_index(index)
 
 
 class TestCorpusIngestion:

@@ -1,7 +1,8 @@
-"""The layer tracer's import sites exist on the package.
+"""The layer tracer's view of the package.
 
 ``perfbench/spans.py`` wraps functions at the module attributes listed in
-its SPANS and COUNTS tables. A refactor that drops one of those names
+its SPANS and COUNTS tables, and its retrieve counter reads the index's
+``vocabulary`` and ``postings``. A refactor that drops one of those names
 would otherwise surface only in a traced benchmark run.
 """
 
@@ -9,16 +10,48 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import radkit
+import radkit.cli
+from radkit.corpus import Document, build_index, tokenize
+
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
-def test_every_traced_name_resolves():
+def _spans_module():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_traced_name_resolves():
+    spans = _spans_module()
     missing = []
     for module, attr in {**spans.SPANS, **spans.COUNTS}:
         owner = importlib.import_module(f"radkit.{module}" if module else "radkit")
         if not callable(getattr(owner, attr, None)):
             missing.append(f"{owner.__name__}.{attr}")
     assert not missing, missing
+
+
+def test_postings_scanned_counts_each_query_terms_postings():
+    docs = [
+        Document("a", "", "fever cough fever"),
+        Document("b", "", "fever chills"),
+        Document("c", "", "cold"),
+        Document("d", "", "chills fever"),
+    ]
+    index = build_index(docs)
+    query = "Fever chills fever zebra"
+    tracer = _spans_module().Tracer(radkit)
+    tracer.install()
+    try:
+        radkit.distill.retrieve(index, query, 2)
+    finally:
+        tracer.uninstall()
+    doc_freq = sum(
+        sum(term in tokenize(d.text) for d in docs) for term in dict.fromkeys(tokenize(query))
+    )
+    assert doc_freq == 5
+    assert tracer.counts["corpus.retrieve.postings_scanned"] == doc_freq
+    assert tracer.layers()["corpus.retrieve"]["calls"] == 1
