@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -304,16 +305,24 @@ def cmd_eval(args) -> int:
 
 
 def _parse_sweep(spec: str) -> tuple[str, list]:
-    param, _, rng = spec.partition("=")
-    start, stop, step = rng.split(":")
-    if param == "eps":
+    """``param=start:stop:step`` as the parameter and its values from start to stop."""
+    param, _, bounds = spec.partition("=")
+    parts = bounds.split(":")
+    try:
+        if len(parts) != 3:
+            raise ValueError("expected param=start:stop:step")
+        start, stop, step = (float(x) if param == "eps" else int(x) for x in parts)
+        if not (start < start + step and math.isfinite(stop)):
+            raise ValueError("need a step above 0 and a finite start and stop")
         values = []
-        v = float(start)
-        while v <= float(stop) + 1e-12:
-            values.append(round(v, 12))
-            v += float(step)
-        return param, values
-    return param, list(range(int(start), int(stop) + 1, int(step)))
+        while start <= stop + 1e-12:  # round() leaves ints as they are
+            values.append(round(start, 12))
+            start += step
+        if not values:
+            raise ValueError("start is above stop, so there is nothing to run")
+    except (OverflowError, ValueError) as exc:
+        raise ValueError(f"--sweep {spec!r}: {exc}") from None
+    return param, values
 
 
 def cmd_simulate(args) -> int:
@@ -330,7 +339,7 @@ def cmd_simulate(args) -> int:
     if args.sweep:
         param, values = _parse_sweep(args.sweep)
         if param not in base:
-            raise ValueError(f"unknown sweep parameter {param!r}")
+            raise ValueError(f"--sweep {args.sweep!r}: unknown parameter {param!r}")
         lines = [
             "param,value,m,err_phi,se_phi,err_opt,se_opt,err_naive,se_naive,gap,"
             "mean_bits_phi,bits_naive,bits_budget"

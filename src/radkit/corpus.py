@@ -254,4 +254,7 @@ def save_index(index: PostingsIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> PostingsIndex:
-    return deserialize_index(Path(path).read_bytes())
+    try:
+        return deserialize_index(Path(path).read_bytes())
+    except UnknownFormatVersion as exc:
+        raise UnknownFormatVersion(exc.found, exc.expected, exc.what, path) from exc

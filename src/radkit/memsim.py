@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -83,11 +84,18 @@ class TaskInstance:
     def training_label(self, i: int) -> int:
         return int(self.references[self.training_j[i], self.training_len[i]])
 
+    @cached_property
+    def longest_prefix(self) -> np.ndarray:
+        """(N,) longest training prefix length per subpopulation, -1 where none was drawn."""
+        longest = np.full(self.references.shape[0], -1)
+        np.maximum.at(longest, self.training_j, self.training_len)
+        return longest
+
 
 def sample_task(config: SimConfig, rng: np.random.Generator) -> TaskInstance:
     """Draw references, distractors, and training samples.
 
-    Distractors are resampled whenever they collide with a reference, so
+    Distractors equal to a reference are dropped and redrawn as a block, so
     the KB holds exactly N + R rows with every reference present.
     """
     refs = rng.integers(0, 2, size=(config.N, config.d), dtype=np.uint8)
@@ -98,13 +106,12 @@ def sample_task(config: SimConfig, rng: np.random.Generator) -> TaskInstance:
             f"references over {{0,1}}^{config.d}"
         )
     rows = [refs]
-    drawn = 0
-    while drawn < config.R:
-        cand = rng.integers(0, 2, size=config.d, dtype=np.uint8)
-        if cand.tobytes() in ref_keys:
-            continue
-        rows.append(cand[None, :])
-        drawn += 1
+    missing = config.R
+    while missing:
+        block = rng.integers(0, 2, size=(missing, config.d), dtype=np.uint8)
+        block = block[[row.tobytes() not in ref_keys for row in block]]
+        rows.append(block)
+        missing -= len(block)
     kb = np.concatenate(rows, axis=0)
     kb = kb[rng.permutation(kb.shape[0])]
     training_j = rng.integers(0, config.N, size=config.n)
@@ -171,15 +178,8 @@ def learn_budgeted(task: TaskInstance, m: int) -> MemorizedState:
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    best_len: dict[int, int] = {}
-    for i in range(len(task.training_j)):
-        j = int(task.training_j[i])
-        l = int(task.training_len[i])
-        if j not in best_len or l > best_len[j]:
-            best_len[j] = l
-    entries = {
-        j: task.references[j, : min(m, l)].copy() for j, l in best_len.items()
-    }
+    longest = task.longest_prefix.tolist()
+    entries = {j: task.references[j, : min(m, l)].copy() for j, l in enumerate(longest) if l >= 0}
     return MemorizedState(m=m, subpop_count=task.references.shape[0], entries=entries)
 
 
@@ -240,13 +240,8 @@ class OptMemory:
 
 
 def learn_opt(task: TaskInstance) -> OptMemory:
-    best: dict[int, int] = {}
-    for i in range(len(task.training_j)):
-        j = int(task.training_j[i])
-        l = int(task.training_len[i])
-        if j not in best or l > best[j]:
-            best[j] = l
-    return OptMemory({j: task.references[j, :l].copy() for j, l in best.items()})
+    longest = task.longest_prefix.tolist()
+    return OptMemory({j: task.references[j, :l].copy() for j, l in enumerate(longest) if l >= 0})
 
 
 def infer_opt(memory: OptMemory, query: Query, rng: np.random.Generator) -> int:
@@ -278,6 +273,47 @@ def naive_bits(task: TaskInstance) -> int:
     index_bits = ceil_log2(N) if N > 1 else 0
     length_bits = ceil_log2(d) if d > 1 else 0
     return int(task.training_len.sum()) + n * (1 + index_bits + length_bits)
+
+
+def answer_tests(
+    task: TaskInstance,
+    state: MemorizedState,
+    memory: OptMemory,
+    prefix_index: Mapping[bytes, tuple[int, ...]],
+    count: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``count`` test queries; return the (3, count) answers and the true labels.
+
+    Row 0 answers as ``infer_budgeted(state, ...)``, row 1 as
+    ``infer_opt(memory, ...)`` and row 2, the naive memorizer, as ``infer_opt``
+    with coins of its own, given the draws in this order: subpopulations,
+    prefix lengths, a (3, count) block of coins (a row per learner), then one
+    pick per KB lookup. Stored prefixes are the references', so a position a
+    stored prefix covers is answered with its true label.
+    """
+    N, d = task.references.shape
+    m = state.m
+    j = rng.integers(0, N, size=count)
+    l = rng.integers(0, d, size=count)
+    coins = rng.integers(0, 2, size=(3, count))
+    truth = task.references[j, l]
+    lengths = np.full((2, N), -1)  # entry length per learner and subpopulation, -1 for none
+    for row, entries in enumerate((state.entries, memory.entries)):
+        lengths[row, list(entries)] = [len(p) for p in entries.values()]
+    stored, known = lengths
+    answers = np.where(known[j] > l, truth, coins)
+    answers[0] = np.where(l < stored[j], truth, coins[0])
+    full = np.flatnonzero(stored == m)
+    matches = [prefix_index[state.entries[f].tobytes()] for f in full.tolist()]
+    counts = np.zeros(N, dtype=np.int64)
+    counts[full] = [len(group) for group in matches]
+    rows = np.array([row for group in matches for row in group], dtype=np.int64)
+    lookup = stored[j] == m
+    picks = rng.integers(0, counts[j[lookup]])
+    row_of = rows[(np.cumsum(counts) - counts)[j[lookup]] + picks]
+    answers[0, lookup] = task.kb[row_of, l[lookup]]
+    return answers, truth
 
 
 @dataclass(frozen=True)
@@ -319,37 +355,27 @@ def run_simulation(config: SimConfig) -> SimReport:
     m = min(compute_m(config.N, config.n, config.R, config.eps), config.d)
     index_bits = ceil_log2(config.N) if config.N > 1 else 0
     budget = min(config.N, config.n) * (m + index_bits)
-    err_phi = err_opt = err_naive = 0
-    bits_phi: list[int] = []
-    bits_phi_plus_one: list[int] = []
-    bits_nv: list[int] = []
-    max_bits = 0
+    errors = np.zeros(3, dtype=np.int64)  # budgeted, optimal, naive
+    bits = np.zeros((3, config.trials), dtype=np.int64)  # budgeted, its +1 accounting, naive
     for trial in range(config.trials):
         rng = np.random.default_rng([config.seed, trial])
         task = sample_task(config, rng)
         state = learn_budgeted(task, m)
-        if state.total_bits > budget:
+        bits[:, trial] = state.total_bits, state.total_bits_plus_one, naive_bits(task)
+        if bits[0, trial] > budget:
             raise AssertionError(
-                f"stored bits {state.total_bits} exceed budget {budget} on trial {trial}"
+                f"stored bits {bits[0, trial]} exceed budget {budget} on trial {trial}"
             )
         opt_memory = learn_opt(task)
-        bits_phi.append(state.total_bits)
-        bits_phi_plus_one.append(state.total_bits_plus_one)
-        bits_nv.append(naive_bits(task))
-        max_bits = max(max_bits, state.total_bits)
         prefix_index = build_prefix_index(task.kb, m)
-        for _ in range(config.tests_per_trial):
-            j = int(rng.integers(0, config.N))
-            l_t = int(rng.integers(0, config.d))
-            query = (j, task.references[j, :l_t])
-            truth = int(task.references[j, l_t])
-            err_phi += infer_budgeted(state, task.kb, query, m, rng, prefix_index) != truth
-            err_opt += infer_opt(opt_memory, query, rng) != truth
-            err_naive += infer_opt(opt_memory, query, rng) != truth
+        answers, truth = answer_tests(
+            task, state, opt_memory, prefix_index, config.tests_per_trial, rng
+        )
+        errors += (answers != truth).sum(axis=1)
     count = config.trials * config.tests_per_trial
-    p_phi, se_phi = _rate_and_se(err_phi, count)
-    p_opt, se_opt = _rate_and_se(err_opt, count)
-    p_nv, se_nv = _rate_and_se(err_naive, count)
+    (p_phi, se_phi), (p_opt, se_opt), (p_nv, se_nv) = (
+        _rate_and_se(int(e), count) for e in errors
+    )
     return SimReport(
         err_phi=p_phi,
         se_phi=se_phi,
@@ -359,11 +385,11 @@ def run_simulation(config: SimConfig) -> SimReport:
         se_naive=se_nv,
         gap=p_phi - p_opt,
         m=m,
-        mean_bits_phi=float(np.mean(bits_phi)),
-        max_bits_phi=max_bits,
+        mean_bits_phi=float(bits[0].mean()),
+        max_bits_phi=int(bits[0].max()),
         bits_budget=budget,
-        mean_bits_phi_plus_one=float(np.mean(bits_phi_plus_one)),
-        bits_naive=float(np.mean(bits_nv)),
+        mean_bits_phi_plus_one=float(bits[1].mean()),
+        bits_naive=float(bits[2].mean()),
         test_count=count,
         config=asdict(config),
     )

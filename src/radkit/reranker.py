@@ -29,6 +29,7 @@ from .distill import RationaleRecord
 from .errors import (
     DegenerateCandidateSet,
     EmptyCandidates,
+    MalformedFile,
     MisalignedDistributions,
     NonPositiveTemperature,
     UnknownFormatVersion,
@@ -434,19 +435,24 @@ def save_model(model: RerankerModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> RerankerModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    version = payload.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise UnknownFormatVersion(version, MODEL_FORMAT_VERSION)
-    dim = int(payload["E"])
-    return RerankerModel(
-        embedding_dim=dim,
-        hash_seed=int(payload["hash_seed"]),
-        query_projection=np.array(payload["query_projection"], float).reshape(dim, dim),
-        doc_projection=np.array(payload["doc_projection"], float).reshape(dim, dim),
-        bias=float(payload["bias"]),
-        step=int(payload["step"]),
-    )
+    """Read a checkpoint; a file that is not one raises a RadkitError naming ``path``."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        version = payload.get("format_version") if isinstance(payload, dict) else None
+        if version != MODEL_FORMAT_VERSION:
+            raise UnknownFormatVersion(version, MODEL_FORMAT_VERSION, path=path)
+        dim = int(payload["E"])
+        return RerankerModel(
+            embedding_dim=dim,
+            hash_seed=int(payload["hash_seed"]),
+            query_projection=np.array(payload["query_projection"], float).reshape(dim, dim),
+            doc_projection=np.array(payload["doc_projection"], float).reshape(dim, dim),
+            bias=float(payload["bias"]),
+            step=int(payload["step"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON and UTF-8
+        detail = f'missing field "{exc.args[0]}"' if isinstance(exc, KeyError) else exc
+        raise MalformedFile(path, f"malformed model checkpoint: {detail}") from exc
 
 
 def candidates_jsonl_text(sets: Sequence[CandidateSet]) -> str:

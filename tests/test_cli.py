@@ -10,12 +10,13 @@ import pytest
 from helpers import DATA_DIR, FORMAT_1_INDEX
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "radkit", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -116,7 +117,7 @@ class TestIndexCommand:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines() == [
-            "error: unknown file format version 1 (expected 2)"
+            f"error: {index}: unknown file format version 1 (expected 2)"
         ], proc.stderr
 
 
@@ -195,6 +196,28 @@ class TestRerankInferOptions:
         assert proc.returncode == 0, proc.stderr
         row = json.loads(out.read_text())
         assert row["doc_ids"] == ["med-009"]
+
+
+    @pytest.mark.parametrize(
+        "content, expected",
+        [
+            ('{"format_version": 1}', 'malformed model checkpoint: missing field "E"'),
+            ("[1]", "unknown file format version None (expected 1)"),
+            ("not json", "malformed model checkpoint: Expecting value: line 1 column 1 (char 0)"),
+        ],
+        ids=["missing-field", "not-an-object", "not-json"],
+    )
+    def test_bad_model_file_is_one_line_naming_it(self, pipeline, tmp_path, content, expected):
+        paths, _, _ = pipeline
+        model = tmp_path / "model.json"
+        model.write_text(content + "\n")
+        proc = run_cli(
+            "rerank-infer", "--index", str(paths["index"]),
+            "--questions", str(DATA_DIR / "rationales.jsonl"), "--model", str(model),
+            "--out", str(tmp_path / "out.jsonl"), "--kappa-star", "10",
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"error: {model}: {expected}"], proc.stderr
 
 
 class TestEmitTrainOptions:
@@ -321,6 +344,27 @@ class TestSimulateCommand:
         )
         assert proc.returncode == 0, proc.stderr
         assert len(out.read_text().splitlines()) == 4
+
+    @pytest.mark.parametrize(
+        "spec, reason",
+        [
+            ("eps=0.1:0.5:0", "need a step above 0 and a finite start and stop"),
+            ("R=0:4:-2", "need a step above 0 and a finite start and stop"),
+            ("R=0:4", "expected param=start:stop:step"),
+            ("R=4:0:1", "start is above stop, so there is nothing to run"),
+            ("R=0:x:1", "invalid literal for int() with base 10: 'x'"),
+            ("q=0:4:1", "unknown parameter 'q'"),
+        ],
+    )
+    def test_bad_sweep_is_one_error_line(self, tmp_path, spec, reason):
+        out = tmp_path / "sweep.csv"
+        proc = run_cli(
+            "simulate", "--N", "4", "--n", "8", "--d", "12", "--trials", "1", "--tests", "5",
+            "--sweep", spec, "--out", str(out), timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"error: --sweep {spec!r}: {reason}"], proc.stderr
+        assert not out.exists()
 
 
 

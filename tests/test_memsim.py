@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from radkit.memsim import (
     MemorizedState,
     SimConfig,
     TaskInstance,
+    answer_tests,
     build_prefix_index,
     ceil_log2,
     compute_m,
@@ -79,6 +81,31 @@ class TestSampleTask:
             # with d=3 only 8 strings exist; drawn distractors must avoid refs
             assert len(non_ref) <= 2
             assert task.kb.shape[0] == 8
+
+    @pytest.mark.parametrize("N,d,R", [(10, 4, 5), (5, 8, 60), (100, 128, 100)])
+    def test_block_draw_matches_row_by_row_draw_when_d_is_a_multiple_of_4(self, N, d, R):
+        """uint8 draws come four to a 32-bit word, so with d % 4 == 0 one
+        (k, d) block uses the generator as k draws of one row each."""
+        config = SimConfig(N=N, n=6, d=d, R=R, eps=0.2, trials=1, tests_per_trial=1)
+        redrawn = 0
+        for seed in range(20):
+            task = sample_task(config, np.random.default_rng([23, seed]))
+            rng = np.random.default_rng([23, seed])
+            refs = rng.integers(0, 2, size=(N, d), dtype=np.uint8)
+            ref_keys = {row.tobytes() for row in refs}
+            rows = [refs]
+            while len(rows) <= R:
+                row = rng.integers(0, 2, size=d, dtype=np.uint8)
+                if row.tobytes() in ref_keys:
+                    redrawn += 1
+                else:
+                    rows.append(row[None, :])
+            kb = np.concatenate(rows)[rng.permutation(N + R)]
+            assert np.array_equal(task.kb, kb)
+            assert np.array_equal(task.training_j, rng.integers(0, N, size=6))
+            assert np.array_equal(task.training_len, rng.integers(0, d, size=6))
+        if d < 128:
+            assert redrawn > 0
 
     def test_infeasible_distractor_count_rejected(self):
         config = SimConfig(N=4, n=2, d=1, R=3, eps=0.2, trials=1, tests_per_trial=1)
@@ -303,6 +330,72 @@ class TestNaiveBits:
         refs = np.zeros((2, 4), dtype=np.uint8)
         task = TaskInstance(refs, refs, np.array([], dtype=int), np.array([], dtype=int))
         assert naive_bits(task) == 0
+
+
+class _Recording:
+    """A generator that hands out a real generator's draws and keeps each one."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.draws = []
+
+    def integers(self, *args, **kwargs):
+        self.draws.append(self.rng.integers(*args, **kwargs))
+        return self.draws[-1]
+
+
+class _Fixed:
+    """A generator whose every draw is ``value``; checks that it lies in range."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def integers(self, low, high):
+        assert low <= self.value < high
+        return self.value
+
+
+class TestAnswerTests:
+    @pytest.mark.parametrize(
+        "N,n,d,R,m",
+        [(4, 8, 6, 40, 3), (100, 100, 128, 100, 17), (3, 4, 4, 0, 2)],
+        ids=["short-strings", "desk-scale", "no-distractors"],
+    )
+    def test_matches_per_query_reference_on_the_same_draws(self, N, n, d, R, m):
+        """Each answer of the array pass equals infer_budgeted_traced's and
+        infer_opt's when they are handed the pass's own draws, per query."""
+        config = SimConfig(N=N, n=n, d=d, R=R, eps=0.1, trials=1, tests_per_trial=1)
+        cases = Counter()
+        multi_row_lookups = 0
+        for trial in range(12):
+            rng = np.random.default_rng([31, trial])
+            task = sample_task(config, rng)
+            state = learn_budgeted(task, m)
+            memory = learn_opt(task)
+            prefix_index = build_prefix_index(task.kb, m)
+            recording = _Recording(rng)
+            answers, truth = answer_tests(task, state, memory, prefix_index, 300, recording)
+            j, l, coins, picks = recording.draws
+            assert np.array_equal(truth, task.references[j, l])
+            picks = iter(picks.tolist())
+            for i in range(len(j)):
+                query = (int(j[i]), task.references[j[i], : l[i]])
+                stored = state.entries.get(int(j[i]))
+                lookup = stored is not None and len(stored) == m
+                draw = _Fixed(next(picks) if lookup else int(coins[0, i]))
+                bit, case, matches = infer_budgeted_traced(
+                    state, task.kb, query, m, draw, prefix_index
+                )
+                assert (case == CASE_KB_LOOKUP) == lookup
+                cases[case] += 1
+                multi_row_lookups += matches > 1
+                assert answers[0, i] == bit, (i, case)
+                assert answers[1, i] == infer_opt(memory, query, _Fixed(int(coins[1, i])))
+                assert answers[2, i] == infer_opt(memory, query, _Fixed(int(coins[2, i])))
+            assert next(picks, None) is None  # one pick per KB lookup, no more
+        assert set(cases) == {CASE_UNSEEN, CASE_KB_LOOKUP, CASE_PREFIX_READ, CASE_GUESS}, cases
+        if d < 128:  # with 17-bit keys over 200 rows a shared key is rare
+            assert multi_row_lookups > 0
 
 
 class TestRunSimulation:

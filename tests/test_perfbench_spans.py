@@ -13,6 +13,7 @@ from pathlib import Path
 import radkit
 import radkit.cli
 from radkit.corpus import Document, build_index, tokenize
+from radkit.memsim import SimConfig
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -55,3 +56,18 @@ def test_postings_scanned_counts_each_query_terms_postings():
     assert doc_freq == 5
     assert tracer.counts["corpus.retrieve.postings_scanned"] == doc_freq
     assert tracer.layers()["corpus.retrieve"]["calls"] == 1
+
+
+def test_simulator_layers_are_traced_once_per_trial():
+    """run_simulation reaches the simulator's layers through the module
+    attributes the tracer rebinds, one call of each per trial."""
+    config = SimConfig(N=6, n=10, d=16, R=4, eps=0.2, trials=3, tests_per_trial=20)
+    tracer = _spans_module().Tracer(radkit)
+    tracer.install()
+    try:
+        radkit.memsim.run_simulation(config)
+    finally:
+        tracer.uninstall()
+    layers = tracer.layers()
+    for name in ("sample_task", "learn_budgeted", "learn_opt", "build_prefix_index"):
+        assert layers[f"memsim.{name}"]["calls"] == 3, name
