@@ -119,6 +119,8 @@ def _load_filtered_records(args):
 
 
 def cmd_emit_train(args) -> int:
+    if args.max_knowledge_chars is not None and args.max_knowledge_chars < 1:
+        raise ValueError(f"--max-knowledge-chars must be >= 1, got {args.max_knowledge_chars}")
     index_path, rationales_path = Path(args.index), Path(args.rationales)
     _check_inputs([index_path, rationales_path])
     index = load_index(index_path)
@@ -260,6 +262,12 @@ def cmd_eval(args) -> int:
     if args.retrieved:
         if not args.index or not args.rationales:
             raise ValueError("--retrieved requires --index and --rationales for silver sets")
+        if args.j_gold < 0:
+            raise ValueError(f"--j-gold must be >= 0, got {args.j_gold}")
+        try:
+            ks = [int(k) for k in args.ks.split(",")]
+        except ValueError as exc:
+            raise ValueError(f"--ks {args.ks!r}: {exc}") from None
         index_path, rationales_path, retrieved_path = (
             Path(args.index),
             Path(args.rationales),
@@ -277,7 +285,6 @@ def cmd_eval(args) -> int:
         retrieved = dict(
             read_jsonl(retrieved_path, lambda obj: (str(obj["id"]), list(obj["doc_ids"])))
         )
-        ks = [int(k) for k in args.ks.split(",")]
         mode = "all" if args.all_silver else "any"
         report.update(hits_report(retrieved, silver, ks, mode))
     if args.predictions:

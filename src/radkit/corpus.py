@@ -7,11 +7,8 @@ the log so it is never negative, and the defaults are k1=0.9, b=0.4.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 import re
-import zipfile
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DuplicateDocId, EmptyDocument, InvalidOrdinal, UnknownFormatVersion
-from .records import atomic_write, read_jsonl
+from .records import arrays_bytes, atomic_write, read_arrays, read_jsonl
 
 INDEX_FORMAT_VERSION = 2
 TOKENIZER_VERSION = "lower-alnum-1"
@@ -209,12 +206,10 @@ _ARRAYS = ("offsets", "ordinals", "tfs", "doc_lengths")
 
 
 def serialize_index(index: PostingsIndex) -> bytes:
-    """Index format 2: an uncompressed ``.npz`` of the int32 CSR arrays.
+    """Index format 2: an array file of the int32 CSR arrays.
 
-    A ``meta`` member holds UTF-8 JSON with the format version, the build
-    parameters, the terms in id order and the documents as [id, title, text]
-    triples. Impacts are not stored; they are recomputed at load. Identical
-    corpora serialize identically (``np.savez`` gives every member one fixed date).
+    Its ``meta`` holds the build parameters, the terms in id order and the
+    documents as [id, title, text] triples. Impacts are recomputed at load.
     """
     meta = {
         "format_version": INDEX_FORMAT_VERSION,
@@ -222,31 +217,22 @@ def serialize_index(index: PostingsIndex) -> bytes:
         "terms": sorted(index.vocabulary, key=index.vocabulary.get),
         "documents": [[d.doc_id, d.title, d.text] for d in index.documents],
     }
-    text = json.dumps(meta, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    arrays = {name: getattr(index, name) for name in _ARRAYS}
-    buf = io.BytesIO()
-    np.savez(buf, meta=np.frombuffer(text.encode("utf-8"), dtype=np.uint8), **arrays)
-    return buf.getvalue()
+    return arrays_bytes(meta, {name: getattr(index, name) for name in _ARRAYS})
+
+
+def _index(meta: dict, members) -> PostingsIndex:
+    params = meta["build_params"]
+    if params["tokenizer_version"] != TOKENIZER_VERSION:
+        raise UnknownFormatVersion(params["tokenizer_version"], TOKENIZER_VERSION, "tokenizer")
+    documents = [Document(*d) for d in meta["documents"]]
+    vocabulary = {term: i for i, term in enumerate(meta["terms"])}
+    arrays = (members[name] for name in _ARRAYS)
+    return PostingsIndex(documents, vocabulary, *arrays, float(params["k1"]), float(params["b"]))
 
 
 def deserialize_index(data: bytes) -> PostingsIndex:
     """Read format 2. Any other file, format 1's JSON included, raises UnknownFormatVersion."""
-    try:
-        if data[:1] == b"{":  # format 1 was one JSON object
-            raise UnknownFormatVersion(json.loads(data).get("format_version"), INDEX_FORMAT_VERSION)
-        with np.load(io.BytesIO(data), allow_pickle=False) as members:
-            meta = json.loads(members["meta"].tobytes().decode("utf-8"))
-            arrays = [members[name] for name in _ARRAYS]
-        if meta.get("format_version") != INDEX_FORMAT_VERSION:
-            raise UnknownFormatVersion(meta.get("format_version"), INDEX_FORMAT_VERSION)
-        params = meta["build_params"]
-        if params["tokenizer_version"] != TOKENIZER_VERSION:
-            raise UnknownFormatVersion(params["tokenizer_version"], TOKENIZER_VERSION, "tokenizer")
-        documents = [Document(*d) for d in meta["documents"]]
-        vocabulary = {term: i for i, term in enumerate(meta["terms"])}
-    except (AttributeError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
-        raise UnknownFormatVersion(None, INDEX_FORMAT_VERSION) from exc
-    return PostingsIndex(documents, vocabulary, *arrays, float(params["k1"]), float(params["b"]))
+    return read_arrays(data, INDEX_FORMAT_VERSION, _index)
 
 
 def save_index(index: PostingsIndex, path: str | Path) -> None:
@@ -254,7 +240,4 @@ def save_index(index: PostingsIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> PostingsIndex:
-    try:
-        return deserialize_index(Path(path).read_bytes())
-    except UnknownFormatVersion as exc:
-        raise UnknownFormatVersion(exc.found, exc.expected, exc.what, path) from exc
+    return read_arrays(Path(path).read_bytes(), INDEX_FORMAT_VERSION, _index, path)

@@ -8,6 +8,7 @@ external seq2seq trainer.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -21,6 +22,8 @@ QUESTION_MARKER = "Question: "
 KNOWLEDGE_MARKER = "Knowledge: "
 EXPLANATION_MARKER = "Explanation:"
 ANSWER_MARKER = "Answer: "
+
+_NEWLINES = re.compile(r"\n+")
 
 HEADERS = {
     "medqa": (
@@ -163,6 +166,8 @@ def emit_training_example(
     Input layout: header, blank line, "Question: ...", blank line,
     "Knowledge: ..." (rank-ordered passages separated by blank lines,
     omitted for knowledge-free templates), blank line, "Explanation:".
+    Each passage is cut to ``max_knowledge_chars``; then each run of
+    newlines in it becomes one newline, and newlines at its ends are dropped.
     Target layout: rationale, blank line, "Answer: <gold letter>".
     """
     if template.with_knowledge and not knowledge_docs:
@@ -170,9 +175,10 @@ def emit_training_example(
     parts = [template.header, QUESTION_MARKER + record.question]
     doc_ids: tuple[str, ...] = ()
     if template.with_knowledge:
-        texts = [d.text for d in knowledge_docs]
-        if max_knowledge_chars is not None:
-            texts = [t[:max_knowledge_chars] for t in texts]
+        # Passages are split back apart at blank lines, so none may hold one.
+        texts = [
+            _NEWLINES.sub("\n", d.text[:max_knowledge_chars]).strip("\n") for d in knowledge_docs
+        ]
         parts.append(KNOWLEDGE_MARKER + "\n\n".join(texts))
         doc_ids = tuple(d.doc_id for d in knowledge_docs)
     parts.append(EXPLANATION_MARKER)
@@ -199,8 +205,7 @@ class ParsedExample:
 def parse_training_example(input_text: str, target_text: str) -> ParsedExample:
     """Invert emit_training_example.
 
-    Splitting multiple passages back apart assumes passages contain no
-    blank lines (the emitter joins them with one).
+    Passages are split at blank lines; the emitter leaves none inside one.
     """
     q_marker = "\n\n" + QUESTION_MARKER
     q_at = input_text.index(q_marker)

@@ -27,13 +27,6 @@ class UnknownFormatVersion(RadkitError):
     def __init__(self, found, expected, what: str = "file format", path=None):
         where = "" if path is None else f"{path}: "
         super().__init__(f"{where}unknown {what} version {found!r} (expected {expected!r})")
-        self.found, self.expected, self.what = found, expected, what
-
-
-class MalformedFile(RadkitError):
-    def __init__(self, path, message: str):
-        super().__init__(f"{path}: {message}")
-        self.path = path
 
 
 class ParseError(RadkitError):

@@ -1,22 +1,27 @@
-"""JSONL records and atomic file writes.
+"""JSONL records, array files and atomic file writes.
 
 Stages hand over to each other, and to external trainers and scorers,
 through JSONL files of one JSON object per line. This module is the one
 place that format is read and written: ``read_jsonl`` turns each line into
 a record and reports a malformed line as a ParseError naming the file, the
 line and the field; ``atomic_write`` replaces a file only with complete
-new content, so a failed write leaves the old file as it was.
+new content, so a failed write leaves the old file as it was. The index
+and the reranker checkpoint are array files (``arrays_bytes``, ``read_arrays``).
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import tempfile
+import zipfile
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Mapping, TypeVar
 
-from .errors import ParseError, RadkitError
+import numpy as np
+
+from .errors import ParseError, RadkitError, UnknownFormatVersion
 
 T = TypeVar("T")
 
@@ -70,6 +75,40 @@ def field(obj: dict, name: str, convert: Callable = lambda value: value, many: b
 def jsonl_text(rows: Iterable[dict]) -> str:
     """One compact JSON object per line, non-ASCII text kept as is."""
     return "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+
+
+def arrays_bytes(meta: dict, arrays: Mapping[str, np.ndarray]) -> bytes:
+    """An uncompressed ``.npz`` of ``arrays`` plus a ``meta`` member of compact UTF-8 JSON.
+
+    Equal inputs give equal bytes: ``np.savez`` gives every member one fixed date.
+    """
+    text = json.dumps(meta, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    buf = io.BytesIO()
+    np.savez(buf, meta=np.frombuffer(text.encode("utf-8"), dtype=np.uint8), **arrays)
+    return buf.getvalue()
+
+
+def read_arrays(data: bytes, version: int, make: Callable[[dict, Mapping], T], path=None) -> T:
+    """``make(meta, members)`` for an array file whose meta has ``format_version == version``.
+
+    A format-1 file (one JSON object) or another version raises UnknownFormatVersion
+    with the version found; any other file, or a member, field or value ``make``
+    cannot use, raises UnknownFormatVersion(None, version). Errors name ``path``.
+    """
+    try:
+        if data[:1] == b"{":  # format 1 of both files was one JSON object
+            raise UnknownFormatVersion(json.loads(data).get("format_version"), version)
+        with np.load(io.BytesIO(data), allow_pickle=False) as members:
+            meta = json.loads(members["meta"].tobytes().decode("utf-8"))
+            if meta.get("format_version") != version:
+                raise UnknownFormatVersion(meta.get("format_version"), version)
+            return make(meta, members)
+    except RadkitError as exc:
+        if path is not None:
+            exc.args = (f"{path}: {exc}",)
+        raise
+    except (AttributeError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise UnknownFormatVersion(None, version, path=path) from exc
 
 
 def atomic_write(path: str | Path, data: bytes | str) -> None:

@@ -15,7 +15,6 @@ query against many documents; training computes its logits the same way.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -29,14 +28,12 @@ from .distill import RationaleRecord
 from .errors import (
     DegenerateCandidateSet,
     EmptyCandidates,
-    MalformedFile,
     MisalignedDistributions,
     NonPositiveTemperature,
-    UnknownFormatVersion,
 )
-from .records import atomic_write, field, jsonl_text, read_jsonl
+from .records import arrays_bytes, atomic_write, field, jsonl_text, read_arrays, read_jsonl
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 DEFAULT_EMBEDDING_DIM = 256
 DEFAULT_TAU1 = 1.0
@@ -125,6 +122,8 @@ class RerankerModel:
         bias: float = 0.0,
         step: int = 0,
     ):
+        if embedding_dim < 1:
+            raise ValueError(f"embedding dim must be >= 1, got {embedding_dim}")
         self.embedding_dim = embedding_dim
         self.hash_seed = hash_seed
         eye = np.eye(embedding_dim, dtype=np.float64)
@@ -134,6 +133,8 @@ class RerankerModel:
         self.doc_projection = (
             eye.copy() if doc_projection is None else np.asarray(doc_projection, float)
         )
+        if self.query_projection.shape != eye.shape or self.doc_projection.shape != eye.shape:
+            raise ValueError(f"projections must be {embedding_dim}x{embedding_dim}")
         self.bias = float(bias)
         self.step = int(step)
 
@@ -301,6 +302,8 @@ def train(
     """
     if not candidate_sets:
         raise ValueError("no candidate sets to train on")
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
     trained = model.copy()
     features = [_candidate_features(trained, cs, doc_texts) for cs in candidate_sets]
     scale = lr / len(candidate_sets)
@@ -417,17 +420,23 @@ class FileScorer:
         return scorer
 
 
-def serialize_model(model: RerankerModel) -> str:
-    payload = {
+def serialize_model(model: RerankerModel) -> bytes:
+    """Checkpoint format 2: an array file of the float64 projections; the scalars go in ``meta``."""
+    meta = {
         "format_version": MODEL_FORMAT_VERSION,
         "E": model.embedding_dim,
         "hash_seed": model.hash_seed,
-        "query_projection": [float(x) for x in model.query_projection.ravel()],
-        "doc_projection": [float(x) for x in model.doc_projection.ravel()],
         "bias": model.bias,
         "step": model.step,
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    arrays = {"query_projection": model.query_projection, "doc_projection": model.doc_projection}
+    return arrays_bytes(meta, arrays)
+
+
+def _model(meta: dict, members) -> RerankerModel:
+    dim, seed = int(meta["E"]), int(meta["hash_seed"])
+    projections = members["query_projection"], members["doc_projection"]
+    return RerankerModel(dim, seed, *projections, meta["bias"], meta["step"])
 
 
 def save_model(model: RerankerModel, path: str | Path) -> None:
@@ -435,24 +444,8 @@ def save_model(model: RerankerModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> RerankerModel:
-    """Read a checkpoint; a file that is not one raises a RadkitError naming ``path``."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        version = payload.get("format_version") if isinstance(payload, dict) else None
-        if version != MODEL_FORMAT_VERSION:
-            raise UnknownFormatVersion(version, MODEL_FORMAT_VERSION, path=path)
-        dim = int(payload["E"])
-        return RerankerModel(
-            embedding_dim=dim,
-            hash_seed=int(payload["hash_seed"]),
-            query_projection=np.array(payload["query_projection"], float).reshape(dim, dim),
-            doc_projection=np.array(payload["doc_projection"], float).reshape(dim, dim),
-            bias=float(payload["bias"]),
-            step=int(payload["step"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON and UTF-8
-        detail = f'missing field "{exc.args[0]}"' if isinstance(exc, KeyError) else exc
-        raise MalformedFile(path, f"malformed model checkpoint: {detail}") from exc
+    """Read a checkpoint; any other file raises UnknownFormatVersion naming ``path``."""
+    return read_arrays(Path(path).read_bytes(), MODEL_FORMAT_VERSION, _model, path)
 
 
 def candidates_jsonl_text(sets: Sequence[CandidateSet]) -> str:

@@ -7,6 +7,8 @@ stays independent of the production retrieval path it checks.
 
 from __future__ import annotations
 
+import io
+import json
 import math
 from pathlib import Path
 
@@ -23,6 +25,28 @@ FORMAT_1_INDEX = (
     b'"doc_lengths":[1],"documents":[{"id":"a","text":"alpha","title":""}],'
     b'"format_version":1,"postings":[[[0,1]]],"terms":["alpha"]}'
 )
+
+
+def npz_bytes(**arrays) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+def npy_bytes(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+def with_meta(data: bytes, change) -> bytes:
+    """An array file (index or checkpoint) rewritten with ``change`` applied to its meta member."""
+    with np.load(io.BytesIO(data)) as members:
+        arrays = {name: members[name] for name in members.files}
+    meta = json.loads(arrays["meta"].tobytes())
+    change(meta)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    return npz_bytes(**arrays)
 
 
 def bm25_oracle_score(

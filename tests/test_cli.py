@@ -201,9 +201,9 @@ class TestRerankInferOptions:
     @pytest.mark.parametrize(
         "content, expected",
         [
-            ('{"format_version": 1}', 'malformed model checkpoint: missing field "E"'),
-            ("[1]", "unknown file format version None (expected 1)"),
-            ("not json", "malformed model checkpoint: Expecting value: line 1 column 1 (char 0)"),
+            ('{"format_version": 1}', "unknown file format version 1 (expected 2)"),
+            ("[1]", "unknown file format version None (expected 2)"),
+            ("not json", "unknown file format version None (expected 2)"),
         ],
         ids=["missing-field", "not-an-object", "not-json"],
     )
@@ -218,6 +218,50 @@ class TestRerankInferOptions:
         )
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [f"error: {model}: {expected}"], proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, reason",
+    [
+        (
+            "rerank-train --index {index} --candidates {cands} --out {out} --epochs -1",
+            "epochs must be >= 0, got -1",
+        ),
+        (
+            "rerank-train --index {index} --candidates {cands} --out {out} --dim 0",
+            "embedding dim must be >= 1, got 0",
+        ),
+        (
+            "emit-train --index {index} --rationales {rationales} --out {out}"
+            " --max-knowledge-chars -5",
+            "--max-knowledge-chars must be >= 1, got -5",
+        ),
+        (
+            "emit-train --index {index} --rationales {rationales} --out {out}"
+            " --max-knowledge-chars 0",
+            "--max-knowledge-chars must be >= 1, got 0",
+        ),
+        (
+            "eval --index {index} --rationales {rationales} --retrieved {retrieved} --out {out}"
+            " --j-gold -1",
+            "--j-gold must be >= 0, got -1",
+        ),
+        (
+            "eval --index {index} --rationales {rationales} --retrieved {retrieved} --out {out}"
+            " --ks 1,,3",
+            "--ks '1,,3': invalid literal for int() with base 10: ''",
+        ),
+    ],
+    ids=["epochs-negative", "dim-zero", "chars-negative", "chars-zero", "j-gold-negative", "ks-empty"],
+)
+def test_bad_number_is_one_error_line_and_writes_nothing(pipeline, tmp_path, command, reason):
+    paths, _, _ = pipeline
+    out = tmp_path / "out"
+    where = {**paths, "rationales": DATA_DIR / "rationales.jsonl", "out": out}
+    proc = run_cli(*command.format(**where).split())
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"error: {reason}"], proc.stderr
+    assert not out.exists()
 
 
 class TestEmitTrainOptions:

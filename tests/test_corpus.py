@@ -1,11 +1,11 @@
 """Index construction and BM25 retrieval against an exhaustive oracle."""
 
-import io
-import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radkit.corpus import (
     TOKENIZER_VERSION,
@@ -28,14 +28,19 @@ from radkit.errors import (
     UnknownFormatVersion,
 )
 
+from radkit.reranker import load_model
+
 from helpers import (
     DATA_DIR,
     FORMAT_1_INDEX,
     bm25_oracle_ranked,
     bm25_oracle_score,
     bm25_oracle_topk,
+    npy_bytes,
+    npz_bytes,
     random_corpus,
     random_query,
+    with_meta,
 )
 
 FIVE_DOCS = [
@@ -234,28 +239,6 @@ class TestRetrieve:
         assert straddles > 0
 
 
-def _npz_bytes(**arrays) -> bytes:
-    buf = io.BytesIO()
-    np.savez(buf, **arrays)
-    return buf.getvalue()
-
-
-def _npy_bytes(array) -> bytes:
-    buf = io.BytesIO()
-    np.save(buf, array)
-    return buf.getvalue()
-
-
-def _with_meta(data: bytes, change) -> bytes:
-    """A format-2 index file rewritten with ``change`` applied to its meta member."""
-    with np.load(io.BytesIO(data)) as members:
-        arrays = {name: members[name] for name in members.files}
-    meta = json.loads(arrays["meta"].tobytes())
-    change(meta)
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    return _npz_bytes(**arrays)
-
-
 class TestSerialization:
     def test_round_trip_preserves_retrieval(self):
         docs = load_corpus_jsonl(DATA_DIR / "corpus.jsonl")
@@ -266,8 +249,8 @@ class TestSerialization:
 
     def test_unknown_version_rejected(self):
         data = serialize_index(build_index(FIVE_DOCS))
-        assert deserialize_index(_with_meta(data, lambda meta: None)).doc_count == 5
-        tampered = _with_meta(data, lambda meta: meta.update(format_version=99))
+        assert deserialize_index(with_meta(data, lambda meta: None)).doc_count == 5
+        tampered = with_meta(data, lambda meta: meta.update(format_version=99))
         with pytest.raises(UnknownFormatVersion, match="99"):
             deserialize_index(tampered)
 
@@ -278,7 +261,7 @@ class TestSerialization:
 
     def test_other_tokenizer_rejected_naming_both(self):
         data = serialize_index(build_index(FIVE_DOCS))
-        tampered = _with_meta(
+        tampered = with_meta(
             data, lambda meta: meta["build_params"].update(tokenizer_version="stem-porter-9")
         )
         with pytest.raises(RadkitError) as err:
@@ -295,20 +278,26 @@ class TestSerialization:
             b"[1, 2]",
             bytes(range(256)),
             b"PK\x03\x04 truncated",
-            _npy_bytes(np.arange(3)),
-            _npz_bytes(offsets=np.arange(3)),
+            npy_bytes(np.arange(3)),
+            npz_bytes(offsets=np.arange(3)),
             serialize_index(build_index(FIVE_DOCS))[:600],
-            _with_meta(serialize_index(build_index(FIVE_DOCS)), lambda m: m.pop("build_params")),
-            _npz_bytes(meta=np.frombuffer(b"[2]", dtype=np.uint8)),
+            with_meta(serialize_index(build_index(FIVE_DOCS)), lambda m: m.pop("build_params")),
+            npz_bytes(meta=np.frombuffer(b"[2]", dtype=np.uint8)),
         ],
         ids=[
             "empty", "text", "bad-json", "json-list", "binary", "bad-zip", "npy", "npz-no-meta",
             "truncated", "meta-without-params", "meta-not-an-object",
         ],
     )
-    def test_neither_format_is_a_radkit_error(self, data):
+    def test_neither_format_is_a_radkit_error(self, tmp_path, data):
         with pytest.raises(RadkitError):
             deserialize_index(data)
+        path = tmp_path / "artifact"
+        path.write_bytes(data)
+        for load in (load_index, load_model):
+            with pytest.raises(UnknownFormatVersion) as err:
+                load(path)
+            assert str(err.value) == f"{path}: {UnknownFormatVersion(None, 2)}", load.__name__
 
     def test_file_round_trip(self, tmp_path):
         docs = load_corpus_jsonl(DATA_DIR / "corpus.jsonl")
@@ -329,6 +318,34 @@ class TestSerialization:
             for ordinal in range(index.doc_count):
                 assert bm25_score(clone, terms, ordinal) == bm25_score(index, terms, ordinal)
         assert serialize_index(clone) == serialize_index(index)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        texts=st.lists(
+            st.lists(st.sampled_from(["fever", "cough", "ÉTÉ", "x_y", "42"]), min_size=1).map(
+                " ".join
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        titles=st.lists(st.text(max_size=6), min_size=8, max_size=8),
+        ids=st.lists(st.text(max_size=4), min_size=8, max_size=8, unique=True),
+        k1=st.floats(0.1, 3.0),
+        b=st.floats(0.0, 1.0),
+    )
+    def test_round_trip_on_random_corpora(self, texts, titles, ids, k1, b):
+        docs = [Document(i, t, text) for i, t, text in zip(ids, titles, texts)]
+        index = build_index(docs, k1=k1, b=b)
+        data = serialize_index(index)
+        clone = deserialize_index(data)
+        for name in ("offsets", "ordinals", "tfs", "doc_lengths", "impacts"):
+            assert getattr(clone, name).tobytes() == getattr(index, name).tobytes(), name
+        assert (clone.documents, clone.vocabulary) == (index.documents, index.vocabulary)
+        assert (clone.k1, clone.b) == (k1, b)
+        assert serialize_index(clone) == data
+        for query in ("fever", "cough été 42", "x y zebra"):
+            assert retrieve(clone, query, 3) == retrieve(index, query, 3)
 
 
 class TestCorpusIngestion:

@@ -1,8 +1,11 @@
 """Rationale ingestion, filtering, and training-example emission."""
 
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radkit.answers import extract_answer, option_letters
 from radkit.corpus import Document, build_index, load_corpus_jsonl
@@ -252,3 +255,25 @@ class TestParse:
         parsed = parse_training_example(example.input_text, example.target_text)
         assert parsed.question == record.question
         assert parsed.knowledge_texts == ()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        blank=st.tuples(st.text("ab\n", max_size=4), st.text("ab \n", max_size=4)).map(
+            "\n\n".join
+        ),
+        others=st.lists(st.text("ab \n\r", max_size=8), max_size=3),
+        at=st.integers(0, 3),
+        max_chars=st.one_of(st.none(), st.integers(1, 8)),
+    )
+    def test_passages_with_blank_lines_round_trip(self, blank, others, at, max_chars):
+        texts = others[:at] + [blank] + others[at:]
+        record = RationaleRecord("e", "q (A) x (B) y", "A", ("because. Answer: A",))
+        docs = [Document(f"p{i}", "", text) for i, text in enumerate(texts)]
+        example = emit_training_example(
+            record, 0, docs, TrainingTemplate.named("medqa"), max_knowledge_chars=max_chars
+        )
+        parsed = parse_training_example(example.input_text, example.target_text)
+        emitted = tuple(re.sub(r"\n+", "\n", t[:max_chars]).strip("\n") for t in texts)
+        assert parsed.knowledge_texts == emitted
+        assert parsed.question == record.question
+        assert parsed.rationale == record.rationales[0]

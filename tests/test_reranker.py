@@ -1,10 +1,13 @@
 """Reranker scoring, distillation objective, gradients, and inference."""
 
-import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from radkit.corpus import build_index, load_corpus_jsonl, retrieve, tokenize, bm25_score
 from radkit.distill import RationaleRecord, retrieve_knowledge
@@ -28,6 +31,7 @@ from radkit.reranker import (
     read_candidates_jsonl,
     rerank_inference,
     save_model,
+    serialize_model,
     softmax_normalize,
     train,
 )
@@ -37,6 +41,7 @@ from helpers import (
     convergence_fixture,
     convergence_targets,
     random_reranker_fixture,
+    with_meta,
 )
 
 
@@ -438,8 +443,51 @@ class TestModelSerialization:
 
         path = tmp_path / "model.json"
         save_model(RerankerModel.identity(embedding_dim=4), path)
-        payload = json.loads(path.read_text())
-        payload["format_version"] = 99
-        path.write_text(json.dumps(payload))
-        with pytest.raises(UnknownFormatVersion):
+        data = path.read_bytes()
+        path.write_bytes(with_meta(data, lambda meta: None))
+        assert load_model(path).embedding_dim == 4
+        path.write_bytes(with_meta(data, lambda meta: meta.update(format_version=99)))
+        with pytest.raises(UnknownFormatVersion) as err:
             load_model(path)
+        assert str(err.value) == f"{path}: unknown file format version 99 (expected 2)"
+
+    @pytest.mark.parametrize(
+        "change",
+        [lambda meta: meta.update(E=3), lambda meta: meta.update(E=0), lambda meta: meta.pop("bias")],
+        ids=["wrong-E", "zero-E", "no-bias"],
+    )
+    def test_checkpoint_that_does_not_fit_is_rejected(self, tmp_path, change):
+        from radkit.errors import UnknownFormatVersion
+
+        path = tmp_path / "model.npz"
+        path.write_bytes(with_meta(serialize_model(RerankerModel.identity(embedding_dim=4)), change))
+        with pytest.raises(UnknownFormatVersion, match="version None"):
+            load_model(path)
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data(), dim=st.integers(1, 6))
+    def test_save_load_is_bit_exact(self, tmp_path, data, dim):
+        special = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, math.inf, -math.inf, math.nan])
+        values = st.one_of(special, st.floats(width=64))
+        matrix = hnp.arrays(np.float64, (dim, dim), elements=values)
+        model = RerankerModel(
+            dim,
+            hash_seed=data.draw(st.integers(0, 2**63 - 1)),
+            query_projection=data.draw(matrix),
+            doc_projection=data.draw(matrix),
+            bias=data.draw(st.one_of(special, st.floats()).filter(lambda x: x == x and x != 0)),
+            step=data.draw(st.integers(1, 2**63 - 1)),
+        )
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        clone = load_model(path)
+        for name in ("query_projection", "doc_projection"):
+            got, want = getattr(clone, name), getattr(model, name)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), name
+        assert struct.pack("<d", clone.bias) == struct.pack("<d", model.bias)
+        assert (clone.embedding_dim, clone.hash_seed, clone.step) == (
+            dim, model.hash_seed, model.step
+        )
+        assert serialize_model(clone) == path.read_bytes()
