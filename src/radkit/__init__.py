@@ -42,7 +42,6 @@ from .answers import extract_answer
 from .memsim import SimConfig, SimReport, compute_m, run_simulation, sample_task
 from .reranker import (
     CandidateSet,
-    Distribution,
     RerankerModel,
     build_candidate_set,
     featurize,
@@ -75,7 +74,6 @@ __all__ = [
     "parse_training_example",
     "extract_answer",
     "CandidateSet",
-    "Distribution",
     "RerankerModel",
     "featurize",
     "softmax_normalize",

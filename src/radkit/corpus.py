@@ -70,7 +70,9 @@ class PostingsIndex:
     ``impacts`` run parallel to ``ordinals``: a posting's BM25 contribution
     is ``idf * tf * (k1 + 1) / (tf + norm)``, evaluated in that order. The
     source documents are embedded so downstream stages can resolve passage
-    texts from the index file alone.
+    texts from the index file alone. Arrays that do not fit the documents
+    and terms, k1 < 0, b outside [0, 1] or a non-finite k1 or b raise
+    ValueError, whether the index is built or loaded.
     """
 
     def __init__(
@@ -84,6 +86,7 @@ class PostingsIndex:
         k1: float,
         b: float,
     ):
+        _check_fit(len(documents), len(vocabulary), offsets, ordinals, tfs, doc_lengths, k1, b)
         self.documents = documents
         self.vocabulary = vocabulary
         self.offsets = offsets
@@ -115,6 +118,26 @@ class PostingsIndex:
         return self.documents[self._ordinal_by_id[doc_id]]
 
 
+def _check_fit(n_docs, n_terms, offsets, ordinals, tfs, doc_lengths, k1, b) -> None:
+    """Raise ValueError unless the CSR arrays fit the documents and terms and k1, b are valid."""
+    if not (math.isfinite(k1) and k1 >= 0.0):
+        raise ValueError(f"k1 must be finite and >= 0, got {k1}")
+    if not 0.0 <= b <= 1.0:
+        raise ValueError(f"b must lie in [0, 1], got {b}")
+    if n_docs == 0:
+        raise ValueError("cannot index an empty corpus")
+    if len(doc_lengths) != n_docs:
+        raise ValueError(f"{len(doc_lengths)} document lengths for {n_docs} documents")
+    if len(offsets) != n_terms + 1:
+        raise ValueError(f"{len(offsets)} offsets for {n_terms} terms")
+    if len(tfs) != len(ordinals) or offsets[0] != 0 or offsets[-1] != len(ordinals):
+        raise ValueError("offsets must run from 0 to the number of postings")
+    if np.any(np.diff(offsets) < 0):
+        raise ValueError("offsets must be non-decreasing")
+    if len(ordinals) and not 0 <= ordinals.min() <= ordinals.max() < n_docs:
+        raise ValueError(f"posting ordinals must lie in [0, {n_docs})")
+
+
 def build_index(
     docs: list[Document], k1: float = DEFAULT_K1, b: float = DEFAULT_B
 ) -> PostingsIndex:
@@ -124,8 +147,6 @@ def build_index(
     assigned in first-appearance order so rebuilding from the same
     corpus serializes byte-identically.
     """
-    if not docs:
-        raise ValueError("cannot index an empty corpus")
     seen: set[str] = set()
     vocabulary: dict[str, int] = {}
     postings: list[int] = []  # flat (term_id, ordinal, tf) triples

@@ -66,11 +66,6 @@ class NonPositiveTemperature(RadkitError):
         super().__init__(f"softmax temperature must be > 0, got {tau}")
 
 
-class MisalignedDistributions(RadkitError):
-    def __init__(self, message: str = "distributions are not over the same ordered doc ids"):
-        super().__init__(message)
-
-
 class EmptyCandidates(RadkitError):
     def __init__(self, query: str):
         super().__init__(f"no candidate documents retrieved for query: {query[:80]!r}")

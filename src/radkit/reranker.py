@@ -28,7 +28,6 @@ from .distill import RationaleRecord
 from .errors import (
     DegenerateCandidateSet,
     EmptyCandidates,
-    MisalignedDistributions,
     NonPositiveTemperature,
 )
 from .records import arrays_bytes, atomic_write, field, jsonl_text, read_arrays, read_jsonl
@@ -68,22 +67,6 @@ class CandidateSet:
             raise ValueError("candidate doc_ids must be unique")
         if not all(math.isfinite(s) for s in self.teacher_scores):
             raise ValueError("teacher scores must be finite")
-
-
-@dataclass(frozen=True)
-class Distribution:
-    """Probabilities aligned with doc_ids; sums to 1 within 1e-9."""
-
-    doc_ids: tuple[str, ...]
-    probabilities: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.doc_ids) != len(self.probabilities):
-            raise ValueError("doc_ids and probabilities must be aligned")
-        if abs(sum(self.probabilities) - 1.0) > 1e-9:
-            raise ValueError("probabilities must sum to 1")
-        if any(p < 0.0 or p > 1.0 for p in self.probabilities):
-            raise ValueError("probabilities must lie in [0, 1]")
 
 
 def _hash_pair(token: str, hash_seed: int) -> tuple[int, int]:
@@ -170,40 +153,34 @@ class RerankerModel:
 
     def scores(self, query_text: str, doc_texts: Sequence[str]) -> np.ndarray:
         """Score of each document against the query; the query is featurized once."""
-        return _project(self, *_features(self, query_text, doc_texts))[2]
+        docs = np.stack([self.featurize(t) for t in doc_texts])
+        return _project(self, self.featurize(query_text), docs)[2]
 
 
-def softmax_normalize(
-    scores: Sequence[float], tau: float, doc_ids: Sequence[str] | None = None
-) -> Distribution:
-    """Temperature softmax with max-subtraction for stability."""
+def softmax_normalize(scores, tau: float) -> np.ndarray:
+    """Temperature softmax over the last axis, with max-subtraction for stability.
+
+    A -inf score gets probability 0. A row with no finite score is empty.
+    """
     if tau <= 0.0:
         raise NonPositiveTemperature(tau)
-    if len(scores) == 0:
-        raise ValueError("cannot normalize an empty score list")
     z = np.asarray(scores, dtype=np.float64) / tau
-    z -= z.max()
-    e = np.exp(z)
-    probs = e / e.sum()
-    if doc_ids is None:
-        doc_ids = tuple(str(i) for i in range(len(scores)))
-    return Distribution(tuple(doc_ids), tuple(float(p) for p in probs))
+    top = z.max(axis=-1, keepdims=True, initial=-np.inf)
+    if np.isneginf(top).any():
+        raise ValueError("cannot normalize an empty score list")
+    e = np.exp(z - top)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def kl_loss(q: Distribution, p: Distribution) -> float:
-    """KL(Q || P) with 0 ln 0 taken as 0. Distributions must be aligned.
+def kl_loss(q, p) -> np.ndarray:
+    """KL(Q || P) over the last axis, with 0 ln 0 taken as 0.
 
     Mass in Q where P has none diverges, giving inf.
     """
-    if q.doc_ids != p.doc_ids:
-        raise MisalignedDistributions()
-    total = 0.0
-    for qi, pi in zip(q.probabilities, p.probabilities):
-        if qi > 0.0:
-            if pi == 0.0:
-                return math.inf
-            total += qi * (math.log(qi) - math.log(pi))
-    return total
+    q, p = np.asarray(q, dtype=np.float64), np.asarray(p, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = q * (np.log(q) - np.log(p))
+    return np.where(q > 0.0, terms, 0.0).sum(axis=-1)
 
 
 @dataclass
@@ -213,49 +190,63 @@ class RerankerGradient:
     d_bias: float
 
 
-def _features(
-    model: RerankerModel, query_text: str, doc_texts: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The query's feature vector and the documents' feature rows."""
-    return model.featurize(query_text), np.stack([model.featurize(t) for t in doc_texts])
-
-
 def _project(
     model: RerankerModel, qv: np.ndarray, dv: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """u = Wq q, the rows of V = D Wd^T, and the logits V u + bias.
 
-    Training and inference both score through here, so they compute the
-    same numbers the same way.
+    ``qv`` is one query row (E,) with ``dv`` (C, E), or a stack (S, E) with
+    (S, C, E). Training and inference both score through here, so they
+    compute the same numbers the same way.
     """
-    u = model.query_projection @ qv
+    u = np.matmul(model.query_projection, qv[..., None])[..., 0]
     v = dv @ model.doc_projection.T
-    return u, v, v @ u + model.bias
+    return u, v, np.matmul(v, u[..., None])[..., 0] + model.bias
 
 
-def _set_loss_and_gradient(
+def _batch(
     model: RerankerModel,
-    cs: CandidateSet,
+    candidate_sets: Sequence[CandidateSet],
+    doc_texts: Mapping[str, str],
     tau1: float,
-    tau2: float,
-    qv: np.ndarray,
-    dv: np.ndarray,
-) -> tuple[float, RerankerGradient]:
-    teacher = softmax_normalize(cs.teacher_scores, tau1, cs.doc_ids)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The sets' question rows (S, E), candidate rows (S, C, E), mask and teacher Q (S, C).
+
+    Each distinct question and document is featurized once. A set shorter
+    than the longest is padded with a zero row and a -inf teacher score,
+    which the mask marks False.
+    """
+    questions: dict[str, int] = {}
+    docs: dict[str, int] = {}
+    for cs in candidate_sets:
+        questions.setdefault(cs.question, len(questions))
+        for doc_id in cs.doc_ids:
+            docs.setdefault(doc_id, len(docs))
+    width = max(len(cs.doc_ids) for cs in candidate_sets)
+    cols = np.full((len(candidate_sets), width), len(docs))
+    teacher = np.full(cols.shape, -np.inf)
+    for s, cs in enumerate(candidate_sets):
+        cols[s, : len(cs.doc_ids)] = [docs[doc_id] for doc_id in cs.doc_ids]
+        teacher[s, : len(cs.doc_ids)] = cs.teacher_scores
+    dim, seed = model.embedding_dim, model.hash_seed
+    q_rows = np.stack([featurize(q, dim, seed) for q in questions])
+    d_rows = np.stack([featurize(doc_texts[d], dim, seed) for d in docs] + [np.zeros(dim)])
+    qv = q_rows[[questions[cs.question] for cs in candidate_sets]]
+    return qv, d_rows[cols], cols < len(docs), softmax_normalize(teacher, tau1)
+
+
+def _batch_loss_gradient(
+    model: RerankerModel, batch: tuple, tau2: float
+) -> tuple[np.ndarray, RerankerGradient]:
+    """Each set's KL(Q || P), and the gradient of their sum, in one array pass."""
+    qv, dv, mask, q = batch
     u, v, logits = _project(model, qv, dv)
-    student = softmax_normalize(tuple(logits), tau2, cs.doc_ids)
-    loss = kl_loss(teacher, student)
-    # dKL/dlogit_i = (P_i - Q_i) / tau2, pushed through the bilinear form.
-    g = (np.asarray(student.probabilities) - np.asarray(teacher.probabilities)) / tau2
-    d_query = np.outer(g @ v, qv)
-    d_doc = np.outer(u, g @ dv)
-    return loss, RerankerGradient(d_query, d_doc, float(g.sum()))
-
-
-def _candidate_features(
-    model: RerankerModel, cs: CandidateSet, doc_texts: Mapping[str, str]
-) -> tuple[np.ndarray, np.ndarray]:
-    return _features(model, cs.question, [doc_texts[doc_id] for doc_id in cs.doc_ids])
+    p = softmax_normalize(np.where(mask, logits, -np.inf), tau2)
+    # dKL/dlogit_i = (P_i - Q_i) / tau2, pushed through the bilinear form; pads have P = Q = 0.
+    g = ((p - q) / tau2)[:, None, :]
+    d_query = (g @ v)[:, 0].T @ qv
+    d_doc = u.T @ (g @ dv)[:, 0]
+    return kl_loss(q, p), RerankerGradient(d_query, d_doc, float(g.sum()))
 
 
 def loss_gradient(
@@ -265,22 +256,11 @@ def loss_gradient(
     tau2: float,
     doc_texts: Mapping[str, str],
 ) -> tuple[float, RerankerGradient]:
-    """Analytic KL loss and gradient for one candidate set."""
-    qv, dv = _candidate_features(model, candidate_set, doc_texts)
-    return _set_loss_and_gradient(model, candidate_set, tau1, tau2, qv, dv)
-
-
-def mean_loss(
-    model: RerankerModel,
-    candidate_sets: Sequence[CandidateSet],
-    tau1: float,
-    tau2: float,
-    doc_texts: Mapping[str, str],
-) -> float:
-    total = 0.0
-    for cs in candidate_sets:
-        total += loss_gradient(model, cs, tau1, tau2, doc_texts)[0]
-    return total / len(candidate_sets)
+    """Analytic KL loss and gradient for one candidate set: training's pass with S = 1."""
+    losses, grad = _batch_loss_gradient(
+        model, _batch(model, [candidate_set], doc_texts, tau1), tau2
+    )
+    return float(losses[0]), grad
 
 
 def train(
@@ -297,33 +277,24 @@ def train(
     Returns a trained copy of the model and the loss trace: entry 0 is the
     mean loss before training, entry e the mean loss after epoch e. Pass e
     takes entry e and the gradient at the same parameters, then applies
-    update e + 1; the last pass updates nothing. Gradients accumulate in set
-    order, so training is deterministic.
+    update e + 1; the last pass updates nothing. Every pass scores all sets
+    at once, in a fixed order, so training is deterministic.
     """
     if not candidate_sets:
         raise ValueError("no candidate sets to train on")
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     trained = model.copy()
-    features = [_candidate_features(trained, cs, doc_texts) for cs in candidate_sets]
+    batch = _batch(trained, candidate_sets, doc_texts, tau1)
     scale = lr / len(candidate_sets)
     trace: list[float] = []
     for epoch in range(epochs + 1):
-        total = 0.0
-        acc_q = np.zeros_like(trained.query_projection)
-        acc_d = np.zeros_like(trained.doc_projection)
-        acc_b = 0.0
-        for cs, (qv, dv) in zip(candidate_sets, features):
-            loss, grad = _set_loss_and_gradient(trained, cs, tau1, tau2, qv, dv)
-            total += loss
-            acc_q += grad.d_query_projection
-            acc_d += grad.d_doc_projection
-            acc_b += grad.d_bias
-        trace.append(total / len(candidate_sets))
+        losses, grad = _batch_loss_gradient(trained, batch, tau2)
+        trace.append(float(losses.sum()) / len(candidate_sets))
         if epoch < epochs:
-            trained.query_projection -= scale * acc_q
-            trained.doc_projection -= scale * acc_d
-            trained.bias -= scale * acc_b
+            trained.query_projection -= scale * grad.d_query_projection
+            trained.doc_projection -= scale * grad.d_doc_projection
+            trained.bias -= scale * grad.d_bias
             trained.step += 1
     return trained, trace
 
@@ -396,11 +367,18 @@ def rerank_inference(
     ]
 
 
+def _finite(value) -> float:
+    score = float(value)
+    if not math.isfinite(score):
+        raise ValueError(f"must be finite, got {value!r}")
+    return score
+
+
 class FileScorer:
     """External-scorer plug-in: scores read from a JSONL exchange file.
 
-    Lines are {"id": example id, "doc_id": ..., "score": ...}. Pairs not
-    present in the file score 0.0.
+    Lines are {"id": example id, "doc_id": ..., "score": ...}; a score
+    must be finite. Pairs not present in the file score 0.0.
     """
 
     def __init__(self, scores: dict[tuple[str, str], float]):
@@ -409,7 +387,7 @@ class FileScorer:
     @classmethod
     def load(cls, path: str | Path) -> "FileScorer":
         rows = read_jsonl(
-            path, lambda obj: ((str(obj["id"]), str(obj["doc_id"])), field(obj, "score", float))
+            path, lambda obj: ((str(obj["id"]), str(obj["doc_id"])), field(obj, "score", _finite))
         )
         return cls(dict(rows))
 

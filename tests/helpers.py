@@ -2,7 +2,9 @@
 
 The BM25 oracle here evaluates the scoring formula directly over raw
 token lists with no inverted index, posting lists, or accumulators, so it
-stays independent of the production retrieval path it checks.
+stays independent of the production retrieval path it checks. The
+reranker reference trains one candidate set at a time, with a scalar KL
+loop and outer-product gradients, where ``train`` scores all sets at once.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from radkit.corpus import Document, tokenize
-from radkit.reranker import CandidateSet, RerankerModel
+from radkit.reranker import CandidateSet, RerankerModel, featurize
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -39,10 +41,14 @@ def npy_bytes(array) -> bytes:
     return buf.getvalue()
 
 
-def with_meta(data: bytes, change) -> bytes:
-    """An array file (index or checkpoint) rewritten with ``change`` applied to its meta member."""
+def with_meta(data: bytes, change, **replaced) -> bytes:
+    """An array file (index or checkpoint) rewritten with ``change`` applied to its meta member.
+
+    Members named in ``replaced`` are swapped for the given arrays.
+    """
     with np.load(io.BytesIO(data)) as members:
         arrays = {name: members[name] for name in members.files}
+    arrays.update(replaced)
     meta = json.loads(arrays["meta"].tobytes())
     change(meta)
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
@@ -170,3 +176,85 @@ def random_reranker_fixture(
         teacher_scores=tuple(float(s) for s in rng.normal(0.0, 2.0, size=n_cands)),
     )
     return model, cs, doc_texts
+
+
+def padded_fixture() -> tuple[RerankerModel, list[CandidateSet], dict[str, str]]:
+    """Reranker-training fixture whose candidate sets differ in size and share documents.
+
+    Nine sets of 2 to 7 candidates draw on one pool of 12 documents, two
+    sets share a question, and one set's teacher Q underflows to 0 on a
+    real (not padded) candidate.
+    """
+    rng = np.random.default_rng(41)
+    words = [f"v{i}" for i in range(25)]
+    doc_texts = {
+        f"pool-{i:02d}": " ".join(rng.choice(words, size=int(rng.integers(2, 8))))
+        for i in range(12)
+    }
+    questions = [" ".join(rng.choice(words, size=4)) for _ in range(8)]
+    sets = []
+    for s, size in enumerate((2, 7, 3, 5, 7, 4, 2, 6, 3)):
+        doc_ids = tuple(rng.choice(sorted(doc_texts), size=size, replace=False).tolist())
+        teacher = tuple(float(x) for x in rng.normal(0.0, 3.0, size=size))
+        if s == 2:
+            teacher = (900.0,) + teacher[1:]
+        sets.append(CandidateSet(f"p{s}", 0, questions[min(s, 7)], doc_ids, teacher))
+    dim = 16
+    model = RerankerModel(
+        dim,
+        hash_seed=5,
+        query_projection=rng.normal(0.0, 3.0, size=(dim, dim)),
+        doc_projection=rng.normal(0.0, 3.0, size=(dim, dim)),
+        bias=0.25,
+    )
+    return model, sets, doc_texts
+
+
+def _reference_softmax(scores, tau: float) -> np.ndarray:
+    z = np.asarray(scores, dtype=np.float64) / tau
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
+def reference_loss_gradient(model, cs, tau1, tau2, qv, dv):
+    """One set's KL(Q || P) as a scalar loop, and its gradient as outer products."""
+    u = model.query_projection @ qv
+    v = dv @ model.doc_projection.T
+    q = _reference_softmax(cs.teacher_scores, tau1)
+    p = _reference_softmax(v @ u + model.bias, tau2)
+    loss = 0.0
+    for qi, pi in zip(q.tolist(), p.tolist()):
+        if qi > 0.0:
+            loss += math.inf if pi == 0.0 else qi * (math.log(qi) - math.log(pi))
+    g = (p - q) / tau2
+    return loss, np.outer(g @ v, qv), np.outer(u, g @ dv), float(g.sum())
+
+
+def reference_train(model, candidate_sets, doc_texts, epochs, lr, tau1, tau2):
+    """Full-batch gradient descent as ``train`` does it, one set at a time in set order."""
+    trained = model.copy()
+    dim, seed = model.embedding_dim, model.hash_seed
+    features = [
+        (
+            featurize(cs.question, dim, seed),
+            np.stack([featurize(doc_texts[d], dim, seed) for d in cs.doc_ids]),
+        )
+        for cs in candidate_sets
+    ]
+    scale = lr / len(candidate_sets)
+    trace = []
+    for epoch in range(epochs + 1):
+        total, acc_q, acc_d, acc_b = 0.0, 0.0, 0.0, 0.0
+        for cs, (qv, dv) in zip(candidate_sets, features):
+            loss, d_query, d_doc, d_bias = reference_loss_gradient(trained, cs, tau1, tau2, qv, dv)
+            total += loss
+            acc_q = acc_q + d_query
+            acc_d = acc_d + d_doc
+            acc_b += d_bias
+        trace.append(total / len(candidate_sets))
+        if epoch < epochs:
+            trained.query_projection -= scale * acc_q
+            trained.doc_projection -= scale * acc_d
+            trained.bias -= scale * acc_b
+            trained.step += 1
+    return trained, trace

@@ -1,13 +1,14 @@
 """CLI subcommands: exit codes, file outputs, manifests, idempotence."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from helpers import DATA_DIR, FORMAT_1_INDEX
+from helpers import DATA_DIR, FORMAT_1_INDEX, with_meta
 
 
 def run_cli(*args, cwd=None, timeout=None):
@@ -118,6 +119,19 @@ class TestIndexCommand:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines() == [
             f"error: {index}: unknown file format version 1 (expected 2)"
+        ], proc.stderr
+
+    def test_index_without_documents_is_one_error_line(self, pipeline, tmp_path):
+        paths, _, _ = pipeline
+        index = tmp_path / "index.npz"
+        index.write_bytes(with_meta(paths["index"].read_bytes(), lambda m: m.update(documents=[])))
+        proc = run_cli(
+            "rerank-infer", "--index", str(index), "--questions", str(DATA_DIR / "rationales.jsonl"),
+            "--out", str(tmp_path / "out.jsonl"), "--kappa-star", "10",
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"error: {index}: unknown file format version None (expected 2)"
         ], proc.stderr
 
 
@@ -251,13 +265,26 @@ class TestRerankInferOptions:
             " --ks 1,,3",
             "--ks '1,,3': invalid literal for int() with base 10: ''",
         ),
+        ("index --corpus {corpus} --out {out} --k1 nan", "k1 must be finite and >= 0, got nan"),
+        ("index --corpus {corpus} --out {out} --k1 inf", "k1 must be finite and >= 0, got inf"),
+        ("index --corpus {corpus} --out {out} --k1 -0.5", "k1 must be finite and >= 0, got -0.5"),
+        ("index --corpus {corpus} --out {out} --b 5", "b must lie in [0, 1], got 5.0"),
+        ("index --corpus {corpus} --out {out} --b -0.1", "b must lie in [0, 1], got -0.1"),
     ],
-    ids=["epochs-negative", "dim-zero", "chars-negative", "chars-zero", "j-gold-negative", "ks-empty"],
+    ids=[
+        "epochs-negative", "dim-zero", "chars-negative", "chars-zero", "j-gold-negative",
+        "ks-empty", "k1-nan", "k1-inf", "k1-negative", "b-above-one", "b-negative",
+    ],
 )
 def test_bad_number_is_one_error_line_and_writes_nothing(pipeline, tmp_path, command, reason):
     paths, _, _ = pipeline
     out = tmp_path / "out"
-    where = {**paths, "rationales": DATA_DIR / "rationales.jsonl", "out": out}
+    where = {
+        **paths,
+        "corpus": DATA_DIR / "corpus.jsonl",
+        "rationales": DATA_DIR / "rationales.jsonl",
+        "out": out,
+    }
     proc = run_cli(*command.format(**where).split())
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [f"error: {reason}"], proc.stderr
@@ -505,6 +532,8 @@ MALFORMED_CASES = [
         ("candidates", "j", "x", 'field "j": invalid literal'),
         ("verdict file", "j", "x", 'field "j": invalid literal'),
         ("score file", "score", "x", 'field "score": could not convert'),
+        ("score file", "score", math.nan, 'field "score": must be finite, got nan'),
+        ("score file", "score", -math.inf, 'field "score": must be finite, got -inf'),
     ]
 ]
 

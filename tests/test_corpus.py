@@ -238,6 +238,27 @@ class TestRetrieve:
                     straddles += k < len(every) and every[k - 1][1] == every[k][1]
         assert straddles > 0
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        docs=st.lists(
+            st.tuples(st.text(max_size=3), st.lists(st.sampled_from("abcd"), min_size=1, max_size=6)),
+            min_size=1,
+            max_size=12,
+            unique_by=lambda doc: doc[0],
+        ),
+        query=st.lists(st.sampled_from(["a", "b", "c", "d", "zebra"]), min_size=1, max_size=5),
+        k1=st.floats(0.0, 3.0),
+        b=st.floats(0.0, 1.0),
+        data=st.data(),
+    )
+    def test_equals_oracle_on_random_corpora(self, docs, query, k1, b, data):
+        """Ids and float scores, ties included: four words make many documents tie."""
+        corpus = [Document(doc_id, "", " ".join(words)) for doc_id, words in docs]
+        index = build_index(corpus, k1=k1, b=b)
+        k = data.draw(st.integers(1, len(corpus)), label="k")
+        got = [(sd.doc_id, sd.score) for sd in retrieve(index, " ".join(query), k)]
+        assert got == bm25_oracle_ranked(corpus, " ".join(query), k, k1, b)
+
 
 class TestSerialization:
     def test_round_trip_preserves_retrieval(self):
@@ -298,6 +319,41 @@ class TestSerialization:
             with pytest.raises(UnknownFormatVersion) as err:
                 load(path)
             assert str(err.value) == f"{path}: {UnknownFormatVersion(None, 2)}", load.__name__
+
+    @pytest.mark.parametrize(
+        "change, arrays",
+        [
+            (lambda m: m.update(documents=[]), {}),
+            (lambda m: m["documents"].pop(), {}),
+            (lambda m: m["terms"].pop(), {}),
+            (lambda m: m["terms"].append("zebra"), {}),
+            (lambda m: m["build_params"].update(k1=math.nan), {}),
+            (lambda m: m["build_params"].update(k1=-0.5), {}),
+            (lambda m: m["build_params"].update(b=5.0), {}),
+            (None, {"doc_lengths": lambda a: a[:-1]}),
+            (None, {"offsets": lambda a: np.r_[1, a[1:]]}),
+            (None, {"offsets": lambda a: np.r_[0, a[-1], a[2:]]}),
+            (None, {"offsets": lambda a: np.r_[a[:-1], a[-1] - 1]}),
+            (None, {"tfs": lambda a: a[:-1]}),
+            (None, {"ordinals": lambda a: np.r_[a[:-1], 5]}),
+            (None, {"ordinals": lambda a: np.r_[-1, a[1:]]}),
+        ],
+        ids=[
+            "no-documents", "one-document-short", "one-term-short", "one-term-extra", "k1-nan",
+            "k1-negative", "b-above-one", "lengths-short", "offsets-from-1", "offsets-decrease",
+            "offsets-short-of-postings", "tfs-short", "ordinal-past-end", "ordinal-negative",
+        ],
+    )
+    def test_arrays_that_do_not_fit_meta_are_rejected(self, tmp_path, change, arrays):
+        index = build_index(FIVE_DOCS)
+        replaced = {
+            name: edit(getattr(index, name)).astype(np.int32) for name, edit in arrays.items()
+        }
+        path = tmp_path / "index.npz"
+        path.write_bytes(with_meta(serialize_index(index), change or (lambda m: None), **replaced))
+        with pytest.raises(UnknownFormatVersion) as err:
+            load_index(path)
+        assert str(err.value) == f"{path}: {UnknownFormatVersion(None, 2)}"
 
     def test_file_round_trip(self, tmp_path):
         docs = load_corpus_jsonl(DATA_DIR / "corpus.jsonl")
