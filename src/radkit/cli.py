@@ -181,9 +181,9 @@ def cmd_candidates(args) -> int:
     return 0
 
 
-def _known_doc_ids(obj: dict, doc_texts: dict) -> None:
+def _known_doc_ids(obj: dict, known: set) -> None:
     for doc_id in obj["doc_ids"]:
-        if doc_id not in doc_texts:
+        if doc_id not in known:
             raise ValueError(f'unknown doc id "{doc_id}"')
 
 
@@ -192,13 +192,13 @@ def cmd_rerank_train(args) -> int:
     _check_inputs([index_path, cand_path])
     index = load_index(index_path)
     sets = read_candidates_jsonl(cand_path)
-    doc_texts = {d.doc_id: d.text for d in index.documents}
-    if any(doc_id not in doc_texts for cs in sets for doc_id in cs.doc_ids):
+    known = set(index.doc_ids)
+    if any(doc_id not in known for cs in sets for doc_id in cs.doc_ids):
         # Read the file again only to name the line of the first unknown id.
-        read_jsonl(cand_path, lambda obj: _known_doc_ids(obj, doc_texts))
+        read_jsonl(cand_path, lambda obj: _known_doc_ids(obj, known))
     model = RerankerModel.identity(args.dim, hash_seed=args.hash_seed)
     trained, trace = train(
-        model, sets, doc_texts, epochs=args.epochs, lr=args.lr, tau1=args.tau1, tau2=args.tau2
+        model, sets, index, epochs=args.epochs, lr=args.lr, tau1=args.tau1, tau2=args.tau2
     )
     out = Path(args.out)
     atomic_write(out, serialize_model(trained))

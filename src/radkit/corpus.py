@@ -71,8 +71,8 @@ class PostingsIndex:
     is ``idf * tf * (k1 + 1) / (tf + norm)``, evaluated in that order. The
     source documents are embedded so downstream stages can resolve passage
     texts from the index file alone. Arrays that do not fit the documents
-    and terms, k1 < 0, b outside [0, 1] or a non-finite k1 or b raise
-    ValueError, whether the index is built or loaded.
+    and terms, a tf or length below 1, k1 < 0, b outside [0, 1] or a
+    non-finite k1 or b raise ValueError, whether the index is built or loaded.
     """
 
     def __init__(
@@ -136,6 +136,8 @@ def _check_fit(n_docs, n_terms, offsets, ordinals, tfs, doc_lengths, k1, b) -> N
         raise ValueError("offsets must be non-decreasing")
     if len(ordinals) and not 0 <= ordinals.min() <= ordinals.max() < n_docs:
         raise ValueError(f"posting ordinals must lie in [0, {n_docs})")
+    if len(tfs) and tfs.min() < 1 or doc_lengths.min() < 1:
+        raise ValueError("term frequencies and document lengths must be >= 1")
 
 
 def build_index(

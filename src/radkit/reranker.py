@@ -9,7 +9,7 @@ question. Training minimizes mean KL(Q || P) by plain gradient descent.
 The scorer is a hashed bag-of-terms bilinear model: deterministic,
 dependency-free, and swappable for an external neural scorer through a
 score-file exchange at inference time. ``RerankerModel.scores`` scores one
-query against many documents; training computes its logits the same way.
+query against an index's documents; training computes its logits the same way.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -69,28 +69,41 @@ class CandidateSet:
             raise ValueError("teacher scores must be finite")
 
 
-def _hash_pair(token: str, hash_seed: int) -> tuple[int, int]:
-    digest = hashlib.blake2b(
-        f"{hash_seed}:{token}".encode("utf-8"), digest_size=16
-    ).digest()
-    return int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:], "little")
+def _slot_sign(term: str, embedding_dim: int, hash_seed: int) -> tuple[int, float]:
+    digest = hashlib.blake2b(f"{hash_seed}:{term}".encode("utf-8"), digest_size=16).digest()
+    return int.from_bytes(digest[:8], "little") % embedding_dim, 1.0 if digest[8] & 1 else -1.0
+
+
+def _log1p(tfs: np.ndarray) -> np.ndarray:
+    """ln(1 + tf) by math.log1p, once per distinct tf."""
+    distinct, inverse = np.unique(tfs, return_inverse=True)
+    return np.array([math.log1p(tf) for tf in distinct.tolist()])[inverse]
+
+
+def _unit_rows(rows, slots, weights, n_rows: int, embedding_dim: int) -> np.ndarray:
+    """(n_rows, E) sums of ``weights`` at (row, integral slot), each row L2-normalized.
+
+    Each slot adds its weights in ascending order, whatever order they come in.
+    """
+    order = np.lexsort((weights, slots, rows))
+    keys = rows[order] * embedding_dim + slots[order].astype(np.int64)
+    vecs = np.bincount(keys, weights[order], minlength=n_rows * embedding_dim)  # int if empty
+    vecs = vecs.astype(np.float64, copy=False).reshape(n_rows, embedding_dim)
+    norms = np.linalg.norm(vecs, axis=-1, keepdims=True)
+    return np.divide(vecs, norms, out=vecs, where=norms > 0.0)
 
 
 def featurize(text: str, embedding_dim: int, hash_seed: int) -> np.ndarray:
     """Hashed bag-of-terms vector, L2-normalized (all-zero stays zero).
 
-    Each distinct term adds ln(1 + tf) with a hash-derived sign at a
-    hash-derived position, so the embedding is independent of token order.
+    Each distinct term adds ln(1 + tf) with a hash-derived sign at a hash-derived
+    slot, in ascending (slot, weight) order, so the row is independent of token
+    order and equals ``RerankerModel.doc_rows`` of the same text bit for bit.
     """
-    vec = np.zeros(embedding_dim, dtype=np.float64)
-    for term, tf in Counter(tokenize(text)).items():
-        position, sign_bits = _hash_pair(term, hash_seed)
-        sign = 1.0 if sign_bits & 1 else -1.0
-        vec[position % embedding_dim] += sign * math.log1p(tf)
-    norm = float(np.linalg.norm(vec))
-    if norm > 0.0:
-        vec /= norm
-    return vec
+    counts = Counter(tokenize(text))
+    slots, signs = np.reshape([_slot_sign(t, embedding_dim, hash_seed) for t in counts], (-1, 2)).T
+    weights = signs * _log1p(np.fromiter(counts.values(), np.int64, len(counts)))
+    return _unit_rows(np.zeros(len(counts), np.int64), slots, weights, 1, embedding_dim)[0]
 
 
 class RerankerModel:
@@ -120,6 +133,7 @@ class RerankerModel:
             raise ValueError(f"projections must be {embedding_dim}x{embedding_dim}")
         self.bias = float(bias)
         self.step = int(step)
+        self._table = None  # (index, terms by id, (n_terms, 2) slots and signs, NaN until hashed)
 
     @classmethod
     def identity(
@@ -151,10 +165,33 @@ class RerankerModel:
     def featurize(self, text: str) -> np.ndarray:
         return featurize(text, self.embedding_dim, self.hash_seed)
 
-    def scores(self, query_text: str, doc_texts: Sequence[str]) -> np.ndarray:
-        """Score of each document against the query; the query is featurized once."""
-        docs = np.stack([self.featurize(t) for t in doc_texts])
-        return _project(self, self.featurize(query_text), docs)[2]
+    def doc_rows(self, index: PostingsIndex, ordinals: Sequence[int]) -> np.ndarray:
+        """Feature rows (len(ordinals), E) of the index's documents at distinct ``ordinals``.
+
+        Built from the postings, equal to ``featurize(doc.text)`` bit for bit.
+        A term is hashed the first time a row needs it; the model keeps
+        those slots and signs for the last index it scored.
+        """
+        if self._table is None or self._table[0] is not index:
+            terms = sorted(index.vocabulary, key=index.vocabulary.get)
+            self._table = index, terms, np.full((len(terms), 2), np.nan)
+        _, terms, table = self._table
+        dim, seed = self.embedding_dim, self.hash_seed
+        wanted = np.zeros(index.doc_count, dtype=bool)
+        wanted[ordinals] = True
+        hit = np.flatnonzero(wanted[index.ordinals])
+        row_of = np.empty(index.doc_count, dtype=np.int64)
+        row_of[ordinals] = np.arange(len(ordinals))
+        term_ids = index.posting_keys[hit] // index.doc_count
+        new = np.unique(term_ids[np.isnan(table[term_ids, 0])]).tolist()
+        table[new] = np.reshape([_slot_sign(terms[t], dim, seed) for t in new], (-1, 2))
+        slots, signs = table[term_ids].T
+        weights = signs * _log1p(index.tfs[hit])
+        return _unit_rows(row_of[index.ordinals[hit]], slots, weights, len(ordinals), dim)
+
+    def scores(self, query_text: str, index: PostingsIndex, ordinals: Sequence[int]) -> np.ndarray:
+        """Score of the index's documents at ``ordinals`` against the query, featurized once."""
+        return _project(self, self.featurize(query_text), self.doc_rows(index, ordinals))[2]
 
 
 def softmax_normalize(scores, tau: float) -> np.ndarray:
@@ -207,14 +244,14 @@ def _project(
 def _batch(
     model: RerankerModel,
     candidate_sets: Sequence[CandidateSet],
-    doc_texts: Mapping[str, str],
+    index: PostingsIndex,
     tau1: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The sets' question rows (S, E), candidate rows (S, C, E), mask and teacher Q (S, C).
 
-    Each distinct question and document is featurized once. A set shorter
-    than the longest is padded with a zero row and a -inf teacher score,
-    which the mask marks False.
+    Each distinct question is featurized, and each distinct document's row
+    built from the index, once. A set shorter than the longest is padded
+    with a zero row and a -inf teacher score, which the mask marks False.
     """
     questions: dict[str, int] = {}
     docs: dict[str, int] = {}
@@ -230,7 +267,7 @@ def _batch(
         teacher[s, : len(cs.doc_ids)] = cs.teacher_scores
     dim, seed = model.embedding_dim, model.hash_seed
     q_rows = np.stack([featurize(q, dim, seed) for q in questions])
-    d_rows = np.stack([featurize(doc_texts[d], dim, seed) for d in docs] + [np.zeros(dim)])
+    d_rows = np.vstack([model.doc_rows(index, [index.ordinal(d) for d in docs]), np.zeros(dim)])
     qv = q_rows[[questions[cs.question] for cs in candidate_sets]]
     return qv, d_rows[cols], cols < len(docs), softmax_normalize(teacher, tau1)
 
@@ -254,11 +291,11 @@ def loss_gradient(
     candidate_set: CandidateSet,
     tau1: float,
     tau2: float,
-    doc_texts: Mapping[str, str],
+    index: PostingsIndex,
 ) -> tuple[float, RerankerGradient]:
     """Analytic KL loss and gradient for one candidate set: training's pass with S = 1."""
     losses, grad = _batch_loss_gradient(
-        model, _batch(model, [candidate_set], doc_texts, tau1), tau2
+        model, _batch(model, [candidate_set], index, tau1), tau2
     )
     return float(losses[0]), grad
 
@@ -266,7 +303,7 @@ def loss_gradient(
 def train(
     model: RerankerModel,
     candidate_sets: Sequence[CandidateSet],
-    doc_texts: Mapping[str, str],
+    index: PostingsIndex,
     epochs: int,
     lr: float,
     tau1: float = DEFAULT_TAU1,
@@ -285,7 +322,7 @@ def train(
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     trained = model.copy()
-    batch = _batch(trained, candidate_sets, doc_texts, tau1)
+    batch = _batch(trained, candidate_sets, index, tau1)
     scale = lr / len(candidate_sets)
     trace: list[float] = []
     for epoch in range(epochs + 1):
@@ -355,11 +392,11 @@ def rerank_inference(
     candidates = retrieve(index, question, kappa_star)
     if not candidates:
         raise EmptyCandidates(question)
-    texts = [index.document(sd.doc_id).text for sd in candidates]
     if isinstance(model, RerankerModel):
-        scores = model.scores(question, texts).tolist()
+        ordinals = [index.ordinal(sd.doc_id) for sd in candidates]
+        scores = model.scores(question, index, ordinals).tolist()
     else:
-        scores = [model(sd.doc_id, text, question) for sd, text in zip(candidates, texts)]
+        scores = [model(sd.doc_id, index.document(sd.doc_id).text, question) for sd in candidates]
     rescored = sorted((-score, sd.doc_id) for score, sd in zip(scores, candidates))
     return [
         ScoredDoc(doc_id=doc_id, score=-neg, rank=rank)
@@ -445,7 +482,7 @@ def _candidate_set(obj: dict) -> CandidateSet:
         rationale_index=field(obj, "j", int),
         question=obj["question"],
         doc_ids=field(obj, "doc_ids", many=True),
-        teacher_scores=field(obj, "teacher_scores", float, many=True),
+        teacher_scores=field(obj, "teacher_scores", _finite, many=True),
     )
 
 

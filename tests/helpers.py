@@ -3,20 +3,24 @@
 The BM25 oracle here evaluates the scoring formula directly over raw
 token lists with no inverted index, posting lists, or accumulators, so it
 stays independent of the production retrieval path it checks. The
-reranker reference trains one candidate set at a time, with a scalar KL
-loop and outer-product gradients, where ``train`` scores all sets at once.
+reranker references featurize each document's text, where the model builds
+document rows from the index's postings; ``reference_train`` also trains one
+candidate set at a time, with a scalar KL loop and outer-product gradients,
+where ``train`` scores all sets at once.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-from radkit.corpus import Document, tokenize
+from radkit.corpus import Document, PostingsIndex, ScoredDoc, build_index, retrieve, tokenize
 from radkit.reranker import CandidateSet, RerankerModel, featurize
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -111,7 +115,12 @@ def random_query(rng: np.random.Generator, vocab_size: int = 40, max_terms: int 
     return " ".join(f"w{int(i):03d}" for i in rng.integers(0, vocab_size, size=n))
 
 
-def convergence_fixture() -> tuple[RerankerModel, list[CandidateSet], dict[str, str]]:
+def text_index(doc_texts: dict[str, str]) -> PostingsIndex:
+    """An index of one document per (doc_id, text) pair, in the given order."""
+    return build_index([Document(doc_id, "", text) for doc_id, text in doc_texts.items()])
+
+
+def convergence_fixture() -> tuple[RerankerModel, list[CandidateSet], PostingsIndex]:
     """Separable reranker-training fixture: 10 questions, 8 candidates each.
 
     Question and candidate texts share no vocabulary, so the initial
@@ -142,7 +151,7 @@ def convergence_fixture() -> tuple[RerankerModel, list[CandidateSet], dict[str, 
             )
         )
     model = RerankerModel.identity(embedding_dim=512, hash_seed=7, query_scale=1000.0)
-    return model, sets, doc_texts
+    return model, sets, text_index(doc_texts)
 
 
 def convergence_targets() -> list[int]:
@@ -151,7 +160,7 @@ def convergence_targets() -> list[int]:
 
 def random_reranker_fixture(
     rng: np.random.Generator, embedding_dim: int = 12
-) -> tuple[RerankerModel, CandidateSet, dict[str, str]]:
+) -> tuple[RerankerModel, CandidateSet, PostingsIndex]:
     """Random small model and candidate set for gradient checks."""
     model = RerankerModel(
         embedding_dim=embedding_dim,
@@ -175,10 +184,10 @@ def random_reranker_fixture(
         doc_ids=tuple(doc_ids),
         teacher_scores=tuple(float(s) for s in rng.normal(0.0, 2.0, size=n_cands)),
     )
-    return model, cs, doc_texts
+    return model, cs, text_index(doc_texts)
 
 
-def padded_fixture() -> tuple[RerankerModel, list[CandidateSet], dict[str, str]]:
+def padded_fixture() -> tuple[RerankerModel, list[CandidateSet], PostingsIndex]:
     """Reranker-training fixture whose candidate sets differ in size and share documents.
 
     Nine sets of 2 to 7 candidates draw on one pool of 12 documents, two
@@ -207,7 +216,22 @@ def padded_fixture() -> tuple[RerankerModel, list[CandidateSet], dict[str, str]]
         doc_projection=rng.normal(0.0, 3.0, size=(dim, dim)),
         bias=0.25,
     )
-    return model, sets, doc_texts
+    return model, sets, text_index(doc_texts)
+
+
+def reference_featurize(text: str, dim: int, seed: int) -> np.ndarray:
+    """``featurize`` as a loop: blake2b per term, then per slot the signed ln(1 + tf) ascending."""
+    by_slot: dict[int, list[float]] = {}
+    for term, tf in Counter(tokenize(text)).items():
+        digest = hashlib.blake2b(f"{seed}:{term}".encode(), digest_size=16).digest()
+        slot = int.from_bytes(digest[:8], "little") % dim
+        by_slot.setdefault(slot, []).append((1.0 if digest[8] & 1 else -1.0) * math.log1p(tf))
+    vec = np.zeros((1, dim))
+    for slot, weights in by_slot.items():
+        for w in sorted(weights):
+            vec[0, slot] += w
+    norm = np.linalg.norm(vec, axis=-1, keepdims=True)
+    return (vec / norm if norm > 0.0 else vec)[0]
 
 
 def _reference_softmax(scores, tau: float) -> np.ndarray:
@@ -230,14 +254,14 @@ def reference_loss_gradient(model, cs, tau1, tau2, qv, dv):
     return loss, np.outer(g @ v, qv), np.outer(u, g @ dv), float(g.sum())
 
 
-def reference_train(model, candidate_sets, doc_texts, epochs, lr, tau1, tau2):
+def reference_train(model, candidate_sets, index, epochs, lr, tau1, tau2):
     """Full-batch gradient descent as ``train`` does it, one set at a time in set order."""
     trained = model.copy()
     dim, seed = model.embedding_dim, model.hash_seed
     features = [
         (
             featurize(cs.question, dim, seed),
-            np.stack([featurize(doc_texts[d], dim, seed) for d in cs.doc_ids]),
+            np.stack([featurize(index.document(d).text, dim, seed) for d in cs.doc_ids]),
         )
         for cs in candidate_sets
     ]
@@ -258,3 +282,14 @@ def reference_train(model, candidate_sets, doc_texts, epochs, lr, tau1, tau2):
             trained.bias -= scale * acc_b
             trained.step += 1
     return trained, trace
+
+
+def reference_rerank_inference(index, model, question, kappa_star, k) -> list[ScoredDoc]:
+    """``rerank_inference`` with a model, the candidates' rows from ``featurize(doc.text)``."""
+    dim, seed = model.embedding_dim, model.hash_seed
+    candidates = retrieve(index, question, kappa_star)
+    docs = np.stack([featurize(index.document(sd.doc_id).text, dim, seed) for sd in candidates])
+    u = model.query_projection @ featurize(question, dim, seed)
+    logits = (docs @ model.doc_projection.T) @ u + model.bias
+    rescored = sorted((-score, sd.doc_id) for score, sd in zip(logits.tolist(), candidates))
+    return [ScoredDoc(doc_id, -neg, rank) for rank, (neg, doc_id) in enumerate(rescored[:k], 1)]

@@ -121,11 +121,11 @@ def test_criterion_3_gradient_matches_finite_differences():
     rng = np.random.default_rng(314)
     worst_bias = 0.0
     for _ in range(20):
-        model, cs, doc_texts = random_reranker_fixture(rng, embedding_dim=8)
+        model, cs, index = random_reranker_fixture(rng, embedding_dim=8)
         tau1 = float(rng.uniform(0.5, 3))
         tau2 = float(rng.uniform(0.5, 120))
-        _, grad = loss_gradient(model, cs, tau1, tau2, doc_texts)
-        fd_q, fd_d, fd_b = finite_difference_gradient(model, cs, tau1, tau2, doc_texts)
+        _, grad = loss_gradient(model, cs, tau1, tau2, index)
+        fd_q, fd_d, fd_b = finite_difference_gradient(model, cs, tau1, tau2, index)
         assert_gradients_close(grad.d_query_projection, fd_q, rtol=1e-4)
         assert_gradients_close(grad.d_doc_projection, fd_d, rtol=1e-4)
         assert abs(grad.d_bias - fd_b) <= 1e-9
@@ -139,13 +139,13 @@ def test_criterion_3_gradient_matches_finite_differences():
 
 def test_criterion_4_distillation_convergence():
     """Separable fixture: tau1=1, tau2=100, lr=1e-2, 50 epochs."""
-    model, sets, doc_texts = convergence_fixture()
-    trained, trace = train(model, sets, doc_texts, epochs=50, lr=1e-2, tau1=1.0, tau2=100.0)
-    rerun, _ = train(model, sets, doc_texts, epochs=50, lr=1e-2, tau1=1.0, tau2=100.0)
+    model, sets, index = convergence_fixture()
+    trained, trace = train(model, sets, index, epochs=50, lr=1e-2, tau1=1.0, tau2=100.0)
+    rerun, _ = train(model, sets, index, epochs=50, lr=1e-2, tau1=1.0, tau2=100.0)
     targets = convergence_targets()
     aligned = 0
     for cs, target in zip(sets, targets):
-        logits = [trained.scores(cs.question, [doc_texts[d]])[0] for d in cs.doc_ids]
+        logits = trained.scores(cs.question, index, [index.ordinal(d) for d in cs.doc_ids])
         aligned += int(np.argmax(logits)) == target
     bit_identical = (
         trained.query_projection.tobytes() == rerun.query_projection.tobytes()

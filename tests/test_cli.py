@@ -528,6 +528,14 @@ MALFORMED_CASES = [
     )
     for name, field, value, expected in [
         ("candidates", "teacher_scores", "12", 'field "teacher_scores" must be a list'),
+        (
+            "candidates", "teacher_scores", [math.nan, 1.0],
+            'field "teacher_scores": must be finite, got nan',
+        ),
+        (
+            "candidates", "teacher_scores", [-math.inf, 1.0],
+            'field "teacher_scores": must be finite, got -inf',
+        ),
         ("candidates", "doc_ids", "med-001", 'field "doc_ids" must be a list'),
         ("candidates", "j", "x", 'field "j": invalid literal'),
         ("verdict file", "j", "x", 'field "j": invalid literal'),

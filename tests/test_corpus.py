@@ -337,11 +337,16 @@ class TestSerialization:
             (None, {"tfs": lambda a: a[:-1]}),
             (None, {"ordinals": lambda a: np.r_[a[:-1], 5]}),
             (None, {"ordinals": lambda a: np.r_[-1, a[1:]]}),
+            (None, {"tfs": lambda a: np.r_[0, a[1:]]}),
+            (None, {"tfs": lambda a: np.r_[a[:-1], -1]}),
+            (None, {"doc_lengths": lambda a: np.r_[a[:-1], 0]}),
+            (None, {"doc_lengths": lambda a: 0 * a}),
         ],
         ids=[
             "no-documents", "one-document-short", "one-term-short", "one-term-extra", "k1-nan",
             "k1-negative", "b-above-one", "lengths-short", "offsets-from-1", "offsets-decrease",
             "offsets-short-of-postings", "tfs-short", "ordinal-past-end", "ordinal-negative",
+            "tf-zero", "tf-negative", "length-zero", "lengths-all-zero",
         ],
     )
     def test_arrays_that_do_not_fit_meta_are_rejected(self, tmp_path, change, arrays):

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from radkit.corpus import build_index, load_corpus_jsonl, retrieve, tokenize, bm25_score
+from radkit.corpus import Document, build_index, load_corpus_jsonl, retrieve, tokenize, bm25_score
 from radkit.distill import RationaleRecord, retrieve_knowledge
 from radkit.errors import (
     DegenerateCandidateSet,
@@ -39,19 +39,22 @@ from helpers import (
     convergence_targets,
     padded_fixture,
     random_reranker_fixture,
+    reference_featurize,
+    reference_rerank_inference,
     reference_train,
+    text_index,
     with_meta,
 )
 
 
-def finite_difference_gradient(model, cs, tau1, tau2, doc_texts, h=1e-5):
+def finite_difference_gradient(model, cs, tau1, tau2, index, h=1e-5):
     """Central differences over every model parameter."""
 
     def loss_with(query_projection, doc_projection, bias):
         probe = RerankerModel(
             model.embedding_dim, model.hash_seed, query_projection, doc_projection, bias
         )
-        return loss_gradient(probe, cs, tau1, tau2, doc_texts)[0]
+        return loss_gradient(probe, cs, tau1, tau2, index)[0]
 
     d_query = np.zeros_like(model.query_projection)
     d_doc = np.zeros_like(model.doc_projection)
@@ -83,6 +86,12 @@ def assert_gradients_close(analytic, numeric, rtol=1e-4, atol=1e-9):
     )
 
 
+# Single-token words with non-ASCII letters and digits, drawn from a few so that terms repeat.
+WORDS = st.sampled_from(
+    ["a", "B", "ab", "é", "Straße", "ΩMEGA", "жук", "中文", "x٣", "a1", "zz", "q"]
+)
+
+
 class TestFeaturize:
     def test_empty_text_is_zero_vector(self):
         assert not featurize("", 64, 0).any()
@@ -103,21 +112,53 @@ class TestFeaturize:
     def test_token_order_irrelevant(self):
         assert np.array_equal(featurize("a b c", 32, 0), featurize("c a b", 32, 0))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        texts=st.lists(st.lists(WORDS, min_size=1, max_size=12), min_size=1, max_size=8),
+        dim=st.sampled_from([1, 2, 8, 256]),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_index_rows_equal_featurize_bit_for_bit(self, data, texts, dim, seed):
+        """Rows of any distinct ordinals, in any order, from one model's lazily filled table."""
+        docs = [Document(f"d{i}", "", " ".join(words)) for i, words in enumerate(texts)]
+        index, model = build_index(docs), RerankerModel(dim, seed)
+        for _ in range(2):
+            order = data.draw(st.permutations(range(len(docs))))
+            ordinals = order[: data.draw(st.integers(1, len(docs)))]
+            want = [reference_featurize(docs[o].text, dim, seed) for o in ordinals]
+            assert np.array_equal(want, [featurize(docs[o].text, dim, seed) for o in ordinals])
+            assert model.doc_rows(index, ordinals).tobytes() == np.stack(want).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        words=st.lists(WORDS, max_size=30),
+        dim=st.sampled_from([1, 2, 8, 256]),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_shuffled_tokens_featurize_bit_for_bit_alike(self, data, words, dim, seed):
+        shuffled = data.draw(st.permutations(words))
+        want = reference_featurize(" ".join(words), dim, seed).tobytes()
+        assert featurize(" ".join(words), dim, seed).tobytes() == want
+        assert featurize(" ".join(shuffled), dim, seed).tobytes() == want
+
 
 class TestScore:
     def test_empty_query_scores_bias(self):
         model = RerankerModel(embedding_dim=16, bias=2.5)
-        assert model.scores("", ["some document text"])[0] == 2.5
+        assert model.scores("", text_index({"d": "some document text"}), [0])[0] == 2.5
 
     def test_identity_self_similarity_is_one(self):
         model = RerankerModel.identity(embedding_dim=32)
         text = "fever chills malaria"
-        assert model.scores(text, [text])[0] == pytest.approx(1.0)
+        assert model.scores(text, text_index({"d": text}), [0])[0] == pytest.approx(1.0)
 
     def test_bag_of_terms_order_invariance(self):
         model = RerankerModel.identity(embedding_dim=32)
         q = "does fever respond to rest"
-        assert model.scores(q, ["a b"])[0] == model.scores(q, ["b a"])[0]
+        ab, ba = model.scores(q, text_index({"ab": "a b", "ba": "b a"}), [0, 1])
+        assert ab == ba
 
     def test_batch_matches_one_document_at_a_time(self):
         rng = np.random.default_rng(21)
@@ -130,9 +171,10 @@ class TestScore:
         )
         words = ["fever", "rest", "thyroid", "iodine", "malaria", "chills", "dose"]
         docs = [" ".join(rng.choice(words, size=int(rng.integers(0, 9)))) for _ in range(25)]
+        index = text_index({f"d{i}": d for i, d in enumerate(docs) if d})  # an empty text has no row
         q = "fever dose for malaria"
-        batch = model.scores(q, docs)
-        single = np.array([model.scores(q, [d])[0] for d in docs])
+        batch = model.scores(q, index, range(index.doc_count))
+        single = np.array([model.scores(q, index, [o])[0] for o in range(index.doc_count)])
         np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-12)
 
 
@@ -221,10 +263,10 @@ class TestLossGradient:
         """Teacher scores equal to the student logits at equal temperatures."""
         model = RerankerModel.identity(embedding_dim=16)
         question = "which treatment helps"
-        doc_texts = {"a": "one passage", "b": "another text here", "c": "third entry"}
-        logits = [model.scores(question, [doc_texts[d]])[0] for d in ("a", "b", "c")]
+        index = text_index({"a": "one passage", "b": "another text here", "c": "third entry"})
+        logits = [model.scores(question, index, [o])[0] for o in range(3)]
         cs = CandidateSet("e", 0, question, ("a", "b", "c"), tuple(logits))
-        loss, grad = loss_gradient(model, cs, tau1=2.0, tau2=2.0, doc_texts=doc_texts)
+        loss, grad = loss_gradient(model, cs, tau1=2.0, tau2=2.0, index=index)
         assert loss == 0.0
         assert not grad.d_query_projection.any()
         assert not grad.d_doc_projection.any()
@@ -239,11 +281,11 @@ class TestLossGradient:
             doc_projection=rng.normal(0, 0.7, (10, 10)),
             bias=0.3,
         )
-        doc_texts = {"a": "alpha beta", "b": "gamma delta beta", "c": "epsilon zeta"}
+        index = text_index({"a": "alpha beta", "b": "gamma delta beta", "c": "epsilon zeta"})
         cs = CandidateSet("e", 0, "beta zeta query", ("a", "b", "c"), (2.0, 0.5, -1.0))
         tau1, tau2 = 1.0, 100.0
-        _, grad = loss_gradient(model, cs, tau1, tau2, doc_texts)
-        fd_q, fd_d, fd_b = finite_difference_gradient(model, cs, tau1, tau2, doc_texts)
+        _, grad = loss_gradient(model, cs, tau1, tau2, index)
+        fd_q, fd_d, fd_b = finite_difference_gradient(model, cs, tau1, tau2, index)
         assert_gradients_close(grad.d_query_projection, fd_q)
         assert_gradients_close(grad.d_doc_projection, fd_d)
         assert abs(grad.d_bias - fd_b) <= 1e-9
@@ -252,18 +294,18 @@ class TestLossGradient:
         """Both distributions sum to one, so the bias partial cancels."""
         rng = np.random.default_rng(77)
         for _ in range(10):
-            model, cs, doc_texts = random_reranker_fixture(rng, embedding_dim=8)
-            _, grad = loss_gradient(model, cs, 1.0, 100.0, doc_texts)
+            model, cs, index = random_reranker_fixture(rng, embedding_dim=8)
+            _, grad = loss_gradient(model, cs, 1.0, 100.0, index)
             assert abs(grad.d_bias) <= 1e-12
 
     def test_random_fixtures_match_central_differences(self):
         rng = np.random.default_rng(99)
         for _ in range(8):
-            model, cs, doc_texts = random_reranker_fixture(rng, embedding_dim=8)
+            model, cs, index = random_reranker_fixture(rng, embedding_dim=8)
             tau1 = float(rng.uniform(0.5, 3))
             tau2 = float(rng.uniform(0.5, 120))
-            _, grad = loss_gradient(model, cs, tau1, tau2, doc_texts)
-            fd_q, fd_d, fd_b = finite_difference_gradient(model, cs, tau1, tau2, doc_texts)
+            _, grad = loss_gradient(model, cs, tau1, tau2, index)
+            fd_q, fd_d, fd_b = finite_difference_gradient(model, cs, tau1, tau2, index)
             assert_gradients_close(grad.d_query_projection, fd_q)
             assert_gradients_close(grad.d_doc_projection, fd_d)
             assert abs(grad.d_bias - fd_b) <= 1e-9
@@ -271,39 +313,39 @@ class TestLossGradient:
 
 class TestTrain:
     def test_zero_learning_rate_changes_nothing(self):
-        model, sets, doc_texts = convergence_fixture()
-        trained, trace = train(model, sets, doc_texts, epochs=3, lr=0.0)
+        model, sets, index = convergence_fixture()
+        trained, trace = train(model, sets, index, epochs=3, lr=0.0)
         assert np.array_equal(trained.query_projection, model.query_projection)
         assert np.array_equal(trained.doc_projection, model.doc_projection)
         assert trained.bias == model.bias
         assert len(set(trace)) == 1
 
     def test_separable_fixture_converges(self):
-        model, sets, doc_texts = convergence_fixture()
-        trained, trace = train(model, sets, doc_texts, epochs=50, lr=1e-2, tau1=1.0, tau2=100.0)
+        model, sets, index = convergence_fixture()
+        trained, trace = train(model, sets, index, epochs=50, lr=1e-2, tau1=1.0, tau2=100.0)
         assert trace[-1] < trace[0]
         assert trace[-1] <= 0.5 * trace[0]
         targets = convergence_targets()
         aligned = 0
         for cs, target in zip(sets, targets):
-            logits = [trained.scores(cs.question, [doc_texts[d]])[0] for d in cs.doc_ids]
+            logits = trained.scores(cs.question, index, [index.ordinal(d) for d in cs.doc_ids])
             aligned += int(np.argmax(logits)) == target
         assert aligned >= 9
 
     def test_same_seed_bit_identical(self):
-        model, sets, doc_texts = convergence_fixture()
-        a, _ = train(model, sets, doc_texts, epochs=5, lr=1e-2)
-        b, _ = train(model, sets, doc_texts, epochs=5, lr=1e-2)
+        model, sets, index = convergence_fixture()
+        a, _ = train(model, sets, index, epochs=5, lr=1e-2)
+        b, _ = train(model, sets, index, epochs=5, lr=1e-2)
         assert a.query_projection.tobytes() == b.query_projection.tobytes()
         assert a.doc_projection.tobytes() == b.doc_projection.tobytes()
         assert a.bias == b.bias
 
     def test_trace_entry_is_loss_after_that_many_epochs(self):
-        model, sets, doc_texts = convergence_fixture()
-        _, trace = train(model, sets, doc_texts, epochs=6, lr=1e-2)
+        model, sets, index = convergence_fixture()
+        _, trace = train(model, sets, index, epochs=6, lr=1e-2)
         assert len(trace) == 7
         for e in range(7):
-            _, shorter = train(model, sets, doc_texts, epochs=e, lr=1e-2)
+            _, shorter = train(model, sets, index, epochs=e, lr=1e-2)
             assert trace[e] == shorter[-1]
 
     @pytest.mark.parametrize(
@@ -313,9 +355,9 @@ class TestTrain:
     )
     def test_matches_per_set_reference(self, fixture, epochs, lr, tau2):
         """The batched pass sums in another order, so agreement is to 1e-12 relative."""
-        model, sets, doc_texts = fixture()
-        got, got_trace = train(model, sets, doc_texts, epochs, lr, tau1=1.0, tau2=tau2)
-        want, want_trace = reference_train(model, sets, doc_texts, epochs, lr, 1.0, tau2)
+        model, sets, index = fixture()
+        got, got_trace = train(model, sets, index, epochs, lr, tau1=1.0, tau2=tau2)
+        want, want_trace = reference_train(model, sets, index, epochs, lr, 1.0, tau2)
         for name in ("query_projection", "doc_projection"):
             g, w = getattr(got, name), getattr(want, name)
             assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), name
@@ -326,10 +368,10 @@ class TestTrain:
 
     def test_small_step_does_not_increase_single_set_loss(self):
         rng = np.random.default_rng(13)
-        model, cs, doc_texts = random_reranker_fixture(rng, embedding_dim=8)
-        before = loss_gradient(model, cs, 1.0, 10.0, doc_texts)[0]
-        trained, _ = train(model, [cs], doc_texts, epochs=1, lr=1e-4, tau1=1.0, tau2=10.0)
-        after = loss_gradient(trained, cs, 1.0, 10.0, doc_texts)[0]
+        model, cs, index = random_reranker_fixture(rng, embedding_dim=8)
+        before = loss_gradient(model, cs, 1.0, 10.0, index)[0]
+        trained, _ = train(model, [cs], index, epochs=1, lr=1e-4, tau1=1.0, tau2=10.0)
+        after = loss_gradient(trained, cs, 1.0, 10.0, index)[0]
         assert after <= before + 1e-15
 
 
@@ -416,6 +458,23 @@ class TestRerankInference:
         with pytest.raises(EmptyCandidates):
             rerank_inference(med_index, model, "zzzz qqqq", 100, 1)
 
+    @pytest.mark.parametrize("fixture", ["corpus", "padded"])
+    def test_model_path_equals_text_reference(self, med_index, fixture):
+        """Rows from the index score exactly as rows featurized from each candidate's text."""
+        if fixture == "corpus":
+            rng = np.random.default_rng(8)
+            model = RerankerModel(
+                24, 6, rng.normal(0, 1, (24, 24)), rng.normal(0, 1, (24, 24)), bias=-0.5
+            )
+            index, questions = med_index, [d.text for d in med_index.documents]
+        else:
+            model, sets, index = padded_fixture()
+            questions = [cs.question for cs in sets]
+        for question in questions:
+            for kappa_star, k in [(100, 100), (5, 3)]:
+                got = rerank_inference(index, model, question, kappa_star, k)
+                assert got == reference_rerank_inference(index, model, question, kappa_star, k)
+
     def test_k_must_not_exceed_kappa_star(self, med_index):
         model = RerankerModel.identity()
         with pytest.raises(ValueError):
@@ -437,8 +496,10 @@ class TestModelSerialization:
         save_model(model, path)
         clone = load_model(path)
         assert clone.step == 17
-        for doc, query in [("fever chills", "malaria"), ("a b c", "c d")]:
-            assert clone.scores(query, [doc])[0] == model.scores(query, [doc])[0]
+        index = text_index({"fc": "fever chills", "abc": "a b c"})
+        for ordinal, query in [(0, "malaria"), (1, "c d")]:
+            want = model.scores(query, index, [ordinal])[0]
+            assert clone.scores(query, index, [ordinal])[0] == want
 
     def test_candidates_jsonl_round_trip(self, tmp_path):
         sets = [
