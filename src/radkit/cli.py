@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .corpus import build_index, load_corpus_jsonl, load_index, serialize_index
+from .corpus import build_index, check_corpus_jsonl, load_corpus_jsonl, load_index, serialize_index
 from .distill import (
     TrainingTemplate,
     answer_matches,
@@ -27,7 +27,7 @@ from .distill import (
     retrieve_knowledge,
     training_jsonl_text,
 )
-from .errors import RadkitError
+from .errors import DuplicateDocId, EmptyDocument, RadkitError
 from .evaluation import (
     accuracy,
     build_silver,
@@ -94,7 +94,11 @@ def cmd_index(args) -> int:
     corpus_path = Path(args.corpus)
     _check_inputs([corpus_path])
     docs = load_corpus_jsonl(corpus_path)
-    index = build_index(docs, k1=args.k1, b=args.b)
+    try:
+        index = build_index(docs, k1=args.k1, b=args.b)
+    except (DuplicateDocId, EmptyDocument):
+        check_corpus_jsonl(corpus_path)  # reads the file again only to name the bad line
+        raise
     out = Path(args.out)
     atomic_write(out, serialize_index(index))
     _write_manifest(

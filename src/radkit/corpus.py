@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +19,7 @@ from .errors import DuplicateDocId, EmptyDocument, InvalidOrdinal, UnknownFormat
 from .records import arrays_bytes, atomic_write, read_arrays, read_jsonl
 
 INDEX_FORMAT_VERSION = 2
-TOKENIZER_VERSION = "lower-alnum-1"
+TOKENIZER_VERSION = "lower-alnum-2"
 
 DEFAULT_K1 = 0.9
 DEFAULT_B = 0.4
@@ -45,11 +45,8 @@ class ScoredDoc:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on anything that is not alphanumeric.
-
-    No stemming, no stopword removal; duplicates are preserved in order.
-    """
-    return [t.lower() for t in _TOKEN_RE.findall(text)]
+    """Alphanumeric runs of the lowercased text, repeats kept, in order; no stemming or stopwords."""
+    return _TOKEN_RE.findall(text.lower())
 
 
 class _Rows:
@@ -140,36 +137,44 @@ def _check_fit(n_docs, n_terms, offsets, ordinals, tfs, doc_lengths, k1, b) -> N
         raise ValueError("term frequencies and document lengths must be >= 1")
 
 
+def _checked_tokens(doc: Document, seen: set[str]) -> list[str]:
+    """``tokenize(doc.text)``; an id in ``seen`` or a text with no tokens raises."""
+    if doc.doc_id in seen:
+        raise DuplicateDocId(doc.doc_id)
+    seen.add(doc.doc_id)
+    tokens = tokenize(doc.text)
+    if not tokens:
+        raise EmptyDocument(doc.doc_id)
+    return tokens
+
+
 def build_index(
     docs: list[Document], k1: float = DEFAULT_K1, b: float = DEFAULT_B
 ) -> PostingsIndex:
     """Build a BM25 index; deterministic for identical input.
 
-    Raises DuplicateDocId / EmptyDocument on bad input. Term ids are
-    assigned in first-appearance order so rebuilding from the same
-    corpus serializes byte-identically.
+    Raises DuplicateDocId / EmptyDocument on bad input. Term ids follow the
+    first document a term appears in, then alphabetical order within that
+    document, so rebuilding from the same corpus serializes byte-identically.
     """
     seen: set[str] = set()
     vocabulary: dict[str, int] = {}
-    postings: list[int] = []  # flat (term_id, ordinal, tf) triples
-    doc_lengths: list[int] = []
-    for ordinal, doc in enumerate(docs):
-        if doc.doc_id in seen:
-            raise DuplicateDocId(doc.doc_id)
-        seen.add(doc.doc_id)
-        tokens = tokenize(doc.text)
-        if not tokens:
-            raise EmptyDocument(doc.doc_id)
-        doc_lengths.append(len(tokens))
-        for term, tf in sorted(Counter(tokens).items()):
-            postings.extend((vocabulary.setdefault(term, len(vocabulary)), ordinal, tf))
-    # A stable sort by term id keeps each term's postings in ordinal order.
-    flat = np.array(postings, dtype=np.int32).reshape(-1, 3)
-    term_ids, ordinals, tfs = flat[np.argsort(flat[:, 0], kind="stable")].T.copy()
-    offsets = np.zeros(len(vocabulary) + 1, dtype=np.int32)
-    np.cumsum(np.bincount(term_ids, minlength=len(vocabulary)), out=offsets[1:])
-    lengths = np.array(doc_lengths, dtype=np.int32)
-    return PostingsIndex(list(docs), vocabulary, offsets, ordinals, tfs, lengths, k1, b)
+    term_ids, lengths = array("i"), array("i")  # one term id per token; tokens per document
+    for doc in docs:
+        tokens = _checked_tokens(doc, seen)
+        for term in sorted(set(tokens).difference(vocabulary)):
+            vocabulary[term] = len(vocabulary)
+        term_ids.extend(map(vocabulary.__getitem__, tokens))
+        lengths.append(len(tokens))
+    # One key term_id * n + ordinal per token: np.unique's keys are the postings, counts the tfs.
+    n, doc_lengths = len(docs), np.array(lengths, dtype=np.int32)
+    keys = np.array(term_ids, dtype=np.int64)
+    keys *= n
+    keys += np.repeat(np.arange(n, dtype=np.int64), doc_lengths)
+    keys, tfs = np.unique(keys, return_counts=True)
+    offsets = np.searchsorted(keys, np.arange(len(vocabulary) + 1, dtype=np.int64) * n)
+    ordinals, tfs, offsets = (a.astype(np.int32) for a in (keys % n, tfs, offsets))
+    return PostingsIndex(list(docs), vocabulary, offsets, ordinals, tfs, doc_lengths, k1, b)
 
 
 def bm25_score(index: PostingsIndex, query_terms: list[str], doc_ordinal: int) -> float:
@@ -223,6 +228,12 @@ def _document(obj: dict) -> Document:
 def load_corpus_jsonl(path: str | Path) -> list[Document]:
     """Read a JSONL corpus of {"id", "title", "text"} objects ("title" optional)."""
     return read_jsonl(path, _document)
+
+
+def check_corpus_jsonl(path: str | Path) -> None:
+    """Raise build_index's DuplicateDocId or EmptyDocument for a corpus file, naming the line."""
+    seen: set[str] = set()
+    read_jsonl(path, lambda obj: _checked_tokens(_document(obj), seen))
 
 
 _ARRAYS = ("offsets", "ordinals", "tfs", "doc_lengths")

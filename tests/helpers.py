@@ -6,7 +6,10 @@ stays independent of the production retrieval path it checks. The
 reranker references featurize each document's text, where the model builds
 document rows from the index's postings; ``reference_train`` also trains one
 candidate set at a time, with a scalar KL loop and outer-product gradients,
-where ``train`` scores all sets at once.
+where ``train`` scores all sets at once. ``reference_build_index`` counts
+each document's terms with a Counter and orders the postings with a stable
+argsort, where ``build_index`` counts (term, document) keys with one
+``np.unique``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,17 @@ from pathlib import Path
 
 import numpy as np
 
-from radkit.corpus import Document, PostingsIndex, ScoredDoc, build_index, retrieve, tokenize
+from radkit.corpus import (
+    DEFAULT_B,
+    DEFAULT_K1,
+    Document,
+    PostingsIndex,
+    ScoredDoc,
+    build_index,
+    retrieve,
+    tokenize,
+)
+from radkit.errors import DuplicateDocId, EmptyDocument
 from radkit.reranker import CandidateSet, RerankerModel, featurize
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -113,6 +126,37 @@ def random_corpus(rng: np.random.Generator, n_docs: int, vocab_size: int = 40) -
 def random_query(rng: np.random.Generator, vocab_size: int = 40, max_terms: int = 5) -> str:
     n = int(rng.integers(1, max_terms + 1))
     return " ".join(f"w{int(i):03d}" for i in rng.integers(0, vocab_size, size=n))
+
+
+def reference_build_index(
+    docs: list[Document], k1: float = DEFAULT_K1, b: float = DEFAULT_B
+) -> PostingsIndex:
+    """The index ``build_index`` must give, one document at a time.
+
+    Each document's terms are counted and walked in alphabetical order; a
+    term unseen so far takes the next id. A stable sort by term id then
+    keeps each term's postings in ordinal order.
+    """
+    seen: set[str] = set()
+    vocabulary: dict[str, int] = {}
+    postings: list[int] = []  # flat (term_id, ordinal, tf) triples
+    doc_lengths: list[int] = []
+    for ordinal, doc in enumerate(docs):
+        if doc.doc_id in seen:
+            raise DuplicateDocId(doc.doc_id)
+        seen.add(doc.doc_id)
+        tokens = tokenize(doc.text)
+        if not tokens:
+            raise EmptyDocument(doc.doc_id)
+        doc_lengths.append(len(tokens))
+        for term, tf in sorted(Counter(tokens).items()):
+            postings.extend((vocabulary.setdefault(term, len(vocabulary)), ordinal, tf))
+    flat = np.array(postings, dtype=np.int32).reshape(-1, 3)
+    term_ids, ordinals, tfs = flat[np.argsort(flat[:, 0], kind="stable")].T.copy()
+    offsets = np.zeros(len(vocabulary) + 1, dtype=np.int32)
+    np.cumsum(np.bincount(term_ids, minlength=len(vocabulary)), out=offsets[1:])
+    lengths = np.array(doc_lengths, dtype=np.int32)
+    return PostingsIndex(list(docs), vocabulary, offsets, ordinals, tfs, lengths, k1, b)
 
 
 def text_index(doc_texts: dict[str, str]) -> PostingsIndex:

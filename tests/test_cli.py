@@ -507,6 +507,14 @@ MALFORMED_CASES = [
         "corpus", b'{"id": "d2", "text": "caf\xe9"}', "not valid UTF-8", id="corpus-latin-1"
     ),
     pytest.param(
+        "corpus", b'{"id": "d1", "text": "gamma"}', "duplicate document id: 'd1'",
+        id="corpus-duplicate-id",
+    ),
+    pytest.param(
+        "corpus", b'{"id": "d2", "text": "..."}', "document 'd2' has no tokens",
+        id="corpus-no-tokens",
+    ),
+    pytest.param(
         "rationales",
         json.dumps({**JSONL_INPUTS["rationales"][0], "answer": "E"}).encode(),
         "answer 'E' is not among options",

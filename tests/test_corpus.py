@@ -40,6 +40,7 @@ from helpers import (
     npz_bytes,
     random_corpus,
     random_query,
+    reference_build_index,
     with_meta,
 )
 
@@ -71,6 +72,26 @@ class TestTokenize:
 
     def test_underscore_and_whitespace_are_separators(self):
         assert tokenize("a_b\tc\nd") == ["a", "b", "c", "d"]
+
+    def test_dotted_capital_i_round_trips(self):
+        # "İ" lowercases to "i" plus a combining dot, which is not alphanumeric.
+        tokens = tokenize("İstanbul")
+        assert tokens == ["i", "stanbul"]
+        assert tokenize(" ".join(tokens)) == tokens
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.text(
+            st.one_of(
+                st.sampled_from("İIıiΣσςΟΔΑẞßǅǄǆ\u0301\u0307\u0345_.' 09"),
+                st.characters(codec="utf-8"),
+            ),
+            max_size=30,
+        )
+    )
+    def test_tokens_of_joined_tokens_are_the_tokens(self, text):
+        tokens = tokenize(text)
+        assert tokenize(" ".join(tokens)) == tokens
 
 
 class TestBuildIndex:
@@ -113,6 +134,31 @@ class TestBuildIndex:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             build_index([])
+
+    def test_term_ids_by_first_document_then_alphabetical(self):
+        index = build_index([Document("x", "", "b a"), Document("y", "", "c a d")])
+        assert index.vocabulary == {"a": 0, "b": 1, "c": 2, "d": 3}
+        assert index.offsets.tolist() == [0, 2, 3, 4, 5]
+        assert index.ordinals.tolist() == [0, 1, 0, 1, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        docs=st.lists(
+            st.lists(
+                st.sampled_from(["fever", "cough", "été", "ΣΟΦΙΑ", "İz", "a", "b", "42"]),
+                min_size=1,
+                max_size=12,
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        k1=st.floats(0.0, 3.0),
+        b=st.floats(0.0, 1.0),
+    )
+    def test_serializes_as_the_reference_build(self, docs, k1, b):
+        corpus = [Document(f"d{i}", "", " ".join(words)) for i, words in enumerate(docs)]
+        want = serialize_index(reference_build_index(corpus, k1=k1, b=b))
+        assert serialize_index(build_index(corpus, k1=k1, b=b)) == want
 
 
 class TestBm25Score:
