@@ -16,7 +16,15 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .corpus import build_index, check_corpus_jsonl, load_corpus_jsonl, load_index, serialize_index
+from .corpus import (
+    DEFAULT_B,
+    DEFAULT_K1,
+    build_index,
+    check_corpus_jsonl,
+    load_corpus_jsonl,
+    load_index,
+    serialize_index,
+)
 from .distill import (
     TrainingTemplate,
     answer_matches,
@@ -55,57 +63,55 @@ from .reranker import (
 from .records import atomic_write, jsonl_text, read_jsonl
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def _digests(paths: list) -> dict[str, str]:
+    """The sha256 of each file in ``paths`` (None skipped), keyed by its path."""
+    digests = {}
+    for path in filter(None, paths):
+        h = hashlib.sha256()
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 16), b""):
+                h.update(chunk)
+        digests[str(Path(path))] = h.hexdigest()
+    return digests
 
 
-def _write_manifest(args, command: str, params: dict, inputs: list[Path], outputs: list[Path]):
-    manifest = {
-        "tool": "radkit",
-        "version": __version__,
-        "command": command,
-        "params": params,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": {str(p): _sha256(p) for p in outputs},
-    }
-    target = args.manifest_out
-    if target is None and outputs:
-        target = str(outputs[0]) + ".manifest.json"
-    if target is not None:
-        atomic_write(Path(target), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+def _finish(args, inputs: list, text: str | bytes, summary: str | None = None) -> int:
+    """The end of every stage: ``text`` to ``--out``, then the run manifest, then stdout.
 
-
-def _say(args, message: str) -> None:
-    if not args.quiet:
-        print(message)
-
-
-def _check_inputs(paths: list[Path]) -> None:
-    for p in paths:
-        if not p.exists():
-            raise FileNotFoundError(f"input file not found: {p}")
+    The manifest goes to ``--manifest-out``, else next to ``--out``. It holds
+    the subcommand, the arguments its parser lists in ``params``, and the
+    digests of ``inputs`` and of the output. ``summary`` is printed unless
+    ``--quiet``; a stage without one prints ``text`` itself.
+    """
+    if args.out:
+        atomic_write(args.out, text)
+    target = args.manifest_out or (args.out and f"{Path(args.out)}.manifest.json")
+    if target:
+        manifest = {
+            "tool": "radkit",
+            "version": __version__,
+            "command": args.command,
+            "params": {name: getattr(args, name) for name in args.params},
+            "inputs": _digests(inputs),
+            "outputs": _digests([args.out]),
+        }
+        atomic_write(target, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    if summary is None:
+        print(text, end="")
+    elif not args.quiet:
+        print(summary)
+    return 0
 
 
 def cmd_index(args) -> int:
-    corpus_path = Path(args.corpus)
-    _check_inputs([corpus_path])
-    docs = load_corpus_jsonl(corpus_path)
+    docs = load_corpus_jsonl(args.corpus)
     try:
         index = build_index(docs, k1=args.k1, b=args.b)
     except (DuplicateDocId, EmptyDocument):
-        check_corpus_jsonl(corpus_path)  # reads the file again only to name the bad line
+        check_corpus_jsonl(args.corpus)  # reads the file again only to name the bad line
         raise
-    out = Path(args.out)
-    atomic_write(out, serialize_index(index))
-    _write_manifest(
-        args, "index", {"k1": args.k1, "b": args.b}, [corpus_path], [out]
-    )
-    _say(args, f"indexed {index.doc_count} documents, avg_doc_length={index.avg_doc_length:.4f}")
-    return 0
+    summary = f"indexed {index.doc_count} documents, avg_doc_length={index.avg_doc_length:.4f}"
+    return _finish(args, [args.corpus], serialize_index(index), summary)
 
 
 def _load_filtered_records(args):
@@ -125,9 +131,7 @@ def _load_filtered_records(args):
 def cmd_emit_train(args) -> int:
     if args.max_knowledge_chars is not None and args.max_knowledge_chars < 1:
         raise ValueError(f"--max-knowledge-chars must be >= 1, got {args.max_knowledge_chars}")
-    index_path, rationales_path = Path(args.index), Path(args.rationales)
-    _check_inputs([index_path, rationales_path])
-    index = load_index(index_path)
+    index = load_index(args.index)
     records, drops = _load_filtered_records(args)
     template = TrainingTemplate.named(args.template, with_knowledge=not args.no_knowledge)
     examples = []
@@ -143,46 +147,20 @@ def cmd_emit_train(args) -> int:
                     record, j, docs, template, max_knowledge_chars=args.max_knowledge_chars
                 )
             )
-    out = Path(args.out)
-    atomic_write(out, training_jsonl_text(examples))
-    _write_manifest(
-        args,
-        "emit-train",
-        {
-            "k": args.k,
-            "template": args.template,
-            "filter": args.filter,
-            "max_knowledge_chars": args.max_knowledge_chars,
-            "no_knowledge": args.no_knowledge,
-        },
-        [index_path, rationales_path],
-        [out],
-    )
     dropped = sum(drops.values())
-    _say(args, f"emitted {len(examples)} training examples ({dropped} rationales filtered out)")
-    return 0
+    summary = f"emitted {len(examples)} training examples ({dropped} rationales filtered out)"
+    return _finish(args, [args.index, args.rationales], training_jsonl_text(examples), summary)
 
 
 def cmd_candidates(args) -> int:
-    index_path, rationales_path = Path(args.index), Path(args.rationales)
-    _check_inputs([index_path, rationales_path])
-    index = load_index(index_path)
+    index = load_index(args.index)
     records, _ = _load_filtered_records(args)
     sets = []
     for record in records:
         for j in range(len(record.rationales)):
             sets.append(build_candidate_set(index, record, j, args.kappa1, args.kappa2))
-    out = Path(args.out)
-    atomic_write(out, candidates_jsonl_text(sets))
-    _write_manifest(
-        args,
-        "candidates",
-        {"kappa1": args.kappa1, "kappa2": args.kappa2, "filter": args.filter},
-        [index_path, rationales_path],
-        [out],
-    )
-    _say(args, f"built {len(sets)} candidate sets")
-    return 0
+    text = candidates_jsonl_text(sets)
+    return _finish(args, [args.index, args.rationales], text, f"built {len(sets)} candidate sets")
 
 
 def _known_doc_ids(obj: dict, known: set) -> None:
@@ -192,50 +170,25 @@ def _known_doc_ids(obj: dict, known: set) -> None:
 
 
 def cmd_rerank_train(args) -> int:
-    index_path, cand_path = Path(args.index), Path(args.candidates)
-    _check_inputs([index_path, cand_path])
-    index = load_index(index_path)
-    sets = read_candidates_jsonl(cand_path)
+    index = load_index(args.index)
+    sets = read_candidates_jsonl(args.candidates)
     known = set(index.doc_ids)
     if any(doc_id not in known for cs in sets for doc_id in cs.doc_ids):
         # Read the file again only to name the line of the first unknown id.
-        read_jsonl(cand_path, lambda obj: _known_doc_ids(obj, known))
+        read_jsonl(args.candidates, lambda obj: _known_doc_ids(obj, known))
     model = RerankerModel.identity(args.dim, hash_seed=args.hash_seed)
     trained, trace = train(
         model, sets, index, epochs=args.epochs, lr=args.lr, tau1=args.tau1, tau2=args.tau2
     )
-    out = Path(args.out)
-    atomic_write(out, serialize_model(trained))
-    _write_manifest(
-        args,
-        "rerank-train",
-        {
-            "tau1": args.tau1,
-            "tau2": args.tau2,
-            "lr": args.lr,
-            "epochs": args.epochs,
-            "dim": args.dim,
-            "hash_seed": args.hash_seed,
-        },
-        [index_path, cand_path],
-        [out],
-    )
-    _say(args, f"trained {args.epochs} epochs, loss {trace[0]:.6f} -> {trace[-1]:.6f}")
-    return 0
+    summary = f"trained {args.epochs} epochs, loss {trace[0]:.6f} -> {trace[-1]:.6f}"
+    return _finish(args, [args.index, args.candidates], serialize_model(trained), summary)
 
 
 def cmd_rerank_infer(args) -> int:
-    index_path, questions_path = Path(args.index), Path(args.questions)
-    inputs = [index_path, questions_path]
-    if args.score_file:
-        inputs.append(Path(args.score_file))
-    if args.model:
-        inputs.append(Path(args.model))
-    _check_inputs(inputs)
-    index = load_index(index_path)
+    index = load_index(args.index)
     file_scorer = FileScorer.load(args.score_file) if args.score_file else None
     model = load_model(args.model) if args.model else RerankerModel.identity()
-    questions = read_jsonl(questions_path, lambda obj: (str(obj["id"]), str(obj["question"])))
+    questions = read_jsonl(args.questions, lambda obj: (str(obj["id"]), str(obj["question"])))
     rows = []
     for example_id, question in questions:
         scorer = file_scorer.for_example(example_id) if file_scorer else model
@@ -247,17 +200,8 @@ def cmd_rerank_infer(args) -> int:
                 "scores": [sd.score for sd in ranked],
             }
         )
-    out = Path(args.out)
-    atomic_write(out, jsonl_text(rows))
-    _write_manifest(
-        args,
-        "rerank-infer",
-        {"kappa_star": args.kappa_star, "k": args.k, "score_file": args.score_file},
-        inputs,
-        [out],
-    )
-    _say(args, f"reranked {len(rows)} questions")
-    return 0
+    inputs = [args.index, args.questions, args.score_file, args.model]
+    return _finish(args, inputs, jsonl_text(rows), f"reranked {len(rows)} questions")
 
 
 def cmd_eval(args) -> int:
@@ -272,47 +216,27 @@ def cmd_eval(args) -> int:
             ks = [int(k) for k in args.ks.split(",")]
         except ValueError as exc:
             raise ValueError(f"--ks {args.ks!r}: {exc}") from None
-        index_path, rationales_path, retrieved_path = (
-            Path(args.index),
-            Path(args.rationales),
-            Path(args.retrieved),
-        )
-        inputs += [index_path, rationales_path, retrieved_path]
-        _check_inputs(inputs)
-        index = load_index(index_path)
-        records = ingest_rationales(rationales_path)
+        inputs += [args.index, args.rationales, args.retrieved]
+        index = load_index(args.index)
+        records = ingest_rationales(args.rationales)
         silver = {
             r.example_id: build_silver(index, r, args.j_gold)
             for r in records
             if len(r.rationales) > args.j_gold
         }
         retrieved = dict(
-            read_jsonl(retrieved_path, lambda obj: (str(obj["id"]), list(obj["doc_ids"])))
+            read_jsonl(args.retrieved, lambda obj: (str(obj["id"]), list(obj["doc_ids"])))
         )
         mode = "all" if args.all_silver else "any"
         report.update(hits_report(retrieved, silver, ks, mode))
     if args.predictions:
-        predictions_path = Path(args.predictions)
-        _check_inputs([predictions_path])
-        inputs.append(predictions_path)
-        bundles = load_predictions_jsonl(predictions_path)
+        inputs.append(args.predictions)
+        bundles = load_predictions_jsonl(args.predictions)
         report["accuracy"] = accuracy(bundles)
         report.setdefault("counts", {})["predictions"] = len(bundles)
     if not report:
         raise ValueError("nothing to evaluate: pass --retrieved and/or --predictions")
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        out = Path(args.out)
-        atomic_write(out, text + "\n")
-        _write_manifest(
-            args,
-            "eval",
-            {"ks": args.ks, "j_gold": args.j_gold, "all_silver": args.all_silver},
-            inputs,
-            [out],
-        )
-    print(text)
-    return 0
+    return _finish(args, inputs, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def _parse_sweep(spec: str) -> tuple[str, list]:
@@ -337,16 +261,7 @@ def _parse_sweep(spec: str) -> tuple[str, list]:
 
 
 def cmd_simulate(args) -> int:
-    base = dict(
-        N=args.N,
-        n=args.n,
-        d=args.d,
-        R=args.R,
-        eps=args.eps,
-        trials=args.trials,
-        tests_per_trial=args.tests,
-        seed=args.seed,
-    )
+    base = {name: getattr(args, name) for name in args.params if name != "sweep"}
     if args.sweep:
         param, values = _parse_sweep(args.sweep)
         if param not in base:
@@ -368,11 +283,7 @@ def cmd_simulate(args) -> int:
     else:
         report = run_simulation(SimConfig(**base))
         text = report.to_json() + "\n"
-    if args.out:
-        atomic_write(Path(args.out), text)
-        _write_manifest(args, "simulate", base | {"sweep": args.sweep}, [], [Path(args.out)])
-    print(text, end="")
-    return 0
+    return _finish(args, [], text)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -391,10 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="build a BM25 index from a JSONL corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k1", type=float, default=0.9)
-    p.add_argument("--b", type=float, default=0.4)
+    p.add_argument("--k1", type=float, default=DEFAULT_K1)
+    p.add_argument("--b", type=float, default=DEFAULT_B)
     _add_common(p)
-    p.set_defaults(func=cmd_index)
+    p.set_defaults(func=cmd_index, params=("k1", "b"))
 
     p = sub.add_parser("emit-train", help="emit knowledge-augmented training examples")
     p.add_argument("--index", required=True)
@@ -406,7 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-knowledge-chars", type=int, default=None)
     p.add_argument("--no-knowledge", action="store_true", help="plain distillation template without passages")
     _add_common(p)
-    p.set_defaults(func=cmd_emit_train)
+    p.set_defaults(
+        func=cmd_emit_train,
+        params=("k", "template", "filter", "max_knowledge_chars", "no_knowledge"),
+    )
 
     p = sub.add_parser("candidates", help="build reranker training candidate sets")
     p.add_argument("--index", required=True)
@@ -416,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa2", type=int, default=DEFAULT_KAPPA2)
     p.add_argument("--filter", default="answer-match")
     _add_common(p)
-    p.set_defaults(func=cmd_candidates)
+    p.set_defaults(func=cmd_candidates, params=("kappa1", "kappa2", "filter"))
 
     p = sub.add_parser("rerank-train", help="train the reranker on candidate sets")
     p.add_argument("--index", required=True)
@@ -429,7 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=DEFAULT_EMBEDDING_DIM)
     p.add_argument("--hash-seed", type=int, default=0)
     _add_common(p)
-    p.set_defaults(func=cmd_rerank_train)
+    p.set_defaults(
+        func=cmd_rerank_train, params=("tau1", "tau2", "lr", "epochs", "dim", "hash_seed")
+    )
 
     p = sub.add_parser("rerank-infer", help="two-stage retrieval with the reranker")
     p.add_argument("--index", required=True)
@@ -440,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--score-file", default=None, help="external scorer JSONL of {id, doc_id, score}")
     _add_common(p)
-    p.set_defaults(func=cmd_rerank_infer)
+    p.set_defaults(func=cmd_rerank_infer, params=("kappa_star", "k", "score_file"))
 
     p = sub.add_parser("eval", help="Hits@k against silver sets and/or answer accuracy")
     p.add_argument("--index")
@@ -452,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-silver", action="store_true", help="require all silver docs in the top-k")
     p.add_argument("--out", default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, params=("ks", "j_gold", "all_silver"))
 
     p = sub.add_parser("simulate", help="run the memorization simulator")
     p.add_argument("--N", type=int, default=100)
@@ -461,12 +377,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", type=int, default=100)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--tests", type=int, default=500)
+    p.add_argument("--tests", type=int, default=500, dest="tests_per_trial")
     p.add_argument("--sweep", default=None, help="param=start:stop:step, e.g. R=0:200:50")
     p.add_argument("--seed", type=int, default=0, help="random seed for the trials")
     p.add_argument("--out", default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(
+        func=cmd_simulate,
+        params=("N", "n", "d", "R", "eps", "trials", "tests_per_trial", "seed", "sweep"),
+    )
 
     return parser
 
@@ -475,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (RadkitError, FileNotFoundError, ValueError) as exc:
+    except (RadkitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

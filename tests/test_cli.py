@@ -1,5 +1,6 @@
 """CLI subcommands: exit codes, file outputs, manifests, idempotence."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import radkit
 from helpers import DATA_DIR, FORMAT_1_INDEX, with_meta
 
 
@@ -19,6 +21,20 @@ def run_cli(*args, cwd=None, timeout=None):
         cwd=cwd,
         timeout=timeout,
     )
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def assert_one_error_line(proc, path) -> None:
+    """Exit code 1 and one ``error:`` line on stderr that names ``path``."""
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: "), lines[0]
+    assert str(path) in lines[0], lines[0]
 
 
 @pytest.fixture(scope="module")
@@ -101,11 +117,57 @@ class TestIndexCommand:
         assert proc.returncode == 1
         assert "dup-1" in proc.stderr
 
-    def test_missing_file_exits_one_and_names_path(self, tmp_path):
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "index --corpus {missing} --out {out}",
+            "emit-train --index {missing} --rationales {rationales} --out {out}",
+            "emit-train --index {index} --rationales {missing} --out {out}",
+            "emit-train --index {index} --rationales {rationales} --out {out}"
+            " --filter verdict-file:{missing}",
+            "emit-train --index {index} --rationales {rationales} --out {out}"
+            " --template custom:{missing}",
+            "candidates --index {missing} --rationales {rationales} --out {out}",
+            "candidates --index {index} --rationales {missing} --out {out}",
+            "rerank-train --index {missing} --candidates {cands} --out {out}",
+            "rerank-train --index {index} --candidates {missing} --out {out}",
+            "rerank-infer --index {missing} --questions {rationales} --out {out}",
+            "rerank-infer --index {index} --questions {missing} --out {out}",
+            "rerank-infer --index {index} --questions {rationales} --out {out} --model {missing}",
+            "rerank-infer --index {index} --questions {rationales} --out {out}"
+            " --score-file {missing}",
+            "eval --index {missing} --rationales {rationales} --retrieved {retrieved} --out {out}",
+            "eval --index {index} --rationales {missing} --retrieved {retrieved} --out {out}",
+            "eval --index {index} --rationales {rationales} --retrieved {missing} --out {out}",
+            "eval --predictions {missing} --out {out}",
+        ],
+        ids=[
+            "index-corpus", "emit-train-index", "emit-train-rationales", "emit-train-verdicts",
+            "emit-train-template", "candidates-index", "candidates-rationales",
+            "rerank-train-index", "rerank-train-cands", "rerank-infer-index",
+            "rerank-infer-questions", "rerank-infer-model", "rerank-infer-scores", "eval-index",
+            "eval-rationales", "eval-retrieved", "eval-predictions",
+        ],
+    )
+    def test_missing_file_exits_one_and_names_path(self, pipeline, tmp_path, command):
+        paths, _, _ = pipeline
         missing = tmp_path / "nope.jsonl"
-        proc = run_cli("index", "--corpus", str(missing), "--out", str(tmp_path / "x.json"))
-        assert proc.returncode == 1
-        assert str(missing) in proc.stderr
+        out = tmp_path / "out"
+        where = {
+            **paths, "missing": missing, "out": out, "rationales": DATA_DIR / "rationales.jsonl"
+        }
+        proc = run_cli(*command.format(**where).split())
+        assert_one_error_line(proc, missing)
+        assert not out.exists()
+
+    def test_corpus_directory_is_one_error_line(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        out = tmp_path / "index.json"
+        proc = run_cli("index", "--corpus", str(corpus), "--out", str(out))
+        assert_one_error_line(proc, corpus)
+        assert not out.exists()
+        assert not list(tmp_path.glob("*.tmp"))
 
 
     def test_format_1_index_exits_one_without_traceback(self, tmp_path):
@@ -162,15 +224,61 @@ class TestPipeline:
             assert 0.0 <= value <= 1.0
         assert metrics["counts"]["examples"] == 4
 
+    def test_every_stage_manifest_is_pinned(self, pipeline, tmp_path):
+        """Each stage's manifest: command, exact params, input and output digests."""
+        paths, steps, _ = pipeline
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"id": "e1", "texts": ["x Answer: B"], "gold": "B"}) + "\n")
+        extra = [
+            ("eval", "--predictions", str(preds), "--out", str(tmp_path / "accuracy.json")),
+            (
+                "simulate", "--N", "4", "--n", "8", "--d", "12", "--eps", "0.2", "--trials", "3",
+                "--tests", "10", "--sweep", "R=0:4:2", "--out", str(tmp_path / "sweep.csv"),
+            ),
+        ]
+        for step in extra:
+            proc = run_cli(*step)
+            assert proc.returncode == 0, proc.stderr
+        params = [
+            {"k1": 0.9, "b": 0.4},
+            {
+                "k": 1, "template": "medqa", "filter": "answer-match",
+                "max_knowledge_chars": None, "no_knowledge": False,
+            },
+            {"kappa1": 4, "kappa2": 2, "filter": "answer-match"},
+            {"tau1": 1.0, "tau2": 100.0, "lr": 0.01, "epochs": 10, "dim": 64, "hash_seed": 0},
+            {"kappa_star": 10, "k": 3, "score_file": None},
+            {"ks": "1,3", "j_gold": 0, "all_silver": False},
+            {"ks": "1,3,10", "j_gold": 0, "all_silver": False},
+            {
+                "N": 4, "n": 8, "d": 12, "R": 100, "eps": 0.2, "trials": 3,
+                "tests_per_trial": 10, "seed": 0, "sweep": "R=0:4:2",
+            },
+        ]
+        input_flags = {
+            "--corpus", "--index", "--rationales", "--candidates", "--questions", "--model",
+            "--retrieved", "--predictions",
+        }
+        for step, expected in zip([*steps, *extra], params, strict=True):
+            out = step[step.index("--out") + 1]
+            inputs = [step[i + 1] for i, arg in enumerate(step) if arg in input_flags]
+            manifest = json.loads(Path(out + ".manifest.json").read_text())
+            assert manifest == {
+                "tool": "radkit",
+                "version": radkit.__version__,
+                "command": step[0],
+                "params": expected,
+                "inputs": {path: sha256(path) for path in inputs},
+                "outputs": {out: sha256(out)},
+            }, step[0]
+
     def test_manifests_record_digests(self, pipeline):
         paths, _, _ = pipeline
         manifest = json.loads((Path(str(paths["index"]) + ".manifest.json")).read_text())
         assert manifest["command"] == "index"
         assert manifest["version"]
-        import hashlib
-
-        digest = hashlib.sha256((DATA_DIR / "corpus.jsonl").read_bytes()).hexdigest()
-        assert manifest["inputs"][str(DATA_DIR / "corpus.jsonl")] == digest
+        corpus = DATA_DIR / "corpus.jsonl"
+        assert manifest["inputs"][str(corpus)] == sha256(corpus)
         assert str(paths["index"]) in manifest["outputs"]
 
     def test_rerun_is_byte_identical(self, pipeline, tmp_path):
@@ -377,6 +485,44 @@ class TestEvalPredictions:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["accuracy"] == 0.5
+
+    def test_out_directory_is_one_error_line(self, tmp_path):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"id": "e1", "texts": ["Answer: B"], "gold": "B"}) + "\n")
+        out = tmp_path / "metrics"
+        out.mkdir()
+        proc = run_cli("eval", "--predictions", str(preds), "--out", str(out))
+        assert_one_error_line(proc, out)
+        assert proc.stdout == ""
+        assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize(
+    "command, params",
+    [
+        ("eval --predictions {preds}", {"ks": "1,3,10", "j_gold": 0, "all_silver": False}),
+        (
+            "simulate --N 4 --n 8 --d 12 --R 2 --eps 0.2 --trials 2 --tests 10",
+            {
+                "N": 4, "n": 8, "d": 12, "R": 2, "eps": 0.2, "trials": 2,
+                "tests_per_trial": 10, "seed": 0, "sweep": None,
+            },
+        ),
+    ],
+    ids=["eval", "simulate"],
+)
+def test_manifest_out_without_out_records_no_outputs(tmp_path, command, params):
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(json.dumps({"id": "e1", "texts": ["Answer: B"], "gold": "B"}) + "\n")
+    manifest = tmp_path / "run.manifest.json"
+    proc = run_cli(*command.format(preds=preds).split(), "--manifest-out", str(manifest))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)  # the report still goes to stdout
+    written = json.loads(manifest.read_text())
+    assert written["command"] == command.split()[0]
+    assert written["params"] == params
+    assert written["inputs"] == ({str(preds): sha256(preds)} if "{preds}" in command else {})
+    assert written["outputs"] == {}
 
 
 class TestSimulateCommand:
