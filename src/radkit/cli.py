@@ -76,15 +76,16 @@ def _digests(paths: list) -> dict[str, str]:
 
 
 def _finish(args, inputs: list, text: str | bytes, summary: str | None = None) -> int:
-    """The end of every stage: ``text`` to ``--out``, then the run manifest, then stdout.
+    """The end of every stage: ``text`` to ``--out`` with the run manifest, then stdout.
 
     The manifest goes to ``--manifest-out``, else next to ``--out``. It holds
     the subcommand, the arguments its parser lists in ``params``, and the
-    digests of ``inputs`` and of the output. ``summary`` is printed unless
+    digests of ``inputs`` and of the output. The two files are written as a
+    pair: if either fails, neither is replaced. ``summary`` is printed unless
     ``--quiet``; a stage without one prints ``text`` itself.
     """
-    if args.out:
-        atomic_write(args.out, text)
+    data = text.encode("utf-8") if isinstance(text, str) else text
+    files = {args.out: data} if args.out else {}
     target = args.manifest_out or (args.out and f"{Path(args.out)}.manifest.json")
     if target:
         manifest = {
@@ -93,9 +94,10 @@ def _finish(args, inputs: list, text: str | bytes, summary: str | None = None) -
             "command": args.command,
             "params": {name: getattr(args, name) for name in args.params},
             "inputs": _digests(inputs),
-            "outputs": _digests([args.out]),
+            "outputs": {str(Path(out)): hashlib.sha256(data).hexdigest() for out in files},
         }
-        atomic_write(target, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        files[target] = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    atomic_write(files)
     if summary is None:
         print(text, end="")
     elif not args.quiet:
@@ -137,15 +139,10 @@ def cmd_emit_train(args) -> int:
     examples = []
     for record in records:
         for j in range(len(record.rationales)):
-            if template.with_knowledge:
-                scored = retrieve_knowledge(index, record, j, args.k)
-                docs = [index.document(sd.doc_id) for sd in scored]
-            else:
-                docs = []
+            scored = retrieve_knowledge(index, record, j, args.k) if template.with_knowledge else []
+            docs = [index.document(sd.doc_id) for sd in scored]
             examples.append(
-                emit_training_example(
-                    record, j, docs, template, max_knowledge_chars=args.max_knowledge_chars
-                )
+                emit_training_example(record, j, docs, template, args.max_knowledge_chars)
             )
     dropped = sum(drops.values())
     summary = f"emitted {len(examples)} training examples ({dropped} rationales filtered out)"
@@ -229,6 +226,8 @@ def cmd_eval(args) -> int:
         )
         mode = "all" if args.all_silver else "any"
         report.update(hits_report(retrieved, silver, ks, mode))
+    elif args.index or args.rationales:
+        raise ValueError("--index and --rationales are read only with --retrieved")
     if args.predictions:
         inputs.append(args.predictions)
         bundles = load_predictions_jsonl(args.predictions)

@@ -105,8 +105,6 @@ class PostingsIndex:
         idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in distinct.tolist()])
         norm = k1 * (1.0 - b + b * doc_lengths / self.avg_doc_length)
         self.impacts = np.repeat(idf[of_term], df) * tfs * (k1 + 1.0) / (tfs + norm[ordinals])
-        # term_id * doc_count + ordinal per posting: ascending, so one searchsorted finds pairs.
-        self.posting_keys = np.repeat(np.arange(len(df), dtype=np.int64) * n, df) + ordinals
 
     def ordinal(self, doc_id: str) -> int:
         return self._ordinal_by_id[doc_id]
@@ -177,21 +175,37 @@ def build_index(
     return PostingsIndex(list(docs), vocabulary, offsets, ordinals, tfs, doc_lengths, k1, b)
 
 
-def bm25_score(index: PostingsIndex, query_terms: list[str], doc_ordinal: int) -> float:
-    """BM25 score of one document against deduplicated query terms.
+def bm25_scores(index: PostingsIndex, query_terms: list[str]) -> np.ndarray:
+    """(doc_count,) BM25 scores of every document against the deduplicated query terms.
 
-    Terms absent from the document or the vocabulary contribute 0.
+    Terms absent from the vocabulary contribute 0, so an empty query scores all zeros.
+    This is the only BM25 scorer: ``retrieve`` and ``bm25_score`` read its array.
     """
+    ids = [t for t in map(index.vocabulary.get, dict.fromkeys(query_terms)) if t is not None]
+    rows = [slice(index.offsets[t], index.offsets[t + 1]) for t in ids]
+    if not rows:
+        return np.zeros(index.doc_count)
+    ordinals = np.concatenate([index.ordinals[r] for r in rows])
+    impacts = np.concatenate([index.impacts[r] for r in rows])
+    # bincount adds each document's impacts in query-term order, as a loop would.
+    return np.bincount(ordinals, weights=impacts, minlength=index.doc_count)
+
+
+def top_ordinals(index: PostingsIndex, scores: np.ndarray, k: int) -> np.ndarray:
+    """Ordinals of the top-k positive ``scores``, best first, ties by ascending doc_id."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    hits = np.flatnonzero(scores > 0.0)
+    if len(hits) > k:  # keep every hit tied with the k-th best; the tie-break cuts
+        hits = hits[scores[hits] >= np.partition(scores[hits], len(hits) - k)[len(hits) - k]]
+    return hits[np.lexsort((index.doc_id_rank[hits], -scores[hits]))[:k]]
+
+
+def bm25_score(index: PostingsIndex, query_terms: list[str], doc_ordinal: int) -> float:
+    """BM25 score of one document against the query terms: its entry of ``bm25_scores``."""
     if not 0 <= doc_ordinal < index.doc_count:
         raise InvalidOrdinal(doc_ordinal, index.doc_count)
-    term_ids = [t for t in map(index.vocabulary.get, dict.fromkeys(query_terms)) if t is not None]
-    wanted = np.array(term_ids, dtype=np.int64) * index.doc_count + doc_ordinal
-    keys = index.posting_keys
-    pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-    score = 0.0
-    for impact in index.impacts[pos[keys[pos] == wanted]].tolist():
-        score += impact  # term by term, in query order, as retrieve's bincount adds
-    return score
+    return float(bm25_scores(index, query_terms)[doc_ordinal])
 
 
 def retrieve(index: PostingsIndex, query: str, k: int) -> list[ScoredDoc]:
@@ -199,23 +213,10 @@ def retrieve(index: PostingsIndex, query: str, k: int) -> list[ScoredDoc]:
 
     Ties are broken by ascending doc_id so results are reproducible.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    ids = [t for t in map(index.vocabulary.get, dict.fromkeys(tokenize(query))) if t is not None]
-    rows = [slice(index.offsets[t], index.offsets[t + 1]) for t in ids]
-    if not rows:
-        return []
-    ordinals = np.concatenate([index.ordinals[r] for r in rows])
-    impacts = np.concatenate([index.impacts[r] for r in rows])
-    # bincount adds each document's impacts in query-term order, as a loop would.
-    scores = np.bincount(ordinals, weights=impacts, minlength=index.doc_count)
-    hits = np.flatnonzero(scores > 0.0)
-    if len(hits) > k:  # keep every hit tied with the k-th best; the tie-break cuts
-        hits = hits[scores[hits] >= np.partition(scores[hits], len(hits) - k)[len(hits) - k]]
-    top = hits[np.lexsort((index.doc_id_rank[hits], -scores[hits]))[:k]]
+    scores = bm25_scores(index, tokenize(query))
     return [
         ScoredDoc(doc_id=index.doc_ids[o], score=float(scores[o]), rank=rank)
-        for rank, o in enumerate(top.tolist(), start=1)
+        for rank, o in enumerate(top_ordinals(index, scores, k).tolist(), start=1)
     ]
 
 
@@ -270,7 +271,7 @@ def deserialize_index(data: bytes) -> PostingsIndex:
 
 
 def save_index(index: PostingsIndex, path: str | Path) -> None:
-    atomic_write(path, serialize_index(index))
+    atomic_write({path: serialize_index(index)})
 
 
 def load_index(path: str | Path) -> PostingsIndex:

@@ -4,13 +4,14 @@ Stages hand over to each other, and to external trainers and scorers,
 through JSONL files of one JSON object per line. This module is the one
 place that format is read and written: ``read_jsonl`` turns each line into
 a record and reports a malformed line as a ParseError naming the file, the
-line and the field; ``atomic_write`` replaces a file only with complete
-new content, so a failed write leaves the old file as it was. The index
+line and the field; ``atomic_write`` replaces files only with complete
+new content, so a failed write leaves the old files as they were. The index
 and the reranker checkpoint are array files (``arrays_bytes``, ``read_arrays``).
 """
 
 from __future__ import annotations
 
+import errno
 import io
 import json
 import os
@@ -111,18 +112,27 @@ def read_arrays(data: bytes, version: int, make: Callable[[dict, Mapping], T], p
         raise UnknownFormatVersion(None, version, path=path) from exc
 
 
-def atomic_write(path: str | Path, data: bytes | str) -> None:
-    """Write ``data`` (str as UTF-8) to a temporary sibling, then rename it over ``path``."""
-    path = Path(path)
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+def atomic_write(files: Mapping[str | Path, bytes | str]) -> None:
+    """Write every file's data (str as UTF-8) to a temporary sibling, then rename them all.
+
+    Every temporary file is written, and no path is a directory, before the
+    first rename, so a failed write leaves every old file as it was.
+    """
+    renames = []
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        for path, data in files.items():
+            path = Path(path)
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+            renames.append((tmp, path))
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        for tmp, path in renames:
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in renames:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise

@@ -23,7 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import PostingsIndex, ScoredDoc, bm25_score, retrieve, tokenize
+from .corpus import PostingsIndex, ScoredDoc, bm25_scores, tokenize, top_ordinals
+from .corpus import bm25_score, retrieve  # noqa: F401 (perfbench/spans.py wraps them here)
 from .distill import RationaleRecord
 from .errors import (
     DegenerateCandidateSet,
@@ -182,7 +183,7 @@ class RerankerModel:
         hit = np.flatnonzero(wanted[index.ordinals])
         row_of = np.empty(index.doc_count, dtype=np.int64)
         row_of[ordinals] = np.arange(len(ordinals))
-        term_ids = index.posting_keys[hit] // index.doc_count
+        term_ids = np.searchsorted(index.offsets, hit, side="right") - 1
         new = np.unique(term_ids[np.isnan(table[term_ids, 0])]).tolist()
         table[new] = np.reshape([_slot_sign(terms[t], dim, seed) for t in new], (-1, 2))
         slots, signs = table[term_ids].T
@@ -345,32 +346,20 @@ def build_candidate_set(
 ) -> CandidateSet:
     """Union of the rationale-query top-kappa1 and question-query top-kappa2.
 
-    Every member is (re)scored against the rationale; ordering is by
-    descending teacher score, then doc_id. Raises DegenerateCandidateSet
-    when fewer than two distinct documents are found.
+    Every member's teacher score is its entry in the rationale's BM25 score
+    array; ordering is by descending teacher score, then doc_id. Raises
+    DegenerateCandidateSet when fewer than two distinct documents are found.
     """
-    rationale = record.rationales[j]
-    teacher: dict[str, float] = {}
-    if kappa1 > 0:
-        for sd in retrieve(index, rationale, kappa1):
-            teacher[sd.doc_id] = sd.score
+    teacher = bm25_scores(index, tokenize(record.rationales[j]))
+    members = top_ordinals(index, teacher, kappa1) if kappa1 > 0 else np.empty(0, np.int64)
     if kappa2 > 0:
-        rationale_terms = tokenize(rationale)
-        for sd in retrieve(index, record.question, kappa2):
-            if sd.doc_id not in teacher:
-                teacher[sd.doc_id] = bm25_score(
-                    index, rationale_terms, index.ordinal(sd.doc_id)
-                )
-    if len(teacher) < 2:
-        raise DegenerateCandidateSet(record.example_id, j, len(teacher))
-    ordered = sorted(teacher.items(), key=lambda item: (-item[1], item[0]))
-    return CandidateSet(
-        example_id=record.example_id,
-        rationale_index=j,
-        question=record.question,
-        doc_ids=tuple(doc_id for doc_id, _ in ordered),
-        teacher_scores=tuple(score for _, score in ordered),
-    )
+        question = bm25_scores(index, tokenize(record.question))
+        members = np.union1d(members, top_ordinals(index, question, kappa2))
+    if len(members) < 2:
+        raise DegenerateCandidateSet(record.example_id, j, len(members))
+    members = members[np.lexsort((index.doc_id_rank[members], -teacher[members]))].tolist()
+    doc_ids, scores = tuple(index.doc_ids[o] for o in members), tuple(teacher[members].tolist())
+    return CandidateSet(record.example_id, j, record.question, doc_ids, scores)
 
 
 def rerank_inference(
@@ -389,15 +378,14 @@ def rerank_inference(
     """
     if not 1 <= k <= kappa_star:
         raise ValueError(f"need kappa_star >= k >= 1, got kappa_star={kappa_star} k={k}")
-    candidates = retrieve(index, question, kappa_star)
-    if not candidates:
+    top = top_ordinals(index, bm25_scores(index, tokenize(question)), kappa_star)
+    if not len(top):
         raise EmptyCandidates(question)
     if isinstance(model, RerankerModel):
-        ordinals = [index.ordinal(sd.doc_id) for sd in candidates]
-        scores = model.scores(question, index, ordinals).tolist()
+        scores = model.scores(question, index, top).tolist()
     else:
-        scores = [model(sd.doc_id, index.document(sd.doc_id).text, question) for sd in candidates]
-    rescored = sorted((-score, sd.doc_id) for score, sd in zip(scores, candidates))
+        scores = [model(index.doc_ids[o], index.documents[o].text, question) for o in top.tolist()]
+    rescored = sorted((-score, index.doc_ids[o]) for score, o in zip(scores, top.tolist()))
     return [
         ScoredDoc(doc_id=doc_id, score=-neg, rank=rank)
         for rank, (neg, doc_id) in enumerate(rescored[:k], start=1)
@@ -455,7 +443,7 @@ def _model(meta: dict, members) -> RerankerModel:
 
 
 def save_model(model: RerankerModel, path: str | Path) -> None:
-    atomic_write(path, serialize_model(model))
+    atomic_write({path: serialize_model(model)})
 
 
 def load_model(path: str | Path) -> RerankerModel:

@@ -272,6 +272,23 @@ class TestPipeline:
                 "outputs": {out: sha256(out)},
             }, step[0]
 
+    def test_outputs_are_pinned(self, pipeline):
+        """Bytes of the retrieval-driven outputs, pinned so a scoring change cannot move them."""
+        paths, _, _ = pipeline
+        assert sha256(paths["train"]) == (
+            "61238f5ab0b66cd84ec7408786f3371a206fa34006688ab0361fad328eacc5bb"
+        )
+        assert sha256(paths["cands"]) == (
+            "ea42e15cbe07396be75ef4ae413254b0c3e2db4ea0bebdaa9ebd291ec60fafa7"
+        )
+        rows = [json.loads(line) for line in paths["retrieved"].read_text().splitlines()]
+        assert [(row["id"], row["doc_ids"]) for row in rows] == [
+            ("ex-01", ["med-005", "med-009", "med-008"]),
+            ("ex-02", ["gen-003", "med-005", "gen-001"]),
+            ("ex-03", ["med-005", "gen-001", "med-008"]),
+            ("ex-04", ["med-001", "med-002", "med-007"]),
+        ]
+
     def test_manifests_record_digests(self, pipeline):
         paths, _, _ = pipeline
         manifest = json.loads((Path(str(paths["index"]) + ".manifest.json")).read_text())
@@ -495,6 +512,31 @@ class TestEvalPredictions:
         assert_one_error_line(proc, out)
         assert proc.stdout == ""
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_failed_manifest_write_keeps_the_old_out(self, tmp_path):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"id": "e1", "texts": ["Answer: B"], "gold": "B"}) + "\n")
+        out = tmp_path / "acc.json"
+        out.write_text("old bytes\n")
+        manifest = tmp_path / "manifest"
+        manifest.mkdir()
+        proc = run_cli(
+            "eval", "--predictions", str(preds), "--out", str(out), "--manifest-out", str(manifest)
+        )
+        assert_one_error_line(proc, manifest)
+        assert out.read_text() == "old bytes\n"
+        assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("flags", [["--index", "--rationales"], ["--index"], ["--rationales"]])
+    def test_index_or_rationales_without_retrieved_is_one_error_line(self, tmp_path, flags):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"id": "e1", "texts": ["Answer: B"], "gold": "B"}) + "\n")
+        out = tmp_path / "acc.json"
+        paths = [arg for flag in flags for arg in (flag, str(tmp_path / "missing"))]
+        proc = run_cli("eval", "--predictions", str(preds), *paths, "--out", str(out))
+        assert_one_error_line(proc, "--retrieved")
+        assert "--index and --rationales" in proc.stderr
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from radkit.corpus import (
     Document,
     build_index,
     bm25_score,
+    bm25_scores,
     deserialize_index,
     load_corpus_jsonl,
     load_index,
@@ -19,6 +20,7 @@ from radkit.corpus import (
     save_index,
     serialize_index,
     tokenize,
+    top_ordinals,
 )
 from radkit.errors import (
     DuplicateDocId,
@@ -213,6 +215,37 @@ class TestBm25Score:
             after = bm25_score(index, base_terms + [extra], ordinal)
             assert before >= 0.0
             assert after >= before - 1e-12
+
+
+class TestScoreArray:
+    def test_empty_or_unknown_query_scores_all_zeros(self):
+        index = build_index(FIVE_DOCS)
+        for terms in ([], ["zebra"]):
+            scores = bm25_scores(index, terms)
+            assert scores.dtype == np.float64
+            assert scores.tolist() == [0.0] * len(FIVE_DOCS)
+
+    def test_entries_match_oracle_formula(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            docs = random_corpus(rng, n_docs=int(rng.integers(2, 15)))
+            index = build_index(docs, k1=float(rng.uniform(0.0, 2.5)), b=float(rng.uniform()))
+            doc_tokens = [tokenize(d.text) for d in docs]
+            terms = tokenize(random_query(rng))
+            scores = bm25_scores(index, terms)
+            for ordinal, score in enumerate(scores.tolist()):
+                want = bm25_oracle_score(doc_tokens, terms, ordinal, index.k1, index.b)
+                assert score == pytest.approx(want, abs=1e-12)
+                assert bm25_score(index, terms, ordinal) == score
+
+    def test_top_ordinals_keep_positive_scores_best_first(self):
+        docs = [Document(i, "", text) for i, text in [("c", "x y"), ("a", "x"), ("b", "x y")]]
+        index = build_index(docs)
+        scores = bm25_scores(index, ["y"])
+        assert top_ordinals(index, scores, 3).tolist() == [2, 0]  # "a" lacks y; b before c
+        assert top_ordinals(index, bm25_scores(index, ["x"]), 2).tolist() == [1, 2]
+        with pytest.raises(ValueError):
+            top_ordinals(index, scores, 0)
 
 
 class TestRetrieve:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from radkit.corpus import Document, build_index, load_corpus_jsonl, retrieve, tokenize, bm25_score
-from radkit.distill import RationaleRecord, retrieve_knowledge
+from radkit.distill import RationaleRecord, ingest_rationales, retrieve_knowledge
 from radkit.errors import (
     DegenerateCandidateSet,
     EmptyCandidates,
@@ -413,7 +413,17 @@ class TestBuildCandidateSet:
         rationale_terms = tokenize(med_record.rationales[0])
         for doc_id, teacher in zip(union.doc_ids, union.teacher_scores):
             want = bm25_score(med_index, rationale_terms, med_index.ordinal(doc_id))
-            assert teacher == pytest.approx(want, abs=1e-12)
+            assert teacher == want
+
+    @pytest.mark.parametrize("kappa1, kappa2", [(2, 0), (3, 5), (8, 2), (12, 12)])
+    def test_rationale_route_scores_are_retrieve_scores(self, med_index, kappa1, kappa2):
+        """Each top-kappa1 member's teacher score is its retrieve score, bit for bit."""
+        for record in ingest_rationales(DATA_DIR / "rationales.jsonl"):
+            for j, rationale in enumerate(record.rationales):
+                cs = build_candidate_set(med_index, record, j, kappa1, kappa2)
+                teacher = dict(zip(cs.doc_ids, cs.teacher_scores))
+                for sd in retrieve(med_index, rationale, kappa1):
+                    assert teacher[sd.doc_id] == sd.score
 
     def test_ordered_by_descending_teacher_score(self, med_index, med_record):
         cs = build_candidate_set(med_index, med_record, 0, 6, 2)
@@ -452,6 +462,27 @@ class TestRerankInference:
         out = rerank_inference(med_index, flat, "fever pregnancy thyroid", 100, 3)
         ids = [sd.doc_id for sd in out]
         assert ids == sorted(ids)
+
+    def test_scorer_gets_each_candidates_own_id_and_text(self):
+        """Ordinals map back to the right document when corpus order is not id order."""
+        names = ["delta", "alpha", "echo", "charlie", "bravo"]
+        docs = [
+            Document(name, "", f"fever {name} " + "cough " * i) for i, name in enumerate(names)
+        ]
+        index = build_index(docs)
+        calls = []
+
+        def record(doc_id, doc_text, query):
+            calls.append((doc_id, doc_text, query))
+            return 0.0
+
+        rerank_inference(index, record, "fever cough", 4, 2)
+        bm25 = retrieve(index, "fever cough", 4)
+        assert [(doc_id, text) for doc_id, text, _ in calls] == [
+            (sd.doc_id, index.document(sd.doc_id).text) for sd in bm25
+        ]
+        assert all(text.split()[1] == doc_id for doc_id, text, _ in calls)
+        assert {query for _, _, query in calls} == {"fever cough"}
 
     def test_no_candidates_raises(self, med_index):
         model = RerankerModel.identity()
