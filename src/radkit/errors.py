@@ -63,7 +63,7 @@ class DegenerateCandidateSet(RadkitError):
 
 class NonPositiveTemperature(RadkitError):
     def __init__(self, tau: float):
-        super().__init__(f"softmax temperature must be > 0, got {tau}")
+        super().__init__(f"softmax temperature must be finite and > 0, got {tau}")
 
 
 class EmptyCandidates(RadkitError):

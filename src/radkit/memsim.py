@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 
@@ -69,20 +68,14 @@ class TaskInstance:
     """One sampled task: references, unlabeled KB, and training samples.
 
     The KB rows are shuffled and carry no subpopulation identifiers. A
-    training sample i is (j, prefix of length l) with label the next bit;
-    prefixes and labels are resolved through the accessors below.
+    training sample i is (j, prefix of length l) with label the next bit:
+    ``references[training_j[i], :training_len[i]]`` and the bit after it.
     """
 
     references: np.ndarray  # (N, d) uint8
     kb: np.ndarray  # (N + R, d) uint8, randomized row order
     training_j: np.ndarray  # (n,) int
     training_len: np.ndarray  # (n,) int
-
-    def training_prefix(self, i: int) -> np.ndarray:
-        return self.references[self.training_j[i], : self.training_len[i]]
-
-    def training_label(self, i: int) -> int:
-        return int(self.references[self.training_j[i], self.training_len[i]])
 
     @cached_property
     def longest_prefix(self) -> np.ndarray:
@@ -92,6 +85,15 @@ class TaskInstance:
         return longest
 
 
+def prefix_keys(bits: np.ndarray) -> np.ndarray:
+    """One key per row of a 2-D 0/1 array: the row's packed bytes, viewed as one np.void.
+
+    Rows of one width have equal keys exactly when their bits are equal.
+    """
+    packed = np.packbits(bits, axis=1)
+    return np.ascontiguousarray(packed).view(np.dtype((np.void, packed.shape[1])))[:, 0]
+
+
 def sample_task(config: SimConfig, rng: np.random.Generator) -> TaskInstance:
     """Draw references, distractors, and training samples.
 
@@ -99,17 +101,18 @@ def sample_task(config: SimConfig, rng: np.random.Generator) -> TaskInstance:
     the KB holds exactly N + R rows with every reference present.
     """
     refs = rng.integers(0, 2, size=(config.N, config.d), dtype=np.uint8)
-    ref_keys = {row.tobytes() for row in refs}
-    if config.R > (1 << config.d) - len(ref_keys):
+    ref_keys = prefix_keys(refs)
+    distinct = len(np.unique(ref_keys))
+    if config.R > (1 << config.d) - distinct:
         raise ValueError(
-            f"cannot draw {config.R} distractors distinct from {len(ref_keys)} "
+            f"cannot draw {config.R} distractors distinct from {distinct} "
             f"references over {{0,1}}^{config.d}"
         )
     rows = [refs]
     missing = config.R
     while missing:
         block = rng.integers(0, 2, size=(missing, config.d), dtype=np.uint8)
-        block = block[[row.tobytes() not in ref_keys for row in block]]
+        block = block[~np.isin(prefix_keys(block), ref_keys)]
         rows.append(block)
         missing -= len(block)
     kb = np.concatenate(rows, axis=0)
@@ -150,25 +153,26 @@ def compute_m(N: int, n: int, R: int, eps: float) -> int:
 
 @dataclass
 class MemorizedState:
-    """Per-subpopulation stored prefixes (at most one entry each).
+    """Stored reference prefixes: subpopulation j's has length ``lengths[j]``, -1 for none.
 
-    ``total_bits`` charges ceil(log2 N) per entry for the subpopulation
-    index; ``total_bits_plus_one`` is the alternative accounting that
-    charges a single extra bit per entry.
+    ``total_bits`` charges ceil(log2 N) per entry for the subpopulation index;
+    ``total_bits_plus_one`` is the alternative accounting that charges a single
+    extra bit per entry.
     """
 
     m: int
-    subpop_count: int
-    entries: dict[int, np.ndarray] = field(default_factory=dict)
+    lengths: np.ndarray  # (N,) int
 
     @property
     def total_bits(self) -> int:
-        index_bits = ceil_log2(self.subpop_count) if self.subpop_count > 1 else 0
-        return sum(len(p) + index_bits for p in self.entries.values())
+        N = len(self.lengths)
+        stored = self.lengths[self.lengths >= 0]
+        return int(stored.sum()) + len(stored) * (ceil_log2(N) if N > 1 else 0)
 
     @property
     def total_bits_plus_one(self) -> int:
-        return sum(len(p) + 1 for p in self.entries.values())
+        stored = self.lengths[self.lengths >= 0]
+        return int(stored.sum()) + len(stored)
 
 
 def learn_budgeted(task: TaskInstance, m: int) -> MemorizedState:
@@ -178,84 +182,63 @@ def learn_budgeted(task: TaskInstance, m: int) -> MemorizedState:
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    longest = task.longest_prefix.tolist()
-    entries = {j: task.references[j, : min(m, l)].copy() for j, l in enumerate(longest) if l >= 0}
-    return MemorizedState(m=m, subpop_count=task.references.shape[0], entries=entries)
+    return MemorizedState(m, np.minimum(task.longest_prefix, m))
 
 
-def build_prefix_index(kb: np.ndarray, m: int) -> dict[bytes, tuple[int, ...]]:
-    """Map each KB row's first-m-bits key to the row indices sharing it."""
-    index: dict[bytes, list[int]] = {}
-    for i in range(kb.shape[0]):
-        index.setdefault(kb[i, :m].tobytes(), []).append(i)
-    return {key: tuple(rows) for key, rows in index.items()}
+def build_prefix_index(kb: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The KB rows' first-m-bits keys, sorted, and the row of each; rows sharing a key ascend."""
+    keys = prefix_keys(kb[:, :m])
+    rows = np.argsort(keys, kind="stable")
+    return keys[rows], rows
 
 
 def infer_budgeted_traced(
-    state: MemorizedState,
-    kb: np.ndarray,
-    query: Query,
-    m: int,
-    rng: np.random.Generator,
-    prefix_index: Mapping[bytes, tuple[int, ...]],
+    state: MemorizedState, task: TaskInstance, query: Query, rng: np.random.Generator
 ) -> tuple[int, str, int]:
     """Predict the next bit; also report which case fired and the KB match count.
 
     Cases: no entry for the subpopulation -> random guess; entry of full
-    budget length m -> uniform pick among KB rows sharing the stored
-    prefix, answer read from the picked row; shorter entry covering the
-    queried position -> direct read; otherwise random guess.
-    ``prefix_index`` must be ``build_prefix_index(kb, m)``.
+    budget length m -> uniform pick among the KB rows (ascending) sharing the
+    stored prefix, answer read from the picked row; shorter entry covering
+    the queried position -> direct read; otherwise random guess. The
+    reference for ``answer_tests``'s first row: it scans the whole KB.
     """
     j, prefix = query
-    l_t = len(prefix)
-    stored = state.entries.get(j)
-    if stored is None:
+    l_t, stored, m = len(prefix), state.lengths[j], state.m
+    if stored < 0:
         return int(rng.integers(0, 2)), CASE_UNSEEN, 0
-    if len(stored) == m:
-        matches = prefix_index[stored.tobytes()]
+    if stored == m:
+        matches = np.flatnonzero((task.kb[:, :m] == task.references[j, :m]).all(1))
         pick = matches[int(rng.integers(0, len(matches)))]
-        return int(kb[pick, l_t]), CASE_KB_LOOKUP, len(matches)
-    if l_t < len(stored):
-        return int(stored[l_t]), CASE_PREFIX_READ, 0
+        return int(task.kb[pick, l_t]), CASE_KB_LOOKUP, len(matches)
+    if l_t < stored:
+        return int(task.references[j, l_t]), CASE_PREFIX_READ, 0
     return int(rng.integers(0, 2)), CASE_GUESS, 0
 
 
 def infer_budgeted(
-    state: MemorizedState,
-    kb: np.ndarray,
-    query: Query,
-    m: int,
-    rng: np.random.Generator,
-    prefix_index: Mapping[bytes, tuple[int, ...]],
+    state: MemorizedState, task: TaskInstance, query: Query, rng: np.random.Generator
 ) -> int:
-    return infer_budgeted_traced(state, kb, query, m, rng, prefix_index)[0]
+    return infer_budgeted_traced(state, task, query, rng)[0]
 
 
-@dataclass
-class OptMemory:
-    """Longest observed prefix per subpopulation (unbounded storage)."""
-
-    entries: dict[int, np.ndarray] = field(default_factory=dict)
+def learn_opt(task: TaskInstance) -> np.ndarray:
+    """(N,) longest observed prefix per subpopulation, -1 for none (unbounded storage)."""
+    return task.longest_prefix
 
 
-def learn_opt(task: TaskInstance) -> OptMemory:
-    longest = task.longest_prefix.tolist()
-    return OptMemory({j: task.references[j, :l].copy() for j, l in enumerate(longest) if l >= 0})
-
-
-def infer_opt(memory: OptMemory, query: Query, rng: np.random.Generator) -> int:
+def infer_opt(
+    task: TaskInstance, longest: np.ndarray, query: Query, rng: np.random.Generator
+) -> int:
     """Answer from a training prefix strictly longer than the query; else guess.
 
     A strictly longer prefix contains the queried position, so the answer
     is certain; with no such sample the remaining bits are uniform given
-    the observations and a coin flip is optimal.
+    the observations and a coin flip is optimal. ``longest`` is ``learn_opt(task)``.
     """
     j, prefix = query
-    l_t = len(prefix)
-    stored = memory.entries.get(j)
-    if stored is not None and len(stored) > l_t:
-        return int(stored[l_t])
+    if longest[j] > len(prefix):
+        return int(task.references[j, len(prefix)])
     return int(rng.integers(0, 2))
 
 
@@ -278,19 +261,20 @@ def naive_bits(task: TaskInstance) -> int:
 def answer_tests(
     task: TaskInstance,
     state: MemorizedState,
-    memory: OptMemory,
-    prefix_index: Mapping[bytes, tuple[int, ...]],
+    longest: np.ndarray,
+    prefix_index: tuple[np.ndarray, np.ndarray],
     count: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``count`` test queries; return the (3, count) answers and the true labels.
 
     Row 0 answers as ``infer_budgeted(state, ...)``, row 1 as
-    ``infer_opt(memory, ...)`` and row 2, the naive memorizer, as ``infer_opt``
-    with coins of its own, given the draws in this order: subpopulations,
-    prefix lengths, a (3, count) block of coins (a row per learner), then one
-    pick per KB lookup. Stored prefixes are the references', so a position a
-    stored prefix covers is answered with its true label.
+    ``infer_opt(task, longest, ...)`` and row 2, the naive memorizer, as
+    ``infer_opt`` with coins of its own, given the draws in this order:
+    subpopulations, prefix lengths, a (3, count) block of coins (a row per
+    learner), then one pick per KB lookup. Stored prefixes are the
+    references', so a position a stored prefix covers is answered with its
+    true label. ``prefix_index`` is ``build_prefix_index(task.kb, state.m)``.
     """
     N, d = task.references.shape
     m = state.m
@@ -298,21 +282,16 @@ def answer_tests(
     l = rng.integers(0, d, size=count)
     coins = rng.integers(0, 2, size=(3, count))
     truth = task.references[j, l]
-    lengths = np.full((2, N), -1)  # entry length per learner and subpopulation, -1 for none
-    for row, entries in enumerate((state.entries, memory.entries)):
-        lengths[row, list(entries)] = [len(p) for p in entries.values()]
-    stored, known = lengths
-    answers = np.where(known[j] > l, truth, coins)
+    stored = state.lengths
+    answers = np.where(longest[j] > l, truth, coins)
     answers[0] = np.where(l < stored[j], truth, coins[0])
-    full = np.flatnonzero(stored == m)
-    matches = [prefix_index[state.entries[f].tobytes()] for f in full.tolist()]
-    counts = np.zeros(N, dtype=np.int64)
-    counts[full] = [len(group) for group in matches]
-    rows = np.array([row for group in matches for row in group], dtype=np.int64)
+    keys, rows = prefix_index
+    wanted = prefix_keys(task.references[:, :m])
+    first = np.searchsorted(keys, wanted)  # each subpopulation's KB matches, as a range of rows
+    counts = np.searchsorted(keys, wanted, side="right") - first
     lookup = stored[j] == m
     picks = rng.integers(0, counts[j[lookup]])
-    row_of = rows[(np.cumsum(counts) - counts)[j[lookup]] + picks]
-    answers[0, lookup] = task.kb[row_of, l[lookup]]
+    answers[0, lookup] = task.kb[rows[first[j[lookup]] + picks], l[lookup]]
     return answers, truth
 
 
@@ -366,10 +345,10 @@ def run_simulation(config: SimConfig) -> SimReport:
             raise AssertionError(
                 f"stored bits {bits[0, trial]} exceed budget {budget} on trial {trial}"
             )
-        opt_memory = learn_opt(task)
+        longest = learn_opt(task)
         prefix_index = build_prefix_index(task.kb, m)
         answers, truth = answer_tests(
-            task, state, opt_memory, prefix_index, config.tests_per_trial, rng
+            task, state, longest, prefix_index, config.tests_per_trial, rng
         )
         errors += (answers != truth).sum(axis=1)
     count = config.trials * config.tests_per_trial

@@ -74,8 +74,11 @@ def field(obj: dict, name: str, convert: Callable = lambda value: value, many: b
 
 
 def jsonl_text(rows: Iterable[dict]) -> str:
-    """One compact JSON object per line, non-ASCII text kept as is."""
-    return "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+    """One compact JSON object per line, non-ASCII text kept as is.
+
+    A NaN or infinite float, which JSON cannot hold, raises ValueError.
+    """
+    return "".join(json.dumps(row, ensure_ascii=False, allow_nan=False) + "\n" for row in rows)
 
 
 def arrays_bytes(meta: dict, arrays: Mapping[str, np.ndarray]) -> bytes:

@@ -30,6 +30,7 @@ from .errors import (
     DegenerateCandidateSet,
     EmptyCandidates,
     NonPositiveTemperature,
+    RadkitError,
 )
 from .records import arrays_bytes, atomic_write, field, jsonl_text, read_arrays, read_jsonl
 
@@ -200,7 +201,7 @@ def softmax_normalize(scores, tau: float) -> np.ndarray:
 
     A -inf score gets probability 0. A row with no finite score is empty.
     """
-    if tau <= 0.0:
+    if not 0.0 < tau < math.inf:
         raise NonPositiveTemperature(tau)
     z = np.asarray(scores, dtype=np.float64) / tau
     top = z.max(axis=-1, keepdims=True, initial=-np.inf)
@@ -322,6 +323,8 @@ def train(
         raise ValueError("no candidate sets to train on")
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if not math.isfinite(lr):
+        raise ValueError(f"lr must be finite, got {lr}")
     trained = model.copy()
     batch = _batch(trained, candidate_sets, index, tau1)
     scale = lr / len(candidate_sets)
@@ -439,6 +442,8 @@ def serialize_model(model: RerankerModel) -> bytes:
 def _model(meta: dict, members) -> RerankerModel:
     dim, seed = int(meta["E"]), int(meta["hash_seed"])
     projections = members["query_projection"], members["doc_projection"]
+    if not all(np.isfinite(w).all() for w in (*projections, meta["bias"])):
+        raise RadkitError("checkpoint weights must be finite")
     return RerankerModel(dim, seed, *projections, meta["bias"], meta["step"])
 
 
@@ -447,7 +452,10 @@ def save_model(model: RerankerModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> RerankerModel:
-    """Read a checkpoint; any other file raises UnknownFormatVersion naming ``path``."""
+    """Read a checkpoint; any other file raises UnknownFormatVersion naming ``path``.
+
+    A checkpoint with a NaN or infinite weight raises RadkitError naming ``path``.
+    """
     return read_arrays(Path(path).read_bytes(), MODEL_FORMAT_VERSION, _model, path)
 
 

@@ -27,7 +27,6 @@ from radkit.memsim import (
     MemorizedState,
     SimConfig,
     TaskInstance,
-    build_prefix_index,
     compute_m,
     infer_budgeted_traced,
     learn_budgeted,
@@ -98,14 +97,11 @@ def test_criterion_2_forced_prefix_collision():
     decoy = np.concatenate([prefix, [1]]).astype(np.uint8)
     task = TaskInstance(ref[None, :], np.stack([decoy, ref]), np.array([0]), np.array([m]))
     state = learn_budgeted(task, m)
-    prefix_index = build_prefix_index(task.kb, m)
     rng = np.random.default_rng(2024)
     draws = 20000
     correct = 0
     for _ in range(draws):
-        bit, case, matches = infer_budgeted_traced(
-            state, task.kb, (0, ref[:m]), m, rng, prefix_index
-        )
+        bit, case, matches = infer_budgeted_traced(state, task, (0, ref[:m]), rng)
         assert case == CASE_KB_LOOKUP and matches == 2
         correct += bit == int(ref[m])
     rate = correct / draws

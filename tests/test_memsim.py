@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radkit.errors import DegenerateBoundWarning, InvalidEpsilon
 from radkit.memsim import (
@@ -27,6 +29,7 @@ from radkit.memsim import (
     learn_opt,
     m_formula,
     naive_bits,
+    prefix_keys,
     run_simulation,
     sample_task,
 )
@@ -54,8 +57,9 @@ class TestSampleTask:
         task = sample_task(config, np.random.default_rng(0))
         assert set(task.training_len.tolist()) == {0}
         for i in range(10):
-            assert task.training_prefix(i).size == 0
-            assert task.training_label(i) == int(task.references[task.training_j[i], 0])
+            j, l = task.training_j[i], task.training_len[i]
+            assert task.references[j, :l].size == 0
+            assert task.references[j, l] == task.references[j, 0]
 
     def test_zero_distractors_kb_equals_references(self):
         config = SimConfig(N=5, n=3, d=16, R=0, eps=0.2, trials=1, tests_per_trial=1)
@@ -164,27 +168,28 @@ class TestLearnBudgeted:
         refs, kb = self._task()
         task = TaskInstance(refs, kb, np.array([0, 0]), np.array([2, 4]))
         state = learn_budgeted(task, m=3)
-        assert 0 in state.entries and 1 not in state.entries and 2 not in state.entries
+        assert state.lengths.tolist() == [3, -1, -1]
 
     def test_longest_prefix_kept_and_truncated_to_budget(self):
         refs, kb = self._task()
         task = TaskInstance(refs, kb, np.array([1, 1]), np.array([2, 5]))
         state = learn_budgeted(task, m=3)
-        assert np.array_equal(state.entries[1], refs[1, :3])
+        assert state.lengths.tolist() == [-1, 3, -1]
 
     def test_zero_length_sample_still_marks_subpopulation(self):
         refs, kb = self._task()
         task = TaskInstance(refs, kb, np.array([2]), np.array([0]))
         state = learn_budgeted(task, m=4)
-        assert state.entries[2].size == 0
+        assert state.lengths.tolist() == [-1, -1, 0]
         assert state.total_bits == ceil_log2(3)
+        assert state.total_bits_plus_one == 1
 
     def test_one_entry_per_subpopulation(self):
         refs, kb = self._task()
         task = TaskInstance(refs, kb, np.array([0, 0, 0, 0]), np.array([1, 3, 2, 0]))
         state = learn_budgeted(task, m=6)
-        assert len(state.entries) == 1
-        assert np.array_equal(state.entries[0], refs[0, :3])
+        assert state.lengths.tolist() == [3, -1, -1]
+        assert state.total_bits == 3 + ceil_log2(3)
 
     def test_bit_budget_hard_bound(self):
         rng = np.random.default_rng(8)
@@ -210,11 +215,10 @@ class TestInferBudgeted:
     def test_prefix_read_case(self):
         """Stored prefix 101 with budget above its length answers position 2 directly."""
         refs = np.array([[1, 0, 1, 1, 0]], dtype=np.uint8)
-        state = MemorizedState(m=4, subpop_count=1, entries={0: refs[0, :3].copy()})
+        state = MemorizedState(m=4, lengths=np.array([3]))
+        task = TaskInstance(refs, refs, np.array([0]), np.array([3]))
         rng = np.random.default_rng(0)
-        bit, case, _ = infer_budgeted_traced(
-            state, refs, (0, refs[0, :1]), 4, rng, build_prefix_index(refs, 4)
-        )
+        bit, case, _ = infer_budgeted_traced(state, task, (0, refs[0, :1]), rng)
         assert case == CASE_PREFIX_READ
         assert bit == 0  # second stored bit
 
@@ -227,12 +231,11 @@ class TestInferBudgeted:
             task = sample_task(config, trial_rng)
             m = min(compute_m(config.N, config.n, config.R, config.eps), config.d)
             state = learn_budgeted(task, m)
-            prefix_index = build_prefix_index(task.kb, m)
             for _ in range(60):
                 j = int(trial_rng.integers(0, config.N))
                 l_t = int(trial_rng.integers(0, config.d))
                 bit, case, matches = infer_budgeted_traced(
-                    state, task.kb, (j, task.references[j, :l_t]), m, trial_rng, prefix_index
+                    state, task, (j, task.references[j, :l_t]), trial_rng
                 )
                 if case == CASE_KB_LOOKUP:
                     assert matches >= 1
@@ -252,33 +255,25 @@ class TestInferBudgeted:
         kb = np.stack([decoy, ref])
         task = TaskInstance(refs, kb, np.array([0]), np.array([m]))
         state = learn_budgeted(task, m)
-        assert len(state.entries[0]) == m
+        assert state.lengths[0] == m
         rng = np.random.default_rng(123)
-        prefix_index = build_prefix_index(kb, m)
         draws = 4000
         correct = 0
         for _ in range(draws):
-            bit, case, matches = infer_budgeted_traced(
-                state, kb, (0, ref[:m]), m, rng, prefix_index
-            )
+            bit, case, matches = infer_budgeted_traced(state, task, (0, ref[:m]), rng)
             assert case == CASE_KB_LOOKUP and matches == 2
             correct += bit == int(ref[m])
         assert abs(correct / draws - 0.5) <= 0.05
 
     def test_unseen_and_guess_cases_flip_coins(self):
         refs = np.array([[1, 1, 1, 1]], dtype=np.uint8)
+        task = TaskInstance(refs, refs, np.array([0]), np.array([1]))
         rng = np.random.default_rng(7)
-        empty = MemorizedState(m=3, subpop_count=1, entries={})
-        index = build_prefix_index(refs, 3)
-        seen = {
-            int(infer_budgeted(empty, refs, (0, refs[0, :2]), 3, rng, index)) for _ in range(50)
-        }
+        empty = MemorizedState(m=3, lengths=np.array([-1]))
+        seen = {int(infer_budgeted(empty, task, (0, refs[0, :2]), rng)) for _ in range(50)}
         assert seen == {0, 1}
-        short = MemorizedState(m=3, subpop_count=1, entries={0: refs[0, :1].copy()})
-        bits = {
-            infer_budgeted_traced(short, refs, (0, refs[0, :2]), 3, rng, index)[1]
-            for _ in range(20)
-        }
+        short = MemorizedState(m=3, lengths=np.array([1]))
+        bits = {infer_budgeted_traced(short, task, (0, refs[0, :2]), rng)[1] for _ in range(20)}
         assert bits == {CASE_GUESS}
 
 
@@ -286,17 +281,17 @@ class TestInferOpt:
     def test_covered_position_is_deterministic(self):
         refs = np.array([[0, 1, 0, 1, 1]], dtype=np.uint8)
         task = TaskInstance(refs, refs, np.array([0]), np.array([4]))
-        memory = learn_opt(task)
+        longest = learn_opt(task)
         rng = np.random.default_rng(0)
         for _ in range(10):
-            assert infer_opt(memory, (0, refs[0, :3]), rng) == int(refs[0, 3])
+            assert infer_opt(task, longest, (0, refs[0, :3]), rng) == int(refs[0, 3])
 
     def test_uncovered_position_flips_coin(self):
         refs = np.array([[0, 1, 0, 1, 1]], dtype=np.uint8)
         task = TaskInstance(refs, refs, np.array([0]), np.array([2]))
-        memory = learn_opt(task)
+        longest = learn_opt(task)
         rng = np.random.default_rng(1)
-        seen = {infer_opt(memory, (0, refs[0, :3]), rng) for _ in range(50)}
+        seen = {infer_opt(task, longest, (0, refs[0, :3]), rng) for _ in range(50)}
         assert seen == {0, 1}
 
     @pytest.mark.parametrize("N,n,d", [(2, 3, 3), (3, 4, 4)])
@@ -363,7 +358,8 @@ class TestAnswerTests:
     )
     def test_matches_per_query_reference_on_the_same_draws(self, N, n, d, R, m):
         """Each answer of the array pass equals infer_budgeted_traced's and
-        infer_opt's when they are handed the pass's own draws, per query."""
+        infer_opt's when they are handed the pass's own draws, per query.
+        The reference scans the whole KB, in ascending row order."""
         config = SimConfig(N=N, n=n, d=d, R=R, eps=0.1, trials=1, tests_per_trial=1)
         cases = Counter()
         multi_row_lookups = 0
@@ -371,31 +367,63 @@ class TestAnswerTests:
             rng = np.random.default_rng([31, trial])
             task = sample_task(config, rng)
             state = learn_budgeted(task, m)
-            memory = learn_opt(task)
+            longest = learn_opt(task)
             prefix_index = build_prefix_index(task.kb, m)
             recording = _Recording(rng)
-            answers, truth = answer_tests(task, state, memory, prefix_index, 300, recording)
+            answers, truth = answer_tests(task, state, longest, prefix_index, 300, recording)
             j, l, coins, picks = recording.draws
             assert np.array_equal(truth, task.references[j, l])
             picks = iter(picks.tolist())
             for i in range(len(j)):
                 query = (int(j[i]), task.references[j[i], : l[i]])
-                stored = state.entries.get(int(j[i]))
-                lookup = stored is not None and len(stored) == m
+                lookup = state.lengths[j[i]] == m
                 draw = _Fixed(next(picks) if lookup else int(coins[0, i]))
-                bit, case, matches = infer_budgeted_traced(
-                    state, task.kb, query, m, draw, prefix_index
-                )
+                bit, case, matches = infer_budgeted_traced(state, task, query, draw)
                 assert (case == CASE_KB_LOOKUP) == lookup
                 cases[case] += 1
                 multi_row_lookups += matches > 1
                 assert answers[0, i] == bit, (i, case)
-                assert answers[1, i] == infer_opt(memory, query, _Fixed(int(coins[1, i])))
-                assert answers[2, i] == infer_opt(memory, query, _Fixed(int(coins[2, i])))
+                assert answers[1, i] == infer_opt(task, longest, query, _Fixed(int(coins[1, i])))
+                assert answers[2, i] == infer_opt(task, longest, query, _Fixed(int(coins[2, i])))
             assert next(picks, None) is None  # one pick per KB lookup, no more
         assert set(cases) == {CASE_UNSEEN, CASE_KB_LOOKUP, CASE_PREFIX_READ, CASE_GUESS}, cases
         if d < 128:  # with 17-bit keys over 200 rows a shared key is rare
             assert multi_row_lookups > 0
+
+
+class TestPrefixIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        rows=st.integers(1, 40),
+        d=st.integers(1, 8),
+    )
+    def test_searchsorted_range_is_the_brute_force_scan(self, data, rows, d):
+        """With d <= 8 keys collide often. For every KB row's m-bit prefix
+        (a full-length stored prefix is always one, since every reference is
+        a KB row), its range in the sorted keys holds exactly the rows of the
+        brute-force scan, ascending."""
+        kb = np.array(
+            data.draw(st.lists(st.lists(st.integers(0, 1), min_size=d, max_size=d),
+                               min_size=rows, max_size=rows)),
+            dtype=np.uint8,
+        )
+        m = data.draw(st.integers(1, d))
+        keys, order = build_prefix_index(kb, m)
+        wanted = prefix_keys(kb[:, :m])
+        first = np.searchsorted(keys, wanted)
+        stop = np.searchsorted(keys, wanted, side="right")
+        for i in range(rows):
+            scan = np.flatnonzero((kb[:, :m] == kb[i, :m]).all(1))
+            assert order[first[i] : stop[i]].tolist() == scan.tolist()
+
+    def test_keys_equal_exactly_when_bits_equal(self):
+        bits = np.array([[1, 0, 1], [1, 0, 1], [1, 0, 0], [0, 0, 0]], dtype=np.uint8)
+        keys = prefix_keys(bits)
+        assert keys.shape == (4,)
+        assert [[a == b for b in keys] for a in keys] == [
+            [bool((x == y).all()) for y in bits] for x in bits
+        ]
 
 
 class TestRunSimulation:

@@ -1,10 +1,12 @@
-"""Library savers write atomically: a failed write keeps the old file."""
+"""Record writers: library savers write atomically, JSONL text is strict JSON."""
 
+import math
 import os
 
 import pytest
 
 from radkit.corpus import build_index, load_corpus_jsonl, save_index
+from radkit.records import jsonl_text
 from radkit.reranker import RerankerModel, save_model
 
 from helpers import DATA_DIR
@@ -30,3 +32,11 @@ def test_failed_replace_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch,
         save(path)
     assert path.read_text() == "old"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.json"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_jsonl_text_rejects_non_finite_floats(value):
+    """No stage can write NaN or Infinity, which are not JSON, into a JSONL file."""
+    assert jsonl_text([{"scores": [1.5]}]) == '{"scores": [1.5]}\n'
+    with pytest.raises(ValueError):
+        jsonl_text([{"scores": [1.5, value]}])

@@ -222,6 +222,11 @@ class TestSoftmax:
         with pytest.raises(NonPositiveTemperature):
             softmax_normalize([1.0, 2.0], tau=0.0)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_non_finite_temperature_rejected(self, tau):
+        with pytest.raises(NonPositiveTemperature, match="must be finite and > 0"):
+            softmax_normalize([1.0, 2.0], tau=tau)
+
     def test_empty_scores_rejected(self):
         with pytest.raises(ValueError):
             softmax_normalize([], tau=1.0)
@@ -572,15 +577,17 @@ class TestModelSerialization:
     )
     @given(data=st.data(), dim=st.integers(1, 6))
     def test_save_load_is_bit_exact(self, tmp_path, data, dim):
-        special = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, math.inf, -math.inf, math.nan])
-        values = st.one_of(special, st.floats(width=64))
+        """Every finite model round-trips; non-finite ones are rejected below."""
+        special = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1.7976931348623157e308])
+        finite = st.floats(width=64, allow_nan=False, allow_infinity=False)
+        values = st.one_of(special, finite)
         matrix = hnp.arrays(np.float64, (dim, dim), elements=values)
         model = RerankerModel(
             dim,
             hash_seed=data.draw(st.integers(0, 2**63 - 1)),
             query_projection=data.draw(matrix),
             doc_projection=data.draw(matrix),
-            bias=data.draw(st.one_of(special, st.floats()).filter(lambda x: x == x and x != 0)),
+            bias=data.draw(values.filter(lambda x: x != 0)),
             step=data.draw(st.integers(1, 2**63 - 1)),
         )
         path = tmp_path / "model.npz"
@@ -594,3 +601,19 @@ class TestModelSerialization:
             dim, model.hash_seed, model.step
         )
         assert serialize_model(clone) == path.read_bytes()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("weight", ["query_projection", "doc_projection", "bias"])
+    def test_non_finite_weights_are_rejected(self, tmp_path, weight, value):
+        from radkit.errors import RadkitError
+
+        model = RerankerModel.identity(embedding_dim=3)
+        if weight == "bias":
+            model.bias = value
+        else:
+            getattr(model, weight)[1, 2] = value
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        with pytest.raises(RadkitError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}: checkpoint weights must be finite"
