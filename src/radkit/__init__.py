@@ -47,6 +47,7 @@ from .reranker import (
     featurize,
     kl_loss,
     loss_gradient,
+    rerank_batch,
     rerank_inference,
     softmax_normalize,
     train,
@@ -81,6 +82,7 @@ __all__ = [
     "loss_gradient",
     "train",
     "build_candidate_set",
+    "rerank_batch",
     "rerank_inference",
     "SilverSet",
     "PredictionBundle",

@@ -56,10 +56,11 @@ from .reranker import (
     candidates_jsonl_text,
     load_model,
     read_candidates_jsonl,
-    rerank_inference,
+    rerank_batch,
     serialize_model,
     train,
 )
+from .reranker import rerank_inference  # noqa: F401 (perfbench/spans.py wraps it here)
 from .records import atomic_write, jsonl_text, read_jsonl
 
 
@@ -182,21 +183,20 @@ def cmd_rerank_train(args) -> int:
 
 
 def cmd_rerank_infer(args) -> int:
+    if args.model and args.score_file:
+        raise ValueError("--model and --score-file are two scorers: pass only one")
     index = load_index(args.index)
     file_scorer = FileScorer.load(args.score_file) if args.score_file else None
     model = load_model(args.model) if args.model else RerankerModel.identity()
     questions = read_jsonl(args.questions, lambda obj: (str(obj["id"]), str(obj["question"])))
-    rows = []
-    for example_id, question in questions:
-        scorer = file_scorer.for_example(example_id) if file_scorer else model
-        ranked = rerank_inference(index, scorer, question, args.kappa_star, args.k)
-        rows.append(
-            {
-                "id": example_id,
-                "doc_ids": [sd.doc_id for sd in ranked],
-                "scores": [sd.score for sd in ranked],
-            }
-        )
+    if file_scorer:
+        model = [file_scorer.for_example(example_id) for example_id, _ in questions]
+    texts = [question for _, question in questions]
+    ranked = rerank_batch(index, model, texts, args.kappa_star, args.k)
+    rows = [
+        {"id": example_id, "doc_ids": [sd.doc_id for sd in r], "scores": [sd.score for sd in r]}
+        for (example_id, _), r in zip(questions, ranked)
+    ]
     inputs = [args.index, args.questions, args.score_file, args.model]
     return _finish(args, inputs, jsonl_text(rows), f"reranked {len(rows)} questions")
 

@@ -8,8 +8,8 @@ question. Training minimizes mean KL(Q || P) by plain gradient descent.
 
 The scorer is a hashed bag-of-terms bilinear model: deterministic,
 dependency-free, and swappable for an external neural scorer through a
-score-file exchange at inference time. ``RerankerModel.scores`` scores one
-query against an index's documents; training computes its logits the same way.
+score-file exchange at inference time. Training and inference fold the query
+side into one vector, so each document row costs one dot product.
 """
 
 from __future__ import annotations
@@ -26,12 +26,7 @@ import numpy as np
 from .corpus import PostingsIndex, ScoredDoc, bm25_scores, tokenize, top_ordinals
 from .corpus import bm25_score, retrieve  # noqa: F401 (perfbench/spans.py wraps them here)
 from .distill import RationaleRecord
-from .errors import (
-    DegenerateCandidateSet,
-    EmptyCandidates,
-    NonPositiveTemperature,
-    RadkitError,
-)
+from .errors import DegenerateCandidateSet, EmptyCandidates, NonPositiveTemperature, RadkitError
 from .records import arrays_bytes, atomic_write, field, jsonl_text, read_arrays, read_jsonl
 
 MODEL_FORMAT_VERSION = 2
@@ -87,9 +82,11 @@ def _unit_rows(rows, slots, weights, n_rows: int, embedding_dim: int) -> np.ndar
 
     Each slot adds its weights in ascending order, whatever order they come in.
     """
-    order = np.lexsort((weights, slots, rows))
-    keys = rows[order] * embedding_dim + slots[order].astype(np.int64)
+    order = np.argsort(weights, kind="stable")
+    keys = rows[order] * embedding_dim
+    np.add(keys, slots[order], out=keys, casting="unsafe")  # slots are integral floats
     vecs = np.bincount(keys, weights[order], minlength=n_rows * embedding_dim)  # int if empty
+    del order, keys
     vecs = vecs.astype(np.float64, copy=False).reshape(n_rows, embedding_dim)
     norms = np.linalg.norm(vecs, axis=-1, keepdims=True)
     return np.divide(vecs, norms, out=vecs, where=norms > 0.0)
@@ -99,7 +96,7 @@ def featurize(text: str, embedding_dim: int, hash_seed: int) -> np.ndarray:
     """Hashed bag-of-terms vector, L2-normalized (all-zero stays zero).
 
     Each distinct term adds ln(1 + tf) with a hash-derived sign at a hash-derived
-    slot, in ascending (slot, weight) order, so the row is independent of token
+    slot, each slot in ascending weight order, so the row is independent of token
     order and equals ``RerankerModel.doc_rows`` of the same text bit for bit.
     """
     counts = Counter(tokenize(text))
@@ -125,11 +122,9 @@ class RerankerModel:
         self.embedding_dim = embedding_dim
         self.hash_seed = hash_seed
         eye = np.eye(embedding_dim, dtype=np.float64)
-        self.query_projection = (
-            eye.copy() if query_projection is None else np.asarray(query_projection, float)
-        )
-        self.doc_projection = (
-            eye.copy() if doc_projection is None else np.asarray(doc_projection, float)
+        self.query_projection, self.doc_projection = (
+            eye.copy() if w is None else np.asarray(w, float)
+            for w in (query_projection, doc_projection)
         )
         if self.query_projection.shape != eye.shape or self.doc_projection.shape != eye.shape:
             raise ValueError(f"projections must be {embedding_dim}x{embedding_dim}")
@@ -147,22 +142,11 @@ class RerankerModel:
     ) -> "RerankerModel":
         """Scaled-identity initialization; scale 1 is plain hashed-lexical similarity."""
         eye = np.eye(embedding_dim, dtype=np.float64)
-        return cls(
-            embedding_dim,
-            hash_seed,
-            query_projection=eye * query_scale,
-            doc_projection=eye * doc_scale,
-        )
+        return cls(embedding_dim, hash_seed, eye * query_scale, eye * doc_scale)
 
     def copy(self) -> "RerankerModel":
-        return RerankerModel(
-            self.embedding_dim,
-            self.hash_seed,
-            self.query_projection.copy(),
-            self.doc_projection.copy(),
-            self.bias,
-            self.step,
-        )
+        projections = self.query_projection.copy(), self.doc_projection.copy()
+        return RerankerModel(self.embedding_dim, self.hash_seed, *projections, self.bias, self.step)
 
     def featurize(self, text: str) -> np.ndarray:
         return featurize(text, self.embedding_dim, self.hash_seed)
@@ -179,21 +163,20 @@ class RerankerModel:
             self._table = index, terms, np.full((len(terms), 2), np.nan)
         _, terms, table = self._table
         dim, seed = self.embedding_dim, self.hash_seed
-        wanted = np.zeros(index.doc_count, dtype=bool)
-        wanted[ordinals] = True
-        hit = np.flatnonzero(wanted[index.ordinals])
-        row_of = np.empty(index.doc_count, dtype=np.int64)
+        row_of = np.full(index.doc_count, -1, dtype=np.int64)
         row_of[ordinals] = np.arange(len(ordinals))
+        hit = np.flatnonzero(row_of[index.ordinals] >= 0)
         term_ids = np.searchsorted(index.offsets, hit, side="right") - 1
         new = np.unique(term_ids[np.isnan(table[term_ids, 0])]).tolist()
         table[new] = np.reshape([_slot_sign(terms[t], dim, seed) for t in new], (-1, 2))
-        slots, signs = table[term_ids].T
-        weights = signs * _log1p(index.tfs[hit])
-        return _unit_rows(row_of[index.ordinals[hit]], slots, weights, len(ordinals), dim)
+        slots, weights = table[term_ids, 0], table[term_ids, 1] * _log1p(index.tfs[hit])
+        rows = row_of[index.ordinals[hit]]
+        del hit, row_of, term_ids  # per-posting temporaries, freed before the dense rows
+        return _unit_rows(rows, slots, weights, len(ordinals), dim)
 
     def scores(self, query_text: str, index: PostingsIndex, ordinals: Sequence[int]) -> np.ndarray:
         """Score of the index's documents at ``ordinals`` against the query, featurized once."""
-        return _project(self, self.featurize(query_text), self.doc_rows(index, ordinals))[2]
+        return _fold(self, self.featurize(query_text), self.doc_rows(index, ordinals))[1]
 
 
 def softmax_normalize(scores, tau: float) -> np.ndarray:
@@ -229,18 +212,15 @@ class RerankerGradient:
     d_bias: float
 
 
-def _project(
-    model: RerankerModel, qv: np.ndarray, dv: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """u = Wq q, the rows of V = D Wd^T, and the logits V u + bias.
+def _fold(model: RerankerModel, qv: np.ndarray, dv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u = Wq q, and the logits D w + bias, the query folded into w = Wd^T u.
 
-    ``qv`` is one query row (E,) with ``dv`` (C, E), or a stack (S, E) with
-    (S, C, E). Training and inference both score through here, so they
-    compute the same numbers the same way.
+    ``qv`` is one query row (E,) with ``dv`` (C, E), or a stack (S, E) with (S, C, E).
+    Training and inference both score through here, one dot product per document row.
     """
     u = np.matmul(model.query_projection, qv[..., None])[..., 0]
-    v = dv @ model.doc_projection.T
-    return u, v, np.matmul(v, u[..., None])[..., 0] + model.bias
+    w = np.matmul(model.doc_projection.T, u[..., None])
+    return u, np.matmul(dv, w)[..., 0] + model.bias
 
 
 def _batch(
@@ -279,13 +259,13 @@ def _batch_loss_gradient(
 ) -> tuple[np.ndarray, RerankerGradient]:
     """Each set's KL(Q || P), and the gradient of their sum, in one array pass."""
     qv, dv, mask, q = batch
-    u, v, logits = _project(model, qv, dv)
+    u, logits = _fold(model, qv, dv)
     p = softmax_normalize(np.where(mask, logits, -np.inf), tau2)
     # dKL/dlogit_i = (P_i - Q_i) / tau2, pushed through the bilinear form; pads have P = Q = 0.
-    g = ((p - q) / tau2)[:, None, :]
-    d_query = (g @ v)[:, 0].T @ qv
-    d_doc = u.T @ (g @ dv)[:, 0]
-    return kl_loss(q, p), RerankerGradient(d_query, d_doc, float(g.sum()))
+    g = (p - q) / tau2
+    gd = np.matmul(g[:, None, :], dv)[:, 0]  # (S, E): each set's g^T D
+    d_query = (gd @ model.doc_projection.T).T @ qv
+    return kl_loss(q, p), RerankerGradient(d_query, u.T @ gd, float(g.sum()))
 
 
 def loss_gradient(
@@ -296,9 +276,7 @@ def loss_gradient(
     index: PostingsIndex,
 ) -> tuple[float, RerankerGradient]:
     """Analytic KL loss and gradient for one candidate set: training's pass with S = 1."""
-    losses, grad = _batch_loss_gradient(
-        model, _batch(model, [candidate_set], index, tau1), tau2
-    )
+    losses, grad = _batch_loss_gradient(model, _batch(model, [candidate_set], index, tau1), tau2)
     return float(losses[0]), grad
 
 
@@ -365,6 +343,46 @@ def build_candidate_set(
     return CandidateSet(record.example_id, j, record.question, doc_ids, scores)
 
 
+def rerank_batch(
+    index: PostingsIndex,
+    model: RerankerModel | Sequence[Scorer],
+    questions: Sequence[str],
+    kappa_star: int = DEFAULT_KAPPA_STAR,
+    k: int = 1,
+) -> list[list[ScoredDoc]]:
+    """Two-stage retrieval of each question: BM25 top-kappa_star, then rerank and keep top-k.
+
+    Every question is retrieved first; the first with no candidate raises
+    EmptyCandidates. A RerankerModel builds the rows of all candidates once,
+    then folds each question with its own mat-vec, so a question's scores do
+    not depend on the others. ``model`` may instead be one (doc_id, doc_text,
+    query_text) -> score callable per question. Ties break by ascending doc_id.
+    """
+    if not 1 <= k <= kappa_star:
+        raise ValueError(f"need kappa_star >= k >= 1, got kappa_star={kappa_star} k={k}")
+    tops = [top_ordinals(index, bm25_scores(index, tokenize(q)), kappa_star) for q in questions]
+    for question, top in zip(questions, tops):
+        if not len(top):
+            raise EmptyCandidates(question)
+    if isinstance(model, RerankerModel):
+        union = np.unique(np.concatenate([np.empty(0, np.int64), *tops]))
+        rows = model.doc_rows(index, union)
+        scores = [
+            _fold(model, model.featurize(q), rows[np.searchsorted(union, top)])[1].tolist()
+            for q, top in zip(questions, tops)
+        ]
+    else:
+        scores = [
+            [scorer(index.doc_ids[o], index.documents[o].text, q) for o in top.tolist()]
+            for scorer, q, top in zip(model, questions, tops)
+        ]
+    rescored = (
+        sorted((-score, index.doc_ids[o]) for score, o in zip(row, top.tolist()))
+        for row, top in zip(scores, tops)
+    )
+    return [[ScoredDoc(d, -neg, rank) for rank, (neg, d) in enumerate(r[:k], 1)] for r in rescored]
+
+
 def rerank_inference(
     index: PostingsIndex,
     model: RerankerModel | Scorer,
@@ -372,27 +390,9 @@ def rerank_inference(
     kappa_star: int = DEFAULT_KAPPA_STAR,
     k: int = 1,
 ) -> list[ScoredDoc]:
-    """Two-stage retrieval: BM25 top-kappa_star, then rerank and keep top-k.
-
-    ``model`` may be a RerankerModel, which scores all candidates in one
-    ``RerankerModel.scores`` call, or any (doc_id, doc_text, query_text)
-    -> score callable. Output is always a subset of the BM25 candidates;
-    ties break by ascending doc_id.
-    """
-    if not 1 <= k <= kappa_star:
-        raise ValueError(f"need kappa_star >= k >= 1, got kappa_star={kappa_star} k={k}")
-    top = top_ordinals(index, bm25_scores(index, tokenize(question)), kappa_star)
-    if not len(top):
-        raise EmptyCandidates(question)
-    if isinstance(model, RerankerModel):
-        scores = model.scores(question, index, top).tolist()
-    else:
-        scores = [model(index.doc_ids[o], index.documents[o].text, question) for o in top.tolist()]
-    rescored = sorted((-score, index.doc_ids[o]) for score, o in zip(scores, top.tolist()))
-    return [
-        ScoredDoc(doc_id=doc_id, score=-neg, rank=rank)
-        for rank, (neg, doc_id) in enumerate(rescored[:k], start=1)
-    ]
+    """``rerank_batch`` of one question, scored by a RerankerModel or one scorer callable."""
+    scorers = model if isinstance(model, RerankerModel) else [model]
+    return rerank_batch(index, scorers, [question], kappa_star, k)[0]
 
 
 def _finite(value) -> float:

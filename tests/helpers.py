@@ -334,6 +334,6 @@ def reference_rerank_inference(index, model, question, kappa_star, k) -> list[Sc
     candidates = retrieve(index, question, kappa_star)
     docs = np.stack([featurize(index.document(sd.doc_id).text, dim, seed) for sd in candidates])
     u = model.query_projection @ featurize(question, dim, seed)
-    logits = (docs @ model.doc_projection.T) @ u + model.bias
+    logits = docs @ (model.doc_projection.T @ u) + model.bias  # the query side folded, as scored
     rescored = sorted((-score, sd.doc_id) for score, sd in zip(logits.tolist(), candidates))
     return [ScoredDoc(doc_id, -neg, rank) for rank, (neg, doc_id) in enumerate(rescored[:k], 1)]

@@ -336,6 +336,40 @@ class TestRerankInferOptions:
         row = json.loads(out.read_text())
         assert row["doc_ids"] == ["med-009"]
 
+    def test_model_with_score_file_is_one_line_and_writes_nothing(self, pipeline, tmp_path):
+        """Two scorers for one run: the checkpoint would be loaded, listed and never used."""
+        paths, _, _ = pipeline
+        score_file = tmp_path / "scores.jsonl"
+        score_file.write_text(json.dumps({"id": "ex-01", "doc_id": "med-009", "score": 1.0}) + "\n")
+        out = tmp_path / "out.jsonl"
+        proc = run_cli(
+            "rerank-infer", "--index", str(paths["index"]),
+            "--questions", str(DATA_DIR / "rationales.jsonl"), "--model", str(paths["model"]),
+            "--score-file", str(score_file), "--out", str(out), "--kappa-star", "10",
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "error: --model and --score-file are two scorers: pass only one"
+        ], proc.stderr
+        assert list(tmp_path.iterdir()) == [score_file]
+
+    def test_question_line_is_the_same_alone_and_in_the_full_file(self, pipeline, tmp_path):
+        """A question's scores do not depend on the other questions of its file."""
+        paths, steps, _ = pipeline
+        full = paths["retrieved"].read_bytes().splitlines(keepends=True)
+        lines = (DATA_DIR / "rationales.jsonl").read_bytes().splitlines(keepends=True)
+        assert len(full) == len(lines) > 1
+        infer = list(next(step for step in steps if step[0] == "rerank-infer"))
+        for n, (line, want) in enumerate(zip(lines, full)):
+            questions, out = tmp_path / f"q{n}.jsonl", tmp_path / f"out{n}.jsonl"
+            questions.write_bytes(line)
+            argv = list(infer)
+            argv[argv.index("--questions") + 1] = str(questions)
+            argv[argv.index("--out") + 1] = str(out)
+            proc = run_cli(*argv)
+            assert proc.returncode == 0, proc.stderr
+            assert out.read_bytes() == want
+
 
     @pytest.mark.parametrize(
         "content, expected",

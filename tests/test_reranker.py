@@ -26,6 +26,7 @@ from radkit.reranker import (
     load_model,
     loss_gradient,
     read_candidates_jsonl,
+    rerank_batch,
     rerank_inference,
     save_model,
     serialize_model,
@@ -515,6 +516,62 @@ class TestRerankInference:
         model = RerankerModel.identity()
         with pytest.raises(ValueError):
             rerank_inference(med_index, model, "fever", kappa_star=2, k=3)
+
+
+FIXTURE_QUESTIONS = [r.question for r in ingest_rationales(DATA_DIR / "rationales.jsonl")] + [
+    d.text for d in load_corpus_jsonl(DATA_DIR / "corpus.jsonl")
+]
+NO_HIT_QUESTIONS = ["zzzz qqqq", "xylophone quokka"]
+
+
+def _bits(ranked):
+    return [(sd.doc_id, sd.score.hex(), sd.rank) for sd in ranked]
+
+
+def _length_scorer(doc_id, doc_text, query):
+    return float((len(doc_text) * len(query)) % 7)
+
+
+class TestRerankBatch:
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_entry_equals_the_question_asked_alone(self, med_index, data):
+        """Shuffled fixture questions, repeats allowed: each entry is its one-question call."""
+        questions = data.draw(st.lists(st.sampled_from(FIXTURE_QUESTIONS), min_size=1, max_size=10))
+        kappa_star = data.draw(st.integers(1, 12))
+        k = data.draw(st.integers(1, kappa_star))
+        kind = data.draw(st.sampled_from(["random", "identity", "callable"]))
+        if kind == "random":
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            model = RerankerModel(24, 6, rng.normal(0, 1, (24, 24)), rng.normal(0, 1, (24, 24)), 0.3)
+        elif kind == "identity":
+            model = RerankerModel.identity(embedding_dim=32)
+        else:
+            model = _length_scorer
+        batch_model = model if kind != "callable" else [model] * len(questions)
+        batch = rerank_batch(med_index, batch_model, questions, kappa_star, k)
+        assert len(batch) == len(questions)
+        for question, ranked in zip(questions, batch):
+            alone = rerank_inference(med_index, model, question, kappa_star, k)
+            assert _bits(ranked) == _bits(alone)
+
+    @settings(
+        max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_first_question_without_hits_raises(self, med_index, data):
+        questions = data.draw(st.lists(st.sampled_from(FIXTURE_QUESTIONS), max_size=6))
+        for miss in NO_HIT_QUESTIONS:
+            questions.insert(data.draw(st.integers(0, len(questions))), miss)
+        first = next(q for q in questions if q in NO_HIT_QUESTIONS)
+        with pytest.raises(EmptyCandidates) as err:
+            rerank_batch(med_index, RerankerModel.identity(), questions, 10, 3)
+        assert str(err.value) == str(EmptyCandidates(first))
+
+    def test_no_questions_give_no_rows(self, med_index):
+        assert rerank_batch(med_index, RerankerModel.identity(), [], 10, 3) == []
 
 
 class TestModelSerialization:
