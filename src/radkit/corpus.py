@@ -11,18 +11,22 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DuplicateDocId, EmptyDocument, InvalidOrdinal, UnknownFormatVersion
-from .records import arrays_bytes, atomic_write, read_arrays, read_jsonl
+from .records import arrays_bytes, atomic_write, field, read_arrays, read_jsonl
 
-INDEX_FORMAT_VERSION = 2
+INDEX_FORMAT_VERSION = 3
 TOKENIZER_VERSION = "lower-alnum-2"
 
 DEFAULT_K1 = 0.9
 DEFAULT_B = 0.4
+
+# The index file's CSR members, all int32.
+_ARRAYS = ("offsets", "ordinals", "tfs", "doc_lengths")
 
 # Unicode alphanumeric runs; underscore is a separator like any other punctuation.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -66,15 +70,19 @@ class PostingsIndex:
     strictly ascending; ordinals follow corpus input order. ``tfs`` and
     ``impacts`` run parallel to ``ordinals``: a posting's BM25 contribution
     is ``idf * tf * (k1 + 1) / (tf + norm)``, evaluated in that order. The
-    source documents are embedded so downstream stages can resolve passage
-    texts from the index file alone. Arrays that do not fit the documents
-    and terms, a tf or length below 1, k1 < 0, b outside [0, 1] or a
+    source passages are embedded as three lists indexed by ordinal,
+    ``doc_ids``, ``titles`` and ``texts``, so downstream stages can resolve
+    passage texts from the index file alone; ``document(doc_id)`` builds one
+    ``Document`` from them. Arrays that are not 1-D int32 or do not fit the
+    passages and terms, a tf or length below 1, k1 < 0, b outside [0, 1] or a
     non-finite k1 or b raise ValueError, whether the index is built or loaded.
     """
 
     def __init__(
         self,
-        documents: list[Document],
+        doc_ids: list[str],
+        titles: list[str],
+        texts: list[str],
         vocabulary: dict[str, int],
         offsets: np.ndarray,
         ordinals: np.ndarray,
@@ -83,8 +91,13 @@ class PostingsIndex:
         k1: float,
         b: float,
     ):
-        _check_fit(len(documents), len(vocabulary), offsets, ordinals, tfs, doc_lengths, k1, b)
-        self.documents = documents
+        _check_fit(
+            len(doc_ids), len(titles), len(texts), len(vocabulary),
+            offsets, ordinals, tfs, doc_lengths, k1, b,
+        )
+        self.doc_ids = doc_ids
+        self.titles = titles
+        self.texts = texts
         self.vocabulary = vocabulary
         self.offsets = offsets
         self.ordinals = ordinals
@@ -92,35 +105,52 @@ class PostingsIndex:
         self.doc_lengths = doc_lengths
         self.k1 = k1
         self.b = b
-        self.doc_count = len(documents)
+        self.doc_count = len(doc_ids)
         self.avg_doc_length = int(doc_lengths.sum()) / self.doc_count
-        self.doc_ids = [d.doc_id for d in documents]
-        self._ordinal_by_id = {d.doc_id: i for i, d in enumerate(documents)}
         # Rank of each ordinal's doc_id in ascending string order, the tie-break.
-        self.doc_id_rank = np.argsort(sorted(range(self.doc_count), key=self.doc_ids.__getitem__))
+        self.doc_id_rank = np.argsort(sorted(range(self.doc_count), key=doc_ids.__getitem__))
         self.postings = _Rows(offsets, ordinals)
         # idf by math.log, not np.log, once per distinct document frequency.
         n, df = self.doc_count, np.diff(offsets)
-        distinct, of_term = np.unique(df, return_inverse=True)
-        idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in distinct.tolist()])
+        idf_of_df = np.bincount(df).astype(np.float64)
+        distinct = np.flatnonzero(idf_of_df)
+        idf_of_df[distinct] = [math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in distinct.tolist()]
         norm = k1 * (1.0 - b + b * doc_lengths / self.avg_doc_length)
-        self.impacts = np.repeat(idf[of_term], df) * tfs * (k1 + 1.0) / (tfs + norm[ordinals])
+        # idf * tf * (k1 + 1) / (tf + norm), in place: the same bits, fewer temporaries.
+        impacts = np.repeat(idf_of_df[df], df)
+        impacts *= tfs
+        impacts *= k1 + 1.0
+        denominator = norm[ordinals]
+        denominator += tfs
+        impacts /= denominator
+        self.impacts = impacts
+
+    @cached_property
+    def _ordinal_by_id(self) -> dict[str, int]:
+        return {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
 
     def ordinal(self, doc_id: str) -> int:
         return self._ordinal_by_id[doc_id]
 
     def document(self, doc_id: str) -> Document:
-        return self.documents[self._ordinal_by_id[doc_id]]
+        o = self._ordinal_by_id[doc_id]
+        return Document(doc_id, self.titles[o], self.texts[o])
 
 
-def _check_fit(n_docs, n_terms, offsets, ordinals, tfs, doc_lengths, k1, b) -> None:
-    """Raise ValueError unless the CSR arrays fit the documents and terms and k1, b are valid."""
+def _check_fit(n_docs, n_titles, n_texts, n_terms, offsets, ordinals, tfs, doc_lengths, k1, b):
+    """Raise ValueError unless the CSR arrays are 1-D int32 and fit the passages and terms,
+    the passages have one title and one text each, and k1, b are valid."""
     if not (math.isfinite(k1) and k1 >= 0.0):
         raise ValueError(f"k1 must be finite and >= 0, got {k1}")
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"b must lie in [0, 1], got {b}")
     if n_docs == 0:
         raise ValueError("cannot index an empty corpus")
+    if not n_titles == n_texts == n_docs:
+        raise ValueError(f"{n_titles} titles and {n_texts} texts for {n_docs} documents")
+    for name, a in zip(_ARRAYS, (offsets, ordinals, tfs, doc_lengths)):
+        if a.dtype != np.int32 or a.ndim != 1:
+            raise ValueError(f"{name} must be a 1-D int32 array, got {a.ndim}-D {a.dtype}")
     if len(doc_lengths) != n_docs:
         raise ValueError(f"{len(doc_lengths)} document lengths for {n_docs} documents")
     if len(offsets) != n_terms + 1:
@@ -172,7 +202,11 @@ def build_index(
     keys, tfs = np.unique(keys, return_counts=True)
     offsets = np.searchsorted(keys, np.arange(len(vocabulary) + 1, dtype=np.int64) * n)
     ordinals, tfs, offsets = (a.astype(np.int32) for a in (keys % n, tfs, offsets))
-    return PostingsIndex(list(docs), vocabulary, offsets, ordinals, tfs, doc_lengths, k1, b)
+    doc_ids, titles = [d.doc_id for d in docs], [d.title for d in docs]
+    texts = [d.text for d in docs]
+    return PostingsIndex(
+        doc_ids, titles, texts, vocabulary, offsets, ordinals, tfs, doc_lengths, k1, b
+    )
 
 
 def bm25_scores(index: PostingsIndex, query_terms: list[str]) -> np.ndarray:
@@ -220,10 +254,16 @@ def retrieve(index: PostingsIndex, query: str, k: int) -> list[ScoredDoc]:
     ]
 
 
+def _utf8(value) -> str:
+    """``str(value)``; a string UTF-8 cannot encode (a lone surrogate) raises ValueError."""
+    text = str(value)
+    text.encode("utf-8")
+    return text
+
+
 def _document(obj: dict) -> Document:
-    return Document(
-        doc_id=str(obj["id"]), title=str(obj.get("title", "")), text=str(obj["text"])
-    )
+    obj.setdefault("title", "")
+    return Document(*(field(obj, name, _utf8) for name in ("id", "title", "text")))
 
 
 def load_corpus_jsonl(path: str | Path) -> list[Document]:
@@ -237,36 +277,59 @@ def check_corpus_jsonl(path: str | Path) -> None:
     read_jsonl(path, lambda obj: _checked_tokens(_document(obj), seen))
 
 
-_ARRAYS = ("offsets", "ordinals", "tfs", "doc_lengths")
-
-
 def serialize_index(index: PostingsIndex) -> bytes:
-    """Index format 2: an array file of the int32 CSR arrays.
+    """Index format 3: an array file of the int32 CSR arrays and the passage texts.
 
-    Its ``meta`` holds the build parameters, the terms in id order and the
-    documents as [id, title, text] triples. Impacts are recomputed at load.
+    The texts are one UTF-8 ``uint8`` member ``texts``, cut by the int64
+    code-point offsets ``text_offsets``. Its ``meta`` holds the build
+    parameters, the terms in id order, and the passage ids and titles.
+    Impacts are recomputed at load.
     """
     meta = {
         "format_version": INDEX_FORMAT_VERSION,
         "build_params": {"tokenizer_version": TOKENIZER_VERSION, "k1": index.k1, "b": index.b},
         "terms": sorted(index.vocabulary, key=index.vocabulary.get),
-        "documents": [[d.doc_id, d.title, d.text] for d in index.documents],
+        "doc_ids": index.doc_ids,
+        "titles": index.titles,
     }
-    return arrays_bytes(meta, {name: getattr(index, name) for name in _ARRAYS})
+    text_offsets = np.zeros(index.doc_count + 1, dtype=np.int64)
+    np.cumsum([len(text) for text in index.texts], out=text_offsets[1:])
+    texts = np.frombuffer("".join(index.texts).encode("utf-8"), dtype=np.uint8)
+    arrays = {name: getattr(index, name) for name in _ARRAYS}
+    return arrays_bytes(meta, {**arrays, "texts": texts, "text_offsets": text_offsets})
+
+
+def _texts(blob: np.ndarray, offsets: np.ndarray, n_docs: int) -> list[str]:
+    """The passage texts: ``blob`` decoded once, cut at the code-point ``offsets``.
+
+    Raises ValueError unless ``blob`` is 1-D uint8 UTF-8 and ``offsets`` are
+    1-D int64, ``n_docs + 1`` of them, running from 0 up to the decoded length.
+    """
+    if blob.dtype != np.uint8 or blob.ndim != 1:
+        raise ValueError(f"texts must be a 1-D uint8 array, got {blob.ndim}-D {blob.dtype}")
+    if offsets.dtype != np.int64 or offsets.ndim != 1 or len(offsets) != n_docs + 1:
+        raise ValueError(f"text_offsets must be {n_docs + 1} int64 values")
+    joined = str(blob.data, "utf-8")
+    if offsets[0] != 0 or offsets[-1] != len(joined) or np.any(np.diff(offsets) < 0):
+        raise ValueError("text_offsets must run non-decreasing from 0 to the text length")
+    bounds = offsets.tolist()
+    return [joined[i:j] for i, j in zip(bounds, bounds[1:])]
 
 
 def _index(meta: dict, members) -> PostingsIndex:
     params = meta["build_params"]
     if params["tokenizer_version"] != TOKENIZER_VERSION:
         raise UnknownFormatVersion(params["tokenizer_version"], TOKENIZER_VERSION, "tokenizer")
-    documents = [Document(*d) for d in meta["documents"]]
-    vocabulary = {term: i for i, term in enumerate(meta["terms"])}
+    doc_ids, titles = meta["doc_ids"], meta["titles"]
+    texts = _texts(members["texts"], members["text_offsets"], len(doc_ids))
+    vocabulary = dict(zip(meta["terms"], range(len(meta["terms"]))))
     arrays = (members[name] for name in _ARRAYS)
-    return PostingsIndex(documents, vocabulary, *arrays, float(params["k1"]), float(params["b"]))
+    k1, b = float(params["k1"]), float(params["b"])
+    return PostingsIndex(doc_ids, titles, texts, vocabulary, *arrays, k1, b)
 
 
 def deserialize_index(data: bytes) -> PostingsIndex:
-    """Read format 2. Any other file, format 1's JSON included, raises UnknownFormatVersion."""
+    """Read format 3. Any other file, formats 1 and 2 included, raises UnknownFormatVersion."""
     return read_arrays(data, INDEX_FORMAT_VERSION, _index)
 
 

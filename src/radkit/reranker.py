@@ -373,7 +373,7 @@ def rerank_batch(
         ]
     else:
         scores = [
-            [scorer(index.doc_ids[o], index.documents[o].text, q) for o in top.tolist()]
+            [scorer(index.doc_ids[o], index.texts[o], q) for o in top.tolist()]
             for scorer, q, top in zip(model, questions, tops)
         ]
     rescored = (

@@ -34,6 +34,7 @@ from radkit.corpus import (
     tokenize,
 )
 from radkit.errors import DuplicateDocId, EmptyDocument
+from radkit.records import arrays_bytes
 from radkit.reranker import CandidateSet, RerankerModel, featurize
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -44,6 +45,22 @@ FORMAT_1_INDEX = (
     b'"doc_lengths":[1],"documents":[{"id":"a","text":"alpha","title":""}],'
     b'"format_version":1,"postings":[[[0,1]]],"terms":["alpha"]}'
 )
+
+
+def format_2_index(data: bytes) -> bytes:
+    """A format-3 index file rewritten as format 2 wrote it: every text in ``meta``."""
+    with np.load(io.BytesIO(data)) as members:
+        arrays = {name: members[name] for name in ("offsets", "ordinals", "tfs", "doc_lengths")}
+        meta = json.loads(members["meta"].tobytes())
+        joined, bounds = members["texts"].tobytes().decode(), members["text_offsets"].tolist()
+    texts = [joined[i:j] for i, j in zip(bounds, bounds[1:])]
+    meta = {
+        "format_version": 2,
+        "build_params": meta["build_params"],
+        "terms": meta["terms"],
+        "documents": [list(doc) for doc in zip(meta["doc_ids"], meta["titles"], texts)],
+    }
+    return arrays_bytes(meta, arrays)
 
 
 def npz_bytes(**arrays) -> bytes:
@@ -156,7 +173,9 @@ def reference_build_index(
     offsets = np.zeros(len(vocabulary) + 1, dtype=np.int32)
     np.cumsum(np.bincount(term_ids, minlength=len(vocabulary)), out=offsets[1:])
     lengths = np.array(doc_lengths, dtype=np.int32)
-    return PostingsIndex(list(docs), vocabulary, offsets, ordinals, tfs, lengths, k1, b)
+    doc_ids, titles = [d.doc_id for d in docs], [d.title for d in docs]
+    texts = [d.text for d in docs]
+    return PostingsIndex(doc_ids, titles, texts, vocabulary, offsets, ordinals, tfs, lengths, k1, b)
 
 
 def text_index(doc_texts: dict[str, str]) -> PostingsIndex:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import radkit
-from helpers import DATA_DIR, FORMAT_1_INDEX, with_meta
+from helpers import DATA_DIR, FORMAT_1_INDEX, format_2_index, with_meta
 
 
 def run_cli(*args, cwd=None, timeout=None):
@@ -180,20 +180,44 @@ class TestIndexCommand:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines() == [
-            f"error: {index}: unknown file format version 1 (expected 2)"
+            f"error: {index}: unknown file format version 1 (expected 3)"
         ], proc.stderr
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "emit-train --index {index} --rationales {rationales} --out {out}",
+            "candidates --index {index} --rationales {rationales} --out {out}",
+            "rerank-train --index {index} --candidates {cands} --out {out}",
+            "rerank-infer --index {index} --questions {rationales} --out {out}",
+            "eval --index {index} --rationales {rationales} --retrieved {retrieved} --out {out}",
+        ],
+        ids=["emit-train", "candidates", "rerank-train", "rerank-infer", "eval"],
+    )
+    def test_format_2_index_is_one_error_line(self, pipeline, tmp_path, command):
+        """An index written before the texts moved out of ``meta`` must be rebuilt."""
+        paths, _, _ = pipeline
+        index, out = tmp_path / "index.npz", tmp_path / "out"
+        index.write_bytes(format_2_index(paths["index"].read_bytes()))
+        where = {**paths, "index": index, "out": out, "rationales": DATA_DIR / "rationales.jsonl"}
+        proc = run_cli(*command.format(**where).split())
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"error: {index}: unknown file format version 2 (expected 3)"
+        ], proc.stderr
+        assert not out.exists()
 
     def test_index_without_documents_is_one_error_line(self, pipeline, tmp_path):
         paths, _, _ = pipeline
         index = tmp_path / "index.npz"
-        index.write_bytes(with_meta(paths["index"].read_bytes(), lambda m: m.update(documents=[])))
+        index.write_bytes(with_meta(paths["index"].read_bytes(), lambda m: m.update(doc_ids=[])))
         proc = run_cli(
             "rerank-infer", "--index", str(index), "--questions", str(DATA_DIR / "rationales.jsonl"),
             "--out", str(tmp_path / "out.jsonl"), "--kappa-star", "10",
         )
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [
-            f"error: {index}: unknown file format version None (expected 2)"
+            f"error: {index}: unknown file format version None (expected 3)"
         ], proc.stderr
 
 
@@ -802,6 +826,16 @@ MALFORMED_CASES = [
         "corpus", b'{"id": "d2", "text": "..."}', "document 'd2' has no tokens",
         id="corpus-no-tokens",
     ),
+] + [
+    # A lone surrogate parses as JSON but cannot be written back as UTF-8.
+    pytest.param(
+        "corpus",
+        json.dumps({"id": "d2", "title": "t", "text": "cough", field: "fever \ud800"}).encode(),
+        f'field "{field}": \'utf-8\' codec can\'t encode character \'\\ud800\'',
+        id=f"corpus-{field}-lone-surrogate",
+    )
+    for field in ("id", "title", "text")
+] + [
     pytest.param(
         "rationales",
         json.dumps({**JSONL_INPUTS["rationales"][0], "answer": "E"}).encode(),

@@ -1,5 +1,6 @@
 """Index construction and BM25 retrieval against an exhaustive oracle."""
 
+import io
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radkit.corpus import (
+    INDEX_FORMAT_VERSION,
     TOKENIZER_VERSION,
     Document,
     build_index,
@@ -30,7 +32,7 @@ from radkit.errors import (
     UnknownFormatVersion,
 )
 
-from radkit.reranker import load_model
+from radkit.reranker import MODEL_FORMAT_VERSION, load_model
 
 from helpers import (
     DATA_DIR,
@@ -339,6 +341,19 @@ class TestRetrieve:
         assert got == bm25_oracle_ranked(corpus, " ".join(query), k, k1, b)
 
 
+def _int32(edit):
+    """An edit of an int32 member whose result is stored as int32 again."""
+    return lambda a: edit(a).astype(np.int32)
+
+
+# Passages whose ids, titles and texts hold non-ASCII, astral and empty strings.
+UNICODE_DOCS = [
+    Document("", "", "émigré fever cough"),
+    Document("𝔘-1", "Fièvre 😀 𝔘𝔫𝔦", "𝔘𝔫𝔦𝔠𝔬𝔡𝔢 😀 malaria fever"),
+    Document("ü", "ÉTÉ", "été 42 x_y"),
+]
+
+
 class TestSerialization:
     def test_round_trip_preserves_retrieval(self):
         docs = load_corpus_jsonl(DATA_DIR / "corpus.jsonl")
@@ -357,7 +372,7 @@ class TestSerialization:
     def test_format_1_json_rejected(self):
         with pytest.raises(UnknownFormatVersion) as err:
             deserialize_index(FORMAT_1_INDEX)
-        assert str(err.value) == str(UnknownFormatVersion(1, 2))
+        assert str(err.value) == str(UnknownFormatVersion(1, INDEX_FORMAT_VERSION))
 
     def test_other_tokenizer_rejected_naming_both(self):
         data = serialize_index(build_index(FIVE_DOCS))
@@ -370,77 +385,107 @@ class TestSerialization:
         assert TOKENIZER_VERSION in str(err.value)
 
     @pytest.mark.parametrize(
-        "data",
+        "data, index_version",
         [
-            b"",
-            b"not an index\n",
-            b"{broken",
-            b"[1, 2]",
-            bytes(range(256)),
-            b"PK\x03\x04 truncated",
-            npy_bytes(np.arange(3)),
-            npz_bytes(offsets=np.arange(3)),
-            serialize_index(build_index(FIVE_DOCS))[:600],
-            with_meta(serialize_index(build_index(FIVE_DOCS)), lambda m: m.pop("build_params")),
-            npz_bytes(meta=np.frombuffer(b"[2]", dtype=np.uint8)),
+            *(
+                (data, None)
+                for data in (
+                    b"",
+                    b"not an index\n",
+                    b"{broken",
+                    b"[1, 2]",
+                    bytes(range(256)),
+                    b"PK\x03\x04 truncated",
+                    npy_bytes(np.arange(3)),
+                    npz_bytes(offsets=np.arange(3)),
+                    serialize_index(build_index(FIVE_DOCS))[:600],
+                )
+            ),
+            (
+                with_meta(serialize_index(build_index(FIVE_DOCS)), lambda m: m.pop("build_params")),
+                INDEX_FORMAT_VERSION,
+            ),
+            (npz_bytes(meta=np.frombuffer(b"[2]", dtype=np.uint8)), None),
         ],
         ids=[
             "empty", "text", "bad-json", "json-list", "binary", "bad-zip", "npy", "npz-no-meta",
             "truncated", "meta-without-params", "meta-not-an-object",
         ],
     )
-    def test_neither_format_is_a_radkit_error(self, tmp_path, data):
+    def test_neither_format_is_a_radkit_error(self, tmp_path, data, index_version):
+        """``index_version``: the version an index file names, which the model loader reports."""
         with pytest.raises(RadkitError):
             deserialize_index(data)
         path = tmp_path / "artifact"
         path.write_bytes(data)
-        for load in (load_index, load_model):
+        for load, found, version in (
+            (load_index, None, INDEX_FORMAT_VERSION),
+            (load_model, index_version, MODEL_FORMAT_VERSION),
+        ):
             with pytest.raises(UnknownFormatVersion) as err:
                 load(path)
-            assert str(err.value) == f"{path}: {UnknownFormatVersion(None, 2)}", load.__name__
+            want = UnknownFormatVersion(found, version)
+            assert str(err.value) == f"{path}: {want}", load.__name__
 
     @pytest.mark.parametrize(
         "change, arrays",
         [
-            (lambda m: m.update(documents=[]), {}),
-            (lambda m: m["documents"].pop(), {}),
+            (lambda m: m.update(doc_ids=[]), {}),
+            (lambda m: m["doc_ids"].pop(), {}),
             (lambda m: m["terms"].pop(), {}),
             (lambda m: m["terms"].append("zebra"), {}),
             (lambda m: m["build_params"].update(k1=math.nan), {}),
             (lambda m: m["build_params"].update(k1=-0.5), {}),
             (lambda m: m["build_params"].update(b=5.0), {}),
             (None, {"doc_lengths": lambda a: a[:-1]}),
-            (None, {"offsets": lambda a: np.r_[1, a[1:]]}),
-            (None, {"offsets": lambda a: np.r_[0, a[-1], a[2:]]}),
-            (None, {"offsets": lambda a: np.r_[a[:-1], a[-1] - 1]}),
+            (None, {"offsets": _int32(lambda a: np.r_[1, a[1:]])}),
+            (None, {"offsets": _int32(lambda a: np.r_[0, a[-1], a[2:]])}),
+            (None, {"offsets": _int32(lambda a: np.r_[a[:-1], a[-1] - 1])}),
             (None, {"tfs": lambda a: a[:-1]}),
-            (None, {"ordinals": lambda a: np.r_[a[:-1], 5]}),
-            (None, {"ordinals": lambda a: np.r_[-1, a[1:]]}),
-            (None, {"tfs": lambda a: np.r_[0, a[1:]]}),
-            (None, {"tfs": lambda a: np.r_[a[:-1], -1]}),
-            (None, {"doc_lengths": lambda a: np.r_[a[:-1], 0]}),
+            (None, {"ordinals": _int32(lambda a: np.r_[a[:-1], 5])}),
+            (None, {"ordinals": _int32(lambda a: np.r_[-1, a[1:]])}),
+            (None, {"tfs": _int32(lambda a: np.r_[0, a[1:]])}),
+            (None, {"tfs": _int32(lambda a: np.r_[a[:-1], -1])}),
+            (None, {"doc_lengths": _int32(lambda a: np.r_[a[:-1], 0])}),
             (None, {"doc_lengths": lambda a: 0 * a}),
+            (None, {"ordinals": lambda a: a.astype(np.float64)}),
+            (None, {"ordinals": lambda a: a.reshape(-1, 1)}),
+            (None, {"offsets": lambda a: a.astype(np.int64)}),
+            (None, {"doc_lengths": lambda a: a.reshape(-1, 1)}),
+            (lambda m: m["titles"].pop(), {}),
+            (None, {"texts": lambda a: a.astype(np.int8)}),
+            (None, {"texts": lambda a: a.reshape(1, -1)}),
+            (None, {"texts": lambda a: np.r_[a[:-1], 0xFF].astype(np.uint8)}),
+            (None, {"text_offsets": lambda a: a.astype(np.int32)}),
+            (None, {"text_offsets": lambda a: a[:-1]}),
+            (None, {"text_offsets": lambda a: np.r_[1, a[1:]]}),
+            (None, {"text_offsets": lambda a: np.r_[0, a[2], a[1], a[3:]]}),
+            (None, {"text_offsets": lambda a: np.r_[a[:-1], a[-1] + 1]}),
+            (None, {"text_offsets": lambda a: np.r_[a[:-1], a[-1] - 1]}),
         ],
         ids=[
             "no-documents", "one-document-short", "one-term-short", "one-term-extra", "k1-nan",
             "k1-negative", "b-above-one", "lengths-short", "offsets-from-1", "offsets-decrease",
             "offsets-short-of-postings", "tfs-short", "ordinal-past-end", "ordinal-negative",
-            "tf-zero", "tf-negative", "length-zero", "lengths-all-zero",
+            "tf-zero", "tf-negative", "length-zero", "lengths-all-zero", "ordinals-float64",
+            "ordinals-2d", "offsets-int64", "lengths-2d", "one-title-short", "texts-int8",
+            "texts-2d", "texts-not-utf8", "text-offsets-int32", "text-offsets-short",
+            "text-offsets-from-1", "text-offsets-decrease", "text-offsets-past-text",
+            "text-offsets-short-of-text",
         ],
     )
     def test_arrays_that_do_not_fit_meta_are_rejected(self, tmp_path, change, arrays):
-        index = build_index(FIVE_DOCS)
-        replaced = {
-            name: edit(getattr(index, name)).astype(np.int32) for name, edit in arrays.items()
-        }
+        data = serialize_index(build_index(FIVE_DOCS))
+        with np.load(io.BytesIO(data)) as members:
+            replaced = {name: edit(members[name]) for name, edit in arrays.items()}
         path = tmp_path / "index.npz"
-        path.write_bytes(with_meta(serialize_index(index), change or (lambda m: None), **replaced))
+        path.write_bytes(with_meta(data, change or (lambda m: None), **replaced))
         with pytest.raises(UnknownFormatVersion) as err:
             load_index(path)
-        assert str(err.value) == f"{path}: {UnknownFormatVersion(None, 2)}"
+        assert str(err.value) == f"{path}: {UnknownFormatVersion(None, INDEX_FORMAT_VERSION)}"
 
     def test_file_round_trip(self, tmp_path):
-        docs = load_corpus_jsonl(DATA_DIR / "corpus.jsonl")
+        docs = load_corpus_jsonl(DATA_DIR / "corpus.jsonl") + UNICODE_DOCS
         index = build_index(docs, k1=1.3, b=0.65)
         path = tmp_path / "index.json"
         save_index(index, path)
@@ -450,21 +495,27 @@ class TestSerialization:
             assert got.dtype == want.dtype, name
             assert np.array_equal(got, want), name
         assert clone.vocabulary == index.vocabulary
-        assert clone.documents == index.documents
+        for name in ("doc_ids", "titles", "texts"):
+            assert getattr(clone, name) == getattr(index, name), name
+        assert [clone.document(d.doc_id) for d in docs] == docs
         assert (clone.k1, clone.b, clone.avg_doc_length) == (1.3, 0.65, index.avg_doc_length)
-        for query in ["methimazole graves", "pregnancy nitrofurantoin", "malaria fever fever"]:
+        for query in [
+            "methimazole graves", "pregnancy nitrofurantoin", "malaria fever fever", "𝔘𝔫𝔦𝔠𝔬𝔡𝔢 été"
+        ]:
             assert retrieve(clone, query, 100) == retrieve(index, query, 100)
             terms = tokenize(query)
             for ordinal in range(index.doc_count):
                 assert bm25_score(clone, terms, ordinal) == bm25_score(index, terms, ordinal)
-        assert serialize_index(clone) == serialize_index(index)
+        assert serialize_index(clone) == path.read_bytes()
 
 
     @settings(max_examples=60, deadline=None)
     @given(
         texts=st.lists(
-            st.lists(st.sampled_from(["fever", "cough", "ÉTÉ", "x_y", "42"]), min_size=1).map(
-                " ".join
+            st.builds(
+                lambda words, tail: " ".join([*words, tail]),
+                st.lists(st.sampled_from(["fever", "cough", "ÉTÉ", "x_y", "42", "𝔘𝔫𝔦"]), min_size=1),
+                st.text(max_size=5),
             ),
             min_size=1,
             max_size=8,
@@ -481,10 +532,12 @@ class TestSerialization:
         clone = deserialize_index(data)
         for name in ("offsets", "ordinals", "tfs", "doc_lengths", "impacts"):
             assert getattr(clone, name).tobytes() == getattr(index, name).tobytes(), name
-        assert (clone.documents, clone.vocabulary) == (index.documents, index.vocabulary)
+        for name in ("doc_ids", "titles", "texts"):
+            assert getattr(clone, name) == getattr(index, name), name
+        assert clone.vocabulary == index.vocabulary
         assert (clone.k1, clone.b) == (k1, b)
         assert serialize_index(clone) == data
-        for query in ("fever", "cough été 42", "x y zebra"):
+        for query in ("fever", "cough été 42", "x y zebra 𝔲𝔫𝔦"):
             assert retrieve(clone, query, 3) == retrieve(index, query, 3)
 
 

@@ -503,7 +503,7 @@ class TestRerankInference:
             model = RerankerModel(
                 24, 6, rng.normal(0, 1, (24, 24)), rng.normal(0, 1, (24, 24)), bias=-0.5
             )
-            index, questions = med_index, [d.text for d in med_index.documents]
+            index, questions = med_index, med_index.texts
         else:
             model, sets, index = padded_fixture()
             questions = [cs.question for cs in sets]
