@@ -178,6 +178,9 @@ def cmd_rerank_train(args) -> int:
     trained, trace = train(
         model, sets, index, epochs=args.epochs, lr=args.lr, tau1=args.tau1, tau2=args.tau2
     )
+    epoch = next((e for e, loss in enumerate(trace) if not math.isfinite(loss)), None)
+    if epoch is not None:
+        raise ValueError(f"training diverged at epoch {epoch} (loss {trace[epoch]}); no model written")
     summary = f"trained {args.epochs} epochs, loss {trace[0]:.6f} -> {trace[-1]:.6f}"
     return _finish(args, [args.index, args.candidates], serialize_model(trained), summary)
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DuplicateDocId, EmptyDocument, InvalidOrdinal, UnknownFormatVersion
-from .records import arrays_bytes, atomic_write, field, read_arrays, read_jsonl
+from .records import arrays_bytes, atomic_write, read_arrays, read_jsonl
 
 INDEX_FORMAT_VERSION = 3
 TOKENIZER_VERSION = "lower-alnum-2"
@@ -254,16 +254,9 @@ def retrieve(index: PostingsIndex, query: str, k: int) -> list[ScoredDoc]:
     ]
 
 
-def _utf8(value) -> str:
-    """``str(value)``; a string UTF-8 cannot encode (a lone surrogate) raises ValueError."""
-    text = str(value)
-    text.encode("utf-8")
-    return text
-
-
 def _document(obj: dict) -> Document:
     obj.setdefault("title", "")
-    return Document(*(field(obj, name, _utf8) for name in ("id", "title", "text")))
+    return Document(*(str(obj[name]) for name in ("id", "title", "text")))
 
 
 def load_corpus_jsonl(path: str | Path) -> list[Document]:

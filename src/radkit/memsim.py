@@ -165,9 +165,8 @@ class MemorizedState:
 
     @property
     def total_bits(self) -> int:
-        N = len(self.lengths)
         stored = self.lengths[self.lengths >= 0]
-        return int(stored.sum()) + len(stored) * (ceil_log2(N) if N > 1 else 0)
+        return int(stored.sum()) + len(stored) * ceil_log2(len(self.lengths))
 
     @property
     def total_bits_plus_one(self) -> int:
@@ -253,8 +252,8 @@ def naive_bits(task: TaskInstance) -> int:
     if n == 0:
         return 0
     N, d = task.references.shape
-    index_bits = ceil_log2(N) if N > 1 else 0
-    length_bits = ceil_log2(d) if d > 1 else 0
+    index_bits = ceil_log2(N)
+    length_bits = ceil_log2(d)
     return int(task.training_len.sum()) + n * (1 + index_bits + length_bits)
 
 
@@ -332,7 +331,7 @@ def run_simulation(config: SimConfig) -> SimReport:
     min(N, n) * (m + ceil(log2 N)) on every trial.
     """
     m = min(compute_m(config.N, config.n, config.R, config.eps), config.d)
-    index_bits = ceil_log2(config.N) if config.N > 1 else 0
+    index_bits = ceil_log2(config.N)
     budget = min(config.N, config.n) * (m + index_bits)
     errors = np.zeros(3, dtype=np.int64)  # budgeted, optimal, naive
     bits = np.zeros((3, config.trials), dtype=np.int64)  # budgeted, its +1 accounting, naive

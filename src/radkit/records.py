@@ -30,10 +30,11 @@ T = TypeVar("T")
 def read_jsonl(path: str | Path, make: Callable[[dict], T]) -> list[T]:
     """One ``make(obj)`` per non-blank line of a JSONL file, in file order.
 
-    A line that is not UTF-8 or not a JSON object, a field ``make`` looks up
-    and does not find (KeyError), or a value it rejects (TypeError/ValueError)
-    raises ParseError with the file and line number. A RadkitError from
-    ``make`` keeps its type and gains the same location in its message.
+    A line that is not UTF-8 or not a JSON object, a string that UTF-8 cannot
+    encode (a lone surrogate escape such as ``"\\ud800"``), a field ``make``
+    looks up and does not find (KeyError), or a value it rejects
+    (TypeError/ValueError) raises ParseError with the file and line number.
+    A RadkitError from ``make`` keeps its type and gains the same location.
     """
     records = []
     with open(path, "rb") as fh:
@@ -50,6 +51,8 @@ def read_jsonl(path: str | Path, make: Callable[[dict], T]) -> list[T]:
                 raise ParseError(path, line_no, f"invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise ParseError(path, line_no, f"expected a JSON object, got {line.strip()[:40]}")
+            if b"\\u" in raw:  # UTF-8 holds no surrogate, so only an escape can spell one
+                _check_strings(obj, path, line_no)
             try:
                 records.append(make(obj))
             except KeyError as exc:
@@ -60,6 +63,20 @@ def read_jsonl(path: str | Path, make: Callable[[dict], T]) -> list[T]:
                 exc.args = (f"{path}: line {line_no}: {exc}",)
                 raise
     return records
+
+
+def _check_strings(obj: dict, path, line_no: int) -> None:
+    """Raise ParseError naming the first field of ``obj`` with a string UTF-8 cannot encode."""
+    try:
+        json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        for name, value in obj.items():
+            text = value if isinstance(value, str) else json.dumps(value, ensure_ascii=False)
+            try:
+                for part in (name, text):
+                    part.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ParseError(path, line_no, f'field "{name}": {exc}') from None
 
 
 def field(obj: dict, name: str, convert: Callable = lambda value: value, many: bool = False):

@@ -71,23 +71,25 @@ def _slot_sign(term: str, embedding_dim: int, hash_seed: int) -> tuple[int, floa
     return int.from_bytes(digest[:8], "little") % embedding_dim, 1.0 if digest[8] & 1 else -1.0
 
 
-def _log1p(tfs: np.ndarray) -> np.ndarray:
-    """ln(1 + tf) by math.log1p, once per distinct tf."""
-    distinct, inverse = np.unique(tfs, return_inverse=True)
-    return np.array([math.log1p(tf) for tf in distinct.tolist()])[inverse]
+def _unit_rows(rows, term_ids, tfs, terms, n_rows: int, dim: int, seed: int):
+    """(n_rows, dim) feature rows of (row, term id, tf) triples, each row L2-normalized.
 
-
-def _unit_rows(rows, slots, weights, n_rows: int, embedding_dim: int) -> np.ndarray:
-    """(n_rows, E) sums of ``weights`` at (row, integral slot), each row L2-normalized.
-
-    Each slot adds its weights in ascending order, whatever order they come in.
+    ``terms[t]`` is the text of term id ``t``. Each distinct term is hashed once;
+    each triple adds sign * ln(1 + tf) at its term's slot in its row, and each
+    slot adds its weights in ascending order, whatever order the triples come in.
     """
+    distinct_terms, term_of = np.unique(term_ids, return_inverse=True)
+    distinct_tfs, tf_of = np.unique(tfs, return_inverse=True)
+    table = np.reshape([_slot_sign(terms[t], dim, seed) for t in distinct_terms.tolist()], (-1, 2))
+    log1p = np.array([math.log1p(tf) for tf in distinct_tfs.tolist()])
+    slots, weights = table[term_of, 0], table[term_of, 1] * log1p[tf_of]
+    del term_ids, tfs, term_of, tf_of
     order = np.argsort(weights, kind="stable")
-    keys = rows[order] * embedding_dim
+    keys = rows[order] * dim
     np.add(keys, slots[order], out=keys, casting="unsafe")  # slots are integral floats
-    vecs = np.bincount(keys, weights[order], minlength=n_rows * embedding_dim)  # int if empty
-    del order, keys
-    vecs = vecs.astype(np.float64, copy=False).reshape(n_rows, embedding_dim)
+    vecs = np.bincount(keys, weights[order], minlength=n_rows * dim)  # int if empty
+    del rows, slots, weights, order, keys  # the triples go before the dense rows are normalized
+    vecs = vecs.astype(np.float64, copy=False).reshape(n_rows, dim)
     norms = np.linalg.norm(vecs, axis=-1, keepdims=True)
     return np.divide(vecs, norms, out=vecs, where=norms > 0.0)
 
@@ -100,9 +102,9 @@ def featurize(text: str, embedding_dim: int, hash_seed: int) -> np.ndarray:
     order and equals ``RerankerModel.doc_rows`` of the same text bit for bit.
     """
     counts = Counter(tokenize(text))
-    slots, signs = np.reshape([_slot_sign(t, embedding_dim, hash_seed) for t in counts], (-1, 2)).T
-    weights = signs * _log1p(np.fromiter(counts.values(), np.int64, len(counts)))
-    return _unit_rows(np.zeros(len(counts), np.int64), slots, weights, 1, embedding_dim)[0]
+    n, tfs = len(counts), np.fromiter(counts.values(), np.int64, len(counts))
+    zeros, ids = np.zeros(n, np.int64), np.arange(n)
+    return _unit_rows(zeros, ids, tfs, list(counts), 1, embedding_dim, hash_seed)[0]
 
 
 class RerankerModel:
@@ -130,7 +132,6 @@ class RerankerModel:
             raise ValueError(f"projections must be {embedding_dim}x{embedding_dim}")
         self.bias = float(bias)
         self.step = int(step)
-        self._table = None  # (index, terms by id, (n_terms, 2) slots and signs, NaN until hashed)
 
     @classmethod
     def identity(
@@ -155,24 +156,15 @@ class RerankerModel:
         """Feature rows (len(ordinals), E) of the index's documents at distinct ``ordinals``.
 
         Built from the postings, equal to ``featurize(doc.text)`` bit for bit.
-        A term is hashed the first time a row needs it; the model keeps
-        those slots and signs for the last index it scored.
         """
-        if self._table is None or self._table[0] is not index:
-            terms = sorted(index.vocabulary, key=index.vocabulary.get)
-            self._table = index, terms, np.full((len(terms), 2), np.nan)
-        _, terms, table = self._table
-        dim, seed = self.embedding_dim, self.hash_seed
         row_of = np.full(index.doc_count, -1, dtype=np.int64)
         row_of[ordinals] = np.arange(len(ordinals))
         hit = np.flatnonzero(row_of[index.ordinals] >= 0)
-        term_ids = np.searchsorted(index.offsets, hit, side="right") - 1
-        new = np.unique(term_ids[np.isnan(table[term_ids, 0])]).tolist()
-        table[new] = np.reshape([_slot_sign(terms[t], dim, seed) for t in new], (-1, 2))
-        slots, weights = table[term_ids, 0], table[term_ids, 1] * _log1p(index.tfs[hit])
-        rows = row_of[index.ordinals[hit]]
-        del hit, row_of, term_ids  # per-posting temporaries, freed before the dense rows
-        return _unit_rows(rows, slots, weights, len(ordinals), dim)
+        return _unit_rows(
+            row_of[index.ordinals[hit]], np.searchsorted(index.offsets, hit, side="right") - 1,
+            index.tfs[hit], sorted(index.vocabulary, key=index.vocabulary.get),
+            len(ordinals), self.embedding_dim, self.hash_seed,
+        )
 
     def scores(self, query_text: str, index: PostingsIndex, ordinals: Sequence[int]) -> np.ndarray:
         """Score of the index's documents at ``ordinals`` against the query, featurized once."""
@@ -190,7 +182,8 @@ def softmax_normalize(scores, tau: float) -> np.ndarray:
     top = z.max(axis=-1, keepdims=True, initial=-np.inf)
     if np.isneginf(top).any():
         raise ValueError("cannot normalize an empty score list")
-    e = np.exp(z - top)
+    with np.errstate(over="ignore"):  # a gap past the float range is -inf, and exp(-inf) is 0
+        e = np.exp(z - top)
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -295,7 +288,8 @@ def train(
     mean loss before training, entry e the mean loss after epoch e. Pass e
     takes entry e and the gradient at the same parameters, then applies
     update e + 1; the last pass updates nothing. Every pass scores all sets
-    at once, in a fixed order, so training is deterministic.
+    at once, in a fixed order, so training is deterministic. A run that
+    diverges warns about no overflow: its trace holds inf or NaN instead.
     """
     if not candidate_sets:
         raise ValueError("no candidate sets to train on")
@@ -307,14 +301,15 @@ def train(
     batch = _batch(trained, candidate_sets, index, tau1)
     scale = lr / len(candidate_sets)
     trace: list[float] = []
-    for epoch in range(epochs + 1):
-        losses, grad = _batch_loss_gradient(trained, batch, tau2)
-        trace.append(float(losses.sum()) / len(candidate_sets))
-        if epoch < epochs:
-            trained.query_projection -= scale * grad.d_query_projection
-            trained.doc_projection -= scale * grad.d_doc_projection
-            trained.bias -= scale * grad.d_bias
-            trained.step += 1
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence shows in the trace
+        for epoch in range(epochs + 1):
+            losses, grad = _batch_loss_gradient(trained, batch, tau2)
+            trace.append(float(losses.sum()) / len(candidate_sets))
+            if epoch < epochs:
+                trained.query_projection -= scale * grad.d_query_projection
+                trained.doc_projection -= scale * grad.d_doc_projection
+                trained.bias -= scale * grad.d_bias
+                trained.step += 1
     return trained, trace
 
 
@@ -368,19 +363,20 @@ def rerank_batch(
         union = np.unique(np.concatenate([np.empty(0, np.int64), *tops]))
         rows = model.doc_rows(index, union)
         scores = [
-            _fold(model, model.featurize(q), rows[np.searchsorted(union, top)])[1].tolist()
+            _fold(model, model.featurize(q), rows[np.searchsorted(union, top)])[1]
             for q, top in zip(questions, tops)
         ]
     else:
         scores = [
-            [scorer(index.doc_ids[o], index.texts[o], q) for o in top.tolist()]
+            np.array([scorer(index.doc_ids[o], index.texts[o], q) for o in top.tolist()], float)
             for scorer, q, top in zip(model, questions, tops)
         ]
-    rescored = (
-        sorted((-score, index.doc_ids[o]) for score, o in zip(row, top.tolist()))
-        for row, top in zip(scores, tops)
-    )
-    return [[ScoredDoc(d, -neg, rank) for rank, (neg, d) in enumerate(r[:k], 1)] for r in rescored]
+    ranked = []
+    for row, top in zip(scores, tops):
+        best = np.lexsort((index.doc_id_rank[top], -row))[:k]
+        hits = zip(top[best].tolist(), row[best].tolist())
+        ranked.append([ScoredDoc(index.doc_ids[o], s, r) for r, (o, s) in enumerate(hits, 1)])
+    return ranked
 
 
 def rerank_inference(
@@ -436,6 +432,8 @@ def serialize_model(model: RerankerModel) -> bytes:
         "step": model.step,
     }
     arrays = {"query_projection": model.query_projection, "doc_projection": model.doc_projection}
+    if not all(np.isfinite(w).all() for w in (*arrays.values(), model.bias)):
+        raise ValueError("model weights must be finite")
     return arrays_bytes(meta, arrays)
 
 

@@ -35,7 +35,7 @@ from radkit.corpus import (
 )
 from radkit.errors import DuplicateDocId, EmptyDocument
 from radkit.records import arrays_bytes
-from radkit.reranker import CandidateSet, RerankerModel, featurize
+from radkit.reranker import CandidateSet, RerankerModel, featurize, serialize_model
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -87,6 +87,17 @@ def with_meta(data: bytes, change, **replaced) -> bytes:
     change(meta)
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     return npz_bytes(**arrays)
+
+
+def unchecked_checkpoint(model: RerankerModel) -> bytes:
+    """``model``'s checkpoint, written past serialize_model's check that its weights are finite."""
+    blank = RerankerModel(model.embedding_dim, model.hash_seed, step=model.step)
+    return with_meta(
+        serialize_model(blank),
+        lambda meta: meta.update(bias=model.bias),
+        query_projection=model.query_projection,
+        doc_projection=model.doc_projection,
+    )
 
 
 def bm25_oracle_score(

@@ -336,7 +336,9 @@ def test_criterion_8_end_to_end_smoke(tmp_path):
     ]
     for args in chain:
         proc = subprocess.run(
-            [sys.executable, "-m", "radkit", *args], capture_output=True, text=True
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "radkit", *args],
+            capture_output=True,
+            text=True,
         )
         assert proc.returncode == 0, f"{args[0]}: {proc.stderr}"
     elapsed = time.time() - start
@@ -356,7 +358,8 @@ def test_criterion_8_end_to_end_smoke(tmp_path):
 
     rerun_out = tmp_path / "retrieved-rerun.jsonl"
     proc = subprocess.run(
-        [sys.executable, "-m", "radkit", "rerank-infer", "--index", str(paths["index"]),
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "radkit",
+         "rerank-infer", "--index", str(paths["index"]),
          "--questions", str(DATA_DIR / "rationales.jsonl"), "--model", str(paths["model"]),
          "--out", str(rerun_out), "--kappa-star", "10", "--k", "3"],
         capture_output=True, text=True,

@@ -10,12 +10,13 @@ from pathlib import Path
 import pytest
 
 import radkit
-from helpers import DATA_DIR, FORMAT_1_INDEX, format_2_index, with_meta
+from helpers import DATA_DIR, FORMAT_1_INDEX, format_2_index, unchecked_checkpoint, with_meta
 
 
 def run_cli(*args, cwd=None, timeout=None):
+    """Run the CLI in a child that, like the suite (pyproject.toml), fails on a RuntimeWarning."""
     return subprocess.run(
-        [sys.executable, "-m", "radkit", *args],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "radkit", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -426,7 +427,7 @@ class TestRerankInferOptions:
         else:
             getattr(model, weight)[0, 0] = math.nan
         bad = tmp_path / "nan-model.npz"
-        radkit.reranker.save_model(model, bad)
+        bad.write_bytes(unchecked_checkpoint(model))
         out = tmp_path / "out.jsonl"
         proc = run_cli(
             "rerank-infer", "--index", str(paths["index"]),
@@ -512,6 +513,42 @@ def test_bad_number_is_one_error_line_and_writes_nothing(pipeline, tmp_path, com
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [f"error: {reason}"], proc.stderr
     assert not out.exists()
+
+
+class TestRerankTrainOverflow:
+    @pytest.mark.parametrize(
+        "flags, first",
+        [(("--tau2", "1e-300"), "epoch 0 (loss inf)"), (("--lr", "1e300"), "epoch 1 (loss nan)")],
+        ids=["tau2-tiny", "lr-huge"],
+    )
+    def test_diverged_training_is_one_error_line_and_writes_nothing(
+        self, pipeline, tmp_path, flags, first
+    ):
+        """No warning, no checkpoint that rerank-infer would refuse, and no manifest."""
+        paths, _, _ = pipeline
+        out = tmp_path / "model.npz"
+        proc = run_cli(
+            "rerank-train", "--index", str(paths["index"]), "--candidates", str(paths["cands"]),
+            "--out", str(out), "--epochs", "2", "--dim", "64", *flags,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"error: training diverged at {first}; no model written"
+        ], proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_teacher_scores_past_the_float_range_train_without_a_warning(self, pipeline, tmp_path):
+        paths, _, _ = pipeline
+        cands = tmp_path / "cands.jsonl"
+        row = {"example_id": "ex-01", "j": 0, "question": "thyroid",
+               "doc_ids": ["med-001", "med-002"], "teacher_scores": [1e308, -1e308]}
+        cands.write_text(json.dumps(row) + "\n")
+        proc = run_cli(
+            "rerank-train", "--index", str(paths["index"]), "--candidates", str(cands),
+            "--out", str(tmp_path / "model.npz"), "--epochs", "2", "--dim", "8", "--quiet",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
 
 class TestEmitTrainOptions:
@@ -808,6 +845,15 @@ def _second_line(name: str, field: str | None) -> tuple[bytes, str]:
     return json.dumps(row).encode(), f'missing field "{field}"'
 
 
+def _with_lone_surrogate(value):
+    """A string field's value, or a list of strings, spelled with a lone surrogate; else None."""
+    if isinstance(value, str):
+        return "fever \ud800"
+    if isinstance(value, list) and isinstance(value[0], str):
+        return ["fever \ud800"]
+    return None
+
+
 # Each required field left out and a line that is not an object, then lines
 # that parse but are still wrong.
 MALFORMED_CASES = [
@@ -835,6 +881,18 @@ MALFORMED_CASES = [
         id=f"corpus-{field}-lone-surrogate",
     )
     for field in ("id", "title", "text")
+] + [
+    # Every other reader rejects one too, in any string field, alone or in a list.
+    pytest.param(
+        name,
+        json.dumps({**row, field: _with_lone_surrogate(value)}).encode(),
+        f'field "{field}": \'utf-8\' codec can\'t encode character \'\\ud800\'',
+        id=f"{name.replace(' ', '-')}-{field}-lone-surrogate",
+    )
+    for name, (row, _, _) in JSONL_INPUTS.items()
+    if name != "corpus"
+    for field, value in row.items()
+    if _with_lone_surrogate(value) is not None
 ] + [
     pytest.param(
         "rationales",

@@ -1,4 +1,4 @@
-"""Record writers: library savers write atomically, JSONL text is strict JSON."""
+"""Records: savers write atomically, JSONL text is strict JSON, read strings are UTF-8."""
 
 import math
 import os
@@ -6,7 +6,8 @@ import os
 import pytest
 
 from radkit.corpus import build_index, load_corpus_jsonl, save_index
-from radkit.records import jsonl_text
+from radkit.errors import ParseError
+from radkit.records import jsonl_text, read_jsonl
 from radkit.reranker import RerankerModel, save_model
 
 from helpers import DATA_DIR
@@ -40,3 +41,33 @@ def test_jsonl_text_rejects_non_finite_floats(value):
     assert jsonl_text([{"scores": [1.5]}]) == '{"scores": [1.5]}\n'
     with pytest.raises(ValueError):
         jsonl_text([{"scores": [1.5, value]}])
+
+
+@pytest.mark.parametrize(
+    "line, fields",
+    [
+        (rb'{"a": "\ud83d\ude00", "b": "caf\u00e9"}', ["\U0001f600", "caf\xe9"]),
+        (rb'{"a": "\\ud800", "b": ["x"]}', ["\\ud800", ["x"]]),
+    ],
+    ids=["surrogate-pair", "escaped-backslash"],
+)
+def test_read_jsonl_keeps_escapes_that_spell_utf8(tmp_path, line, fields):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(line + b"\n")
+    assert read_jsonl(path, lambda obj: [obj["a"], obj["b"]]) == [fields]
+
+
+@pytest.mark.parametrize(
+    "line, where",
+    [
+        (rb'{"a": "ok", "b": {"c": ["\udfff"]}}', 'field "b"'),
+        (rb'{"a": "ok", "\ud800": 1}', 'field "\ud800"'),
+    ],
+    ids=["nested", "field-name"],
+)
+def test_read_jsonl_names_the_field_of_a_lone_surrogate(tmp_path, line, where):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"a": "x"}\n' + line + b"\n")
+    with pytest.raises(ParseError) as err:
+        read_jsonl(path, dict)
+    assert str(err.value).startswith(f"{path}: line 2: {where}: 'utf-8' codec can't encode")

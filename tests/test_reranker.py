@@ -1,7 +1,9 @@
 """Reranker scoring, distillation objective, gradients, and inference."""
 
+import gc
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -44,6 +46,7 @@ from helpers import (
     reference_rerank_inference,
     reference_train,
     text_index,
+    unchecked_checkpoint,
     with_meta,
 )
 
@@ -121,7 +124,7 @@ class TestFeaturize:
         seed=st.integers(0, 2**63 - 1),
     )
     def test_index_rows_equal_featurize_bit_for_bit(self, data, texts, dim, seed):
-        """Rows of any distinct ordinals, in any order, from one model's lazily filled table."""
+        """Rows of any distinct ordinals, in any order, from one model called twice."""
         docs = [Document(f"d{i}", "", " ".join(words)) for i, words in enumerate(texts)]
         index, model = build_index(docs), RerankerModel(dim, seed)
         for _ in range(2):
@@ -130,6 +133,15 @@ class TestFeaturize:
             want = [reference_featurize(docs[o].text, dim, seed) for o in ordinals]
             assert np.array_equal(want, [featurize(docs[o].text, dim, seed) for o in ordinals])
             assert model.doc_rows(index, ordinals).tobytes() == np.stack(want).tobytes()
+
+    def test_scored_index_is_not_kept_alive(self):
+        """A model holds only its parameters, so it keeps no index it has scored alive."""
+        model, index = RerankerModel(8, 1), text_index({"a": "fever chills", "b": "rest fever"})
+        model.doc_rows(index, [0, 1])
+        ref = weakref.ref(index)
+        del index
+        gc.collect()
+        assert ref() is None
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -231,6 +243,11 @@ class TestSoftmax:
     def test_empty_scores_rejected(self):
         with pytest.raises(ValueError):
             softmax_normalize([], tau=1.0)
+
+    def test_gap_past_the_float_range_gets_zero_without_a_warning(self):
+        """The suite turns RuntimeWarning into an error, so an overflow warning fails here."""
+        probs = softmax_normalize([[1e308, -1e308], [-1e308, 0.0]], tau=1.0)
+        assert probs.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 class TestKlLoss:
@@ -371,6 +388,14 @@ class TestTrain:
         assert abs(got.bias - want.bias) <= 1e-12 * max(abs(want.bias), 1.0)
         np.testing.assert_allclose(got_trace, want_trace, rtol=1e-12, atol=0.0)
         assert got.step == want.step == epochs
+
+    @pytest.mark.parametrize("lr, tau2", [(1e-2, 1e-300), (1e300, 100.0)], ids=["tau2", "lr"])
+    def test_divergence_shows_in_the_trace_not_as_a_warning(self, lr, tau2):
+        model, sets, index = convergence_fixture()
+        trained, trace = train(model, sets, index, epochs=3, lr=lr, tau2=tau2)
+        assert not all(map(math.isfinite, trace))
+        with pytest.raises(ValueError, match="model weights must be finite"):
+            serialize_model(trained)
 
     def test_small_step_does_not_increase_single_set_loss(self):
         rng = np.random.default_rng(13)
@@ -670,7 +695,10 @@ class TestModelSerialization:
         else:
             getattr(model, weight)[1, 2] = value
         path = tmp_path / "model.npz"
-        save_model(model, path)
+        with pytest.raises(ValueError, match="model weights must be finite"):
+            save_model(model, path)
+        assert list(tmp_path.iterdir()) == []
+        path.write_bytes(unchecked_checkpoint(model))  # as another tool might write it
         with pytest.raises(RadkitError) as err:
             load_model(path)
         assert str(err.value) == f"{path}: checkpoint weights must be finite"
