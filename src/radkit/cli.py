@@ -61,7 +61,7 @@ from .reranker import (
     train,
 )
 from .reranker import rerank_inference  # noqa: F401 (perfbench/spans.py wraps it here)
-from .records import atomic_write, jsonl_text, read_jsonl
+from .records import atomic_write, field, jsonl_text, read_jsonl
 
 
 def _digests(paths: list) -> dict[str, str]:
@@ -117,15 +117,20 @@ def cmd_index(args) -> int:
     return _finish(args, [args.corpus], serialize_index(index), summary)
 
 
+def _option_file(value: str, prefix: str) -> str | None:
+    """The path in an option value ``<prefix><path>``, such as ``verdict-file:v.jsonl``."""
+    return value[len(prefix):] if value.startswith(prefix) else None
+
+
 def _load_filtered_records(args):
     records = ingest_rationales(args.rationales)
-    mode = args.filter
+    mode, verdicts = args.filter, _option_file(args.filter, "verdict-file:")
     if mode == "none":
         return records, {}
     if mode == "answer-match":
         keep = answer_matches
-    elif mode.startswith("verdict-file:"):
-        keep = load_verdicts(mode[len("verdict-file:"):])
+    elif verdicts is not None:
+        keep = load_verdicts(verdicts)
     else:
         raise ValueError(f"unknown --filter mode {mode!r}")
     return filter_rationales(records, keep)
@@ -147,7 +152,9 @@ def cmd_emit_train(args) -> int:
             )
     dropped = sum(drops.values())
     summary = f"emitted {len(examples)} training examples ({dropped} rationales filtered out)"
-    return _finish(args, [args.index, args.rationales], training_jsonl_text(examples), summary)
+    inputs = [args.index, args.rationales, _option_file(args.filter, "verdict-file:")]
+    inputs.append(_option_file(args.template, "custom:"))
+    return _finish(args, inputs, training_jsonl_text(examples), summary)
 
 
 def cmd_candidates(args) -> int:
@@ -157,14 +164,14 @@ def cmd_candidates(args) -> int:
     for record in records:
         for j in range(len(record.rationales)):
             sets.append(build_candidate_set(index, record, j, args.kappa1, args.kappa2))
-    text = candidates_jsonl_text(sets)
-    return _finish(args, [args.index, args.rationales], text, f"built {len(sets)} candidate sets")
+    inputs = [args.index, args.rationales, _option_file(args.filter, "verdict-file:")]
+    return _finish(args, inputs, candidates_jsonl_text(sets), f"built {len(sets)} candidate sets")
 
 
 def _known_doc_ids(obj: dict, known: set) -> None:
-    for doc_id in obj["doc_ids"]:
+    for doc_id in field(obj, "doc_ids", str, many=True):
         if doc_id not in known:
-            raise ValueError(f'unknown doc id "{doc_id}"')
+            raise ValueError(f"unknown doc id {json.dumps(doc_id, ensure_ascii=False)}")
 
 
 def cmd_rerank_train(args) -> int:
@@ -225,7 +232,9 @@ def cmd_eval(args) -> int:
             if len(r.rationales) > args.j_gold
         }
         retrieved = dict(
-            read_jsonl(args.retrieved, lambda obj: (str(obj["id"]), list(obj["doc_ids"])))
+            read_jsonl(
+                args.retrieved, lambda obj: (str(obj["id"]), field(obj, "doc_ids", str, many=True))
+            )
         )
         mode = "all" if args.all_silver else "any"
         report.update(hits_report(retrieved, silver, ks, mode))

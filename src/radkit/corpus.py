@@ -66,7 +66,8 @@ class _Rows:
 class PostingsIndex:
     """Immutable BM25 inverted index in CSR form.
 
-    Term ``t``'s postings, ``postings[t]``, are ``ordinals[offsets[t]:offsets[t + 1]]``,
+    Term ``t`` is ``terms[t]``, and ``vocabulary`` maps each term back to its id.
+    Its postings, ``postings[t]``, are ``ordinals[offsets[t]:offsets[t + 1]]``,
     strictly ascending; ordinals follow corpus input order. ``tfs`` and
     ``impacts`` run parallel to ``ordinals``: a posting's BM25 contribution
     is ``idf * tf * (k1 + 1) / (tf + norm)``, evaluated in that order. The
@@ -74,8 +75,8 @@ class PostingsIndex:
     ``doc_ids``, ``titles`` and ``texts``, so downstream stages can resolve
     passage texts from the index file alone; ``document(doc_id)`` builds one
     ``Document`` from them. Arrays that are not 1-D int32 or do not fit the
-    passages and terms, a tf or length below 1, k1 < 0, b outside [0, 1] or a
-    non-finite k1 or b raise ValueError, whether the index is built or loaded.
+    passages and terms, a repeated term, a tf or length below 1, k1 < 0, b outside
+    [0, 1] or a non-finite k1 or b raise ValueError, whether built or loaded.
     """
 
     def __init__(
@@ -83,7 +84,7 @@ class PostingsIndex:
         doc_ids: list[str],
         titles: list[str],
         texts: list[str],
-        vocabulary: dict[str, int],
+        terms: list[str],
         offsets: np.ndarray,
         ordinals: np.ndarray,
         tfs: np.ndarray,
@@ -92,13 +93,16 @@ class PostingsIndex:
         b: float,
     ):
         _check_fit(
-            len(doc_ids), len(titles), len(texts), len(vocabulary),
+            len(doc_ids), len(titles), len(texts), len(terms),
             offsets, ordinals, tfs, doc_lengths, k1, b,
         )
+        self.vocabulary = dict(zip(terms, range(len(terms))))
+        if len(self.vocabulary) != len(terms):
+            raise ValueError("terms must be distinct")
         self.doc_ids = doc_ids
         self.titles = titles
         self.texts = texts
-        self.vocabulary = vocabulary
+        self.terms = terms
         self.offsets = offsets
         self.ordinals = ordinals
         self.tfs = tfs
@@ -205,7 +209,7 @@ def build_index(
     doc_ids, titles = [d.doc_id for d in docs], [d.title for d in docs]
     texts = [d.text for d in docs]
     return PostingsIndex(
-        doc_ids, titles, texts, vocabulary, offsets, ordinals, tfs, doc_lengths, k1, b
+        doc_ids, titles, texts, list(vocabulary), offsets, ordinals, tfs, doc_lengths, k1, b
     )
 
 
@@ -281,7 +285,7 @@ def serialize_index(index: PostingsIndex) -> bytes:
     meta = {
         "format_version": INDEX_FORMAT_VERSION,
         "build_params": {"tokenizer_version": TOKENIZER_VERSION, "k1": index.k1, "b": index.b},
-        "terms": sorted(index.vocabulary, key=index.vocabulary.get),
+        "terms": index.terms,
         "doc_ids": index.doc_ids,
         "titles": index.titles,
     }
@@ -315,10 +319,9 @@ def _index(meta: dict, members) -> PostingsIndex:
         raise UnknownFormatVersion(params["tokenizer_version"], TOKENIZER_VERSION, "tokenizer")
     doc_ids, titles = meta["doc_ids"], meta["titles"]
     texts = _texts(members["texts"], members["text_offsets"], len(doc_ids))
-    vocabulary = dict(zip(meta["terms"], range(len(meta["terms"]))))
     arrays = (members[name] for name in _ARRAYS)
     k1, b = float(params["k1"]), float(params["b"])
-    return PostingsIndex(doc_ids, titles, texts, vocabulary, *arrays, k1, b)
+    return PostingsIndex(doc_ids, titles, texts, meta["terms"], *arrays, k1, b)
 
 
 def deserialize_index(data: bytes) -> PostingsIndex:

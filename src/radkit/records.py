@@ -86,7 +86,7 @@ def field(obj: dict, name: str, convert: Callable = lambda value: value, many: b
         raise ValueError(f'field "{name}" must be a list')
     try:
         return tuple(map(convert, value)) if many else convert(value)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:  # OverflowError: int(inf), float(10**400)
         raise ValueError(f'field "{name}": {exc}') from exc
 
 

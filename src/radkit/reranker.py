@@ -99,7 +99,7 @@ def featurize(text: str, embedding_dim: int, hash_seed: int) -> np.ndarray:
 
     Each distinct term adds ln(1 + tf) with a hash-derived sign at a hash-derived
     slot, each slot in ascending weight order, so the row is independent of token
-    order and equals ``RerankerModel.doc_rows`` of the same text bit for bit.
+    order and equals ``doc_rows`` of the same text bit for bit.
     """
     counts = Counter(tokenize(text))
     n, tfs = len(counts), np.fromiter(counts.values(), np.int64, len(counts))
@@ -107,83 +107,78 @@ def featurize(text: str, embedding_dim: int, hash_seed: int) -> np.ndarray:
     return _unit_rows(zeros, ids, tfs, list(counts), 1, embedding_dim, hash_seed)[0]
 
 
+def doc_rows(
+    index: PostingsIndex, ordinals: Sequence[int], embedding_dim: int, hash_seed: int
+) -> np.ndarray:
+    """Feature rows (len(ordinals), E) of the index's documents at distinct ``ordinals``.
+
+    Built from the postings, equal to ``featurize(doc.text)`` bit for bit.
+    """
+    row_of = np.full(index.doc_count, -1, dtype=np.int64)
+    row_of[ordinals] = np.arange(len(ordinals))
+    hit = np.flatnonzero(row_of[index.ordinals] >= 0)
+    return _unit_rows(
+        row_of[index.ordinals[hit]], np.searchsorted(index.offsets, hit, side="right") - 1,
+        index.tfs[hit], index.terms, len(ordinals), embedding_dim, hash_seed,
+    )
+
+
 class RerankerModel:
-    """Bilinear scorer: dot(Wq f(query), Wd f(doc)) + bias."""
+    """Bilinear scorer: dot(Wq f(query), Wd f(doc)) + bias, f as ``featurize`` and ``doc_rows``."""
 
     def __init__(
-        self,
-        embedding_dim: int = DEFAULT_EMBEDDING_DIM,
-        hash_seed: int = 0,
-        query_projection: np.ndarray | None = None,
-        doc_projection: np.ndarray | None = None,
-        bias: float = 0.0,
-        step: int = 0,
+        self, embedding_dim: int, hash_seed: int, query_projection: np.ndarray,
+        doc_projection: np.ndarray, bias: float = 0.0, step: int = 0,
     ):
         if embedding_dim < 1:
             raise ValueError(f"embedding dim must be >= 1, got {embedding_dim}")
-        self.embedding_dim = embedding_dim
-        self.hash_seed = hash_seed
-        eye = np.eye(embedding_dim, dtype=np.float64)
-        self.query_projection, self.doc_projection = (
-            eye.copy() if w is None else np.asarray(w, float)
-            for w in (query_projection, doc_projection)
-        )
-        if self.query_projection.shape != eye.shape or self.doc_projection.shape != eye.shape:
+        self.embedding_dim, self.hash_seed = embedding_dim, hash_seed
+        self.query_projection = np.asarray(query_projection, float)
+        self.doc_projection = np.asarray(doc_projection, float)
+        shape = (embedding_dim, embedding_dim)
+        if self.query_projection.shape != shape or self.doc_projection.shape != shape:
             raise ValueError(f"projections must be {embedding_dim}x{embedding_dim}")
-        self.bias = float(bias)
-        self.step = int(step)
+        self.bias, self.step = float(bias), int(step)
 
     @classmethod
     def identity(
-        cls,
-        embedding_dim: int = DEFAULT_EMBEDDING_DIM,
-        hash_seed: int = 0,
-        query_scale: float = 1.0,
-        doc_scale: float = 1.0,
+        cls, embedding_dim: int = DEFAULT_EMBEDDING_DIM, hash_seed: int = 0
     ) -> "RerankerModel":
-        """Scaled-identity initialization; scale 1 is plain hashed-lexical similarity."""
+        """The untrained model: identity projections score plain hashed-lexical similarity."""
         eye = np.eye(embedding_dim, dtype=np.float64)
-        return cls(embedding_dim, hash_seed, eye * query_scale, eye * doc_scale)
+        return cls(embedding_dim, hash_seed, eye, eye.copy())
 
     def copy(self) -> "RerankerModel":
         projections = self.query_projection.copy(), self.doc_projection.copy()
         return RerankerModel(self.embedding_dim, self.hash_seed, *projections, self.bias, self.step)
 
-    def featurize(self, text: str) -> np.ndarray:
-        return featurize(text, self.embedding_dim, self.hash_seed)
-
-    def doc_rows(self, index: PostingsIndex, ordinals: Sequence[int]) -> np.ndarray:
-        """Feature rows (len(ordinals), E) of the index's documents at distinct ``ordinals``.
-
-        Built from the postings, equal to ``featurize(doc.text)`` bit for bit.
-        """
-        row_of = np.full(index.doc_count, -1, dtype=np.int64)
-        row_of[ordinals] = np.arange(len(ordinals))
-        hit = np.flatnonzero(row_of[index.ordinals] >= 0)
-        return _unit_rows(
-            row_of[index.ordinals[hit]], np.searchsorted(index.offsets, hit, side="right") - 1,
-            index.tfs[hit], sorted(index.vocabulary, key=index.vocabulary.get),
-            len(ordinals), self.embedding_dim, self.hash_seed,
-        )
-
     def scores(self, query_text: str, index: PostingsIndex, ordinals: Sequence[int]) -> np.ndarray:
         """Score of the index's documents at ``ordinals`` against the query, featurized once."""
-        return _fold(self, self.featurize(query_text), self.doc_rows(index, ordinals))[1]
+        dim, seed = self.embedding_dim, self.hash_seed
+        rows = doc_rows(index, ordinals, dim, seed)
+        return _fold(self, featurize(query_text, dim, seed), rows)[1]
 
 
 def softmax_normalize(scores, tau: float) -> np.ndarray:
     """Temperature softmax over the last axis, with max-subtraction for stability.
 
-    A -inf score gets probability 0. A row with no finite score is empty.
+    A -inf score gets probability 0. A row whose highest score is -inf is empty.
+    A row whose highest score is finite but overflows when divided by ``tau``
+    takes the tau -> 0 limit: equal mass on its highest scores, 0 elsewhere.
     """
     if not 0.0 < tau < math.inf:
         raise NonPositiveTemperature(tau)
-    z = np.asarray(scores, dtype=np.float64) / tau
-    top = z.max(axis=-1, keepdims=True, initial=-np.inf)
-    if np.isneginf(top).any():
+    scores = np.asarray(scores, dtype=np.float64)
+    high = scores.max(axis=-1, keepdims=True, initial=-np.inf)
+    if np.isneginf(high).any():
         raise ValueError("cannot normalize an empty score list")
     with np.errstate(over="ignore"):  # a gap past the float range is -inf, and exp(-inf) is 0
-        e = np.exp(z - top)
+        top = high / tau  # the bits of max(scores / tau): dividing by tau > 0 keeps the order
+        limit = np.isinf(top) & np.isfinite(high)
+        if limit.any():
+            scores = np.where(limit, np.where(scores == high, 0.0, -np.inf), scores)
+            top = np.where(limit, 0.0, top)
+        e = np.exp(scores / tau - top)
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -242,7 +237,7 @@ def _batch(
         teacher[s, : len(cs.doc_ids)] = cs.teacher_scores
     dim, seed = model.embedding_dim, model.hash_seed
     q_rows = np.stack([featurize(q, dim, seed) for q in questions])
-    d_rows = np.vstack([model.doc_rows(index, [index.ordinal(d) for d in docs]), np.zeros(dim)])
+    d_rows = np.vstack([doc_rows(index, list(map(index.ordinal, docs)), dim, seed), np.zeros(dim)])
     qv = q_rows[[questions[cs.question] for cs in candidate_sets]]
     return qv, d_rows[cols], cols < len(docs), softmax_normalize(teacher, tau1)
 
@@ -324,8 +319,11 @@ def build_candidate_set(
 
     Every member's teacher score is its entry in the rationale's BM25 score
     array; ordering is by descending teacher score, then doc_id. Raises
-    DegenerateCandidateSet when fewer than two distinct documents are found.
+    ValueError for a negative kappa, and DegenerateCandidateSet when fewer than
+    two distinct documents are found.
     """
+    if kappa1 < 0 or kappa2 < 0:
+        raise ValueError(f"kappa1 and kappa2 must be >= 0, got {kappa1} and {kappa2}")
     teacher = bm25_scores(index, tokenize(record.rationales[j]))
     members = top_ordinals(index, teacher, kappa1) if kappa1 > 0 else np.empty(0, np.int64)
     if kappa2 > 0:
@@ -360,10 +358,11 @@ def rerank_batch(
         if not len(top):
             raise EmptyCandidates(question)
     if isinstance(model, RerankerModel):
+        dim, seed = model.embedding_dim, model.hash_seed
         union = np.unique(np.concatenate([np.empty(0, np.int64), *tops]))
-        rows = model.doc_rows(index, union)
+        rows = doc_rows(index, union, dim, seed)
         scores = [
-            _fold(model, model.featurize(q), rows[np.searchsorted(union, top)])[1]
+            _fold(model, featurize(q, dim, seed), rows[np.searchsorted(union, top)])[1]
             for q, top in zip(questions, tops)
         ]
     else:
@@ -474,8 +473,8 @@ def _candidate_set(obj: dict) -> CandidateSet:
     return CandidateSet(
         example_id=str(obj["example_id"]),
         rationale_index=field(obj, "j", int),
-        question=obj["question"],
-        doc_ids=field(obj, "doc_ids", many=True),
+        question=str(obj["question"]),
+        doc_ids=field(obj, "doc_ids", str, many=True),
         teacher_scores=field(obj, "teacher_scores", _finite, many=True),
     )
 

@@ -91,10 +91,9 @@ def with_meta(data: bytes, change, **replaced) -> bytes:
 
 def unchecked_checkpoint(model: RerankerModel) -> bytes:
     """``model``'s checkpoint, written past serialize_model's check that its weights are finite."""
-    blank = RerankerModel(model.embedding_dim, model.hash_seed, step=model.step)
     return with_meta(
-        serialize_model(blank),
-        lambda meta: meta.update(bias=model.bias),
+        serialize_model(RerankerModel.identity(model.embedding_dim, model.hash_seed)),
+        lambda meta: meta.update(bias=model.bias, step=model.step),
         query_projection=model.query_projection,
         doc_projection=model.doc_projection,
     )
@@ -186,7 +185,8 @@ def reference_build_index(
     lengths = np.array(doc_lengths, dtype=np.int32)
     doc_ids, titles = [d.doc_id for d in docs], [d.title for d in docs]
     texts = [d.text for d in docs]
-    return PostingsIndex(doc_ids, titles, texts, vocabulary, offsets, ordinals, tfs, lengths, k1, b)
+    terms = list(vocabulary)
+    return PostingsIndex(doc_ids, titles, texts, terms, offsets, ordinals, tfs, lengths, k1, b)
 
 
 def text_index(doc_texts: dict[str, str]) -> PostingsIndex:
@@ -224,7 +224,7 @@ def convergence_fixture() -> tuple[RerankerModel, list[CandidateSet], PostingsIn
                 teacher_scores=teacher,
             )
         )
-    model = RerankerModel.identity(embedding_dim=512, hash_seed=7, query_scale=1000.0)
+    model = RerankerModel(512, 7, np.eye(512) * 1000.0, np.eye(512))
     return model, sets, text_index(doc_texts)
 
 

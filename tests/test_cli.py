@@ -1,6 +1,8 @@
 """CLI subcommands: exit codes, file outputs, manifests, idempotence."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -8,8 +10,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import radkit
+from radkit.cli import main
 from helpers import DATA_DIR, FORMAT_1_INDEX, format_2_index, unchecked_checkpoint, with_meta
 
 
@@ -493,11 +498,16 @@ class TestRerankInferOptions:
             "rerank-train --index {index} --candidates {cands} --out {out} --lr inf",
             "lr must be finite, got inf",
         ),
+        (
+            "candidates --index {index} --rationales {rationales} --out {out} --kappa1 -3"
+            " --kappa2 4",
+            "kappa1 and kappa2 must be >= 0, got -3 and 4",
+        ),
     ],
     ids=[
         "epochs-negative", "dim-zero", "chars-negative", "chars-zero", "j-gold-negative",
         "ks-empty", "k1-nan", "k1-inf", "k1-negative", "b-above-one", "b-negative",
-        "tau2-nan", "tau1-inf", "lr-nan", "lr-inf",
+        "tau2-nan", "tau1-inf", "lr-nan", "lr-inf", "kappa1-negative",
     ],
 )
 def test_bad_number_is_one_error_line_and_writes_nothing(pipeline, tmp_path, command, reason):
@@ -536,6 +546,24 @@ class TestRerankTrainOverflow:
             f"error: training diverged at {first}; no model written"
         ], proc.stderr
         assert list(tmp_path.iterdir()) == []
+
+    def test_teacher_quotient_past_the_float_range_trains_as_its_limit(self, pipeline, tmp_path):
+        """At --tau1 1e-300 each teacher row already puts all its mass on its highest scores.
+
+        Smaller temperatures overflow score / tau1, and their limit is that same row.
+        """
+        paths, _, _ = pipeline
+        checkpoints = []
+        for tau1 in ("1e-300", "1e-307", "1e-320"):
+            out = tmp_path / f"model-{tau1}.npz"
+            proc = run_cli(
+                "rerank-train", "--index", str(paths["index"]), "--candidates", str(paths["cands"]),
+                "--out", str(out), "--epochs", "2", "--dim", "64", "--tau1", tau1, "--quiet",
+            )
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+            checkpoints.append(out.read_bytes())
+        assert checkpoints[1] == checkpoints[0]
+        assert checkpoints[2] == checkpoints[0]
 
     def test_teacher_scores_past_the_float_range_train_without_a_warning(self, pipeline, tmp_path):
         paths, _, _ = pipeline
@@ -579,6 +607,26 @@ class TestEmitTrainOptions:
         assert proc.returncode == 0, proc.stderr
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert [(r["id"], r["j"]) for r in rows] == [("ex-01", 0)]
+
+    @pytest.mark.parametrize("command", ["emit-train", "candidates"])
+    def test_manifest_digests_the_verdict_and_template_files(self, pipeline, tmp_path, command):
+        paths, _, _ = pipeline
+        verdicts, header = tmp_path / "verdicts.jsonl", tmp_path / "header.txt"
+        verdicts.write_text(json.dumps({"id": "ex-01", "j": 0, "keep": True}) + "\n")
+        header.write_text("Answer the question.\n")
+        read = [paths["index"], DATA_DIR / "rationales.jsonl", verdicts]
+        flags = ["--filter", f"verdict-file:{verdicts}"]
+        if command == "emit-train":
+            read.append(header)
+            flags += ["--template", f"custom:{header}"]
+        out = tmp_path / "out.jsonl"
+        proc = run_cli(
+            command, "--index", str(paths["index"]),
+            "--rationales", str(DATA_DIR / "rationales.jsonl"), "--out", str(out), *flags,
+        )
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["inputs"] == {str(path): sha256(path) for path in read}
 
     def test_no_knowledge_emits_plain_template(self, pipeline, tmp_path):
         paths, _, _ = pipeline
@@ -906,6 +954,12 @@ MALFORMED_CASES = [
         'unknown doc id "zz"',
         id="candidates-unknown-doc-id",
     ),
+    pytest.param(
+        "candidates",
+        json.dumps({**JSONL_INPUTS["candidates"][0], "doc_ids": ["med-001", "z\nz"]}).encode(),
+        'unknown doc id "z\\nz"',
+        id="candidates-unknown-doc-id-with-a-line-break",
+    ),
 ] + [
     # A string where a list belongs, and values that do not convert.
     pytest.param(
@@ -925,11 +979,29 @@ MALFORMED_CASES = [
             'field "teacher_scores": must be finite, got -inf',
         ),
         ("candidates", "doc_ids", "med-001", 'field "doc_ids" must be a list'),
+        ("retrieved", "doc_ids", "med-001", 'field "doc_ids" must be a list'),
         ("candidates", "j", "x", 'field "j": invalid literal'),
         ("verdict file", "j", "x", 'field "j": invalid literal'),
         ("score file", "score", "x", 'field "score": could not convert'),
         ("score file", "score", math.nan, 'field "score": must be finite, got nan'),
         ("score file", "score", -math.inf, 'field "score": must be finite, got -inf'),
+    ]
+] + [
+    # Numbers that json.loads reads but int() or float() cannot convert.
+    pytest.param(
+        name,
+        json.dumps({**JSONL_INPUTS[name][0], field: value}).encode(),
+        expected,
+        id=f"{name.replace(' ', '-')}-{field}-{label}",
+    )
+    for name, field, value, label, expected in [
+        ("verdict file", "j", math.inf, "inf", 'field "j": cannot convert float infinity'),
+        ("candidates", "j", -math.inf, "-inf", 'field "j": cannot convert float infinity'),
+        ("score file", "score", 10**400, "1e400", 'field "score": int too large to convert'),
+        (
+            "candidates", "teacher_scores", [10**400, 1], "1e400",
+            'field "teacher_scores": int too large to convert',
+        ),
     ]
 ]
 
@@ -956,3 +1028,44 @@ class TestMalformedInput:
         assert len(lines) == 1, proc.stderr
         assert lines[0].startswith(f"error: {bad}: line 2: "), lines[0]
         assert expected in lines[0], lines[0]
+
+
+# Any JSON value, non-finite floats and huge integers included (json.loads reads both),
+# with ids the fixture index knows and line breaks drawn often.
+EDGE_VALUES = st.sampled_from([10**400, -math.inf, "med-001", "ex-01", "a\nb"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8) | EDGE_VALUES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner),
+    max_leaves=5,
+)
+
+
+class TestArbitraryJsonlLine:
+    @pytest.mark.parametrize("name", list(JSONL_INPUTS))
+    @settings(
+        max_examples=40, derandomize=True, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_stage_writes_its_output_or_one_error_line(self, pipeline, tmp_path, name, data):
+        """Line 2 is the valid row with some fields replaced by arbitrary JSON values.
+
+        The stage runs in-process, so a traceback would raise here.
+        """
+        paths, _, _ = pipeline
+        row, _, command = JSONL_INPUTS[name]
+        replaced = data.draw(st.dictionaries(st.sampled_from(sorted(row)), JSON_VALUES, min_size=1))
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(row) + "\n" + json.dumps({**row, **replaced}) + "\n")
+        where = {
+            "bad": bad,
+            "out": tmp_path / "out",
+            "index": paths["index"],
+            "rationales": DATA_DIR / "rationales.jsonl",
+        }
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([arg.format(**where) for arg in command.split()])
+        lines = stderr.getvalue().splitlines()
+        assert code == 0 and lines == [] or code == 1 and len(lines) == 1, stderr.getvalue()
+        assert all(line.startswith("error: ") for line in lines), lines

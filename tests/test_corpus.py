@@ -434,6 +434,7 @@ class TestSerialization:
             (lambda m: m["doc_ids"].pop(), {}),
             (lambda m: m["terms"].pop(), {}),
             (lambda m: m["terms"].append("zebra"), {}),
+            (lambda m: m["terms"].__setitem__(1, m["terms"][0]), {}),
             (lambda m: m["build_params"].update(k1=math.nan), {}),
             (lambda m: m["build_params"].update(k1=-0.5), {}),
             (lambda m: m["build_params"].update(b=5.0), {}),
@@ -464,7 +465,8 @@ class TestSerialization:
             (None, {"text_offsets": lambda a: np.r_[a[:-1], a[-1] - 1]}),
         ],
         ids=[
-            "no-documents", "one-document-short", "one-term-short", "one-term-extra", "k1-nan",
+            "no-documents", "one-document-short", "one-term-short", "one-term-extra",
+            "one-term-repeated", "k1-nan",
             "k1-negative", "b-above-one", "lengths-short", "offsets-from-1", "offsets-decrease",
             "offsets-short-of-postings", "tfs-short", "ordinal-past-end", "ordinal-negative",
             "tf-zero", "tf-negative", "length-zero", "lengths-all-zero", "ordinals-float64",

@@ -23,6 +23,7 @@ from radkit.reranker import (
     RerankerModel,
     build_candidate_set,
     candidates_jsonl_text,
+    doc_rows,
     featurize,
     kl_loss,
     load_model,
@@ -124,20 +125,21 @@ class TestFeaturize:
         seed=st.integers(0, 2**63 - 1),
     )
     def test_index_rows_equal_featurize_bit_for_bit(self, data, texts, dim, seed):
-        """Rows of any distinct ordinals, in any order, from one model called twice."""
+        """Rows of any distinct ordinals, in any order, from one index called twice."""
         docs = [Document(f"d{i}", "", " ".join(words)) for i, words in enumerate(texts)]
-        index, model = build_index(docs), RerankerModel(dim, seed)
+        index = build_index(docs)
         for _ in range(2):
             order = data.draw(st.permutations(range(len(docs))))
             ordinals = order[: data.draw(st.integers(1, len(docs)))]
             want = [reference_featurize(docs[o].text, dim, seed) for o in ordinals]
             assert np.array_equal(want, [featurize(docs[o].text, dim, seed) for o in ordinals])
-            assert model.doc_rows(index, ordinals).tobytes() == np.stack(want).tobytes()
+            assert doc_rows(index, ordinals, dim, seed).tobytes() == np.stack(want).tobytes()
 
     def test_scored_index_is_not_kept_alive(self):
         """A model holds only its parameters, so it keeps no index it has scored alive."""
-        model, index = RerankerModel(8, 1), text_index({"a": "fever chills", "b": "rest fever"})
-        model.doc_rows(index, [0, 1])
+        model = RerankerModel.identity(8, 1)
+        index = text_index({"a": "fever chills", "b": "rest fever"})
+        model.scores("fever", index, [0, 1])
         ref = weakref.ref(index)
         del index
         gc.collect()
@@ -159,7 +161,7 @@ class TestFeaturize:
 
 class TestScore:
     def test_empty_query_scores_bias(self):
-        model = RerankerModel(embedding_dim=16, bias=2.5)
+        model = RerankerModel(16, 0, np.eye(16), np.eye(16), bias=2.5)
         assert model.scores("", text_index({"d": "some document text"}), [0])[0] == 2.5
 
     def test_identity_self_similarity_is_one(self):
@@ -248,6 +250,31 @@ class TestSoftmax:
         """The suite turns RuntimeWarning into an error, so an overflow warning fails here."""
         probs = softmax_normalize([[1e308, -1e308], [-1e308, 0.0]], tau=1.0)
         assert probs.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_quotient_past_the_float_range_takes_the_zero_temperature_limit(self):
+        """Rows whose highest score / tau overflows split the mass over their highest scores.
+
+        The other rows keep the bits of the plain max-subtracted softmax.
+        """
+        tau = 1e-307
+        scores = [
+            [30.0, 2.0, 30.0, -math.inf],
+            [-1e308, -1.5e308, -1e308, -1e308],
+            [1e-307, 0.0, -1e-307, 5e-308],
+            [-1.0, -3.0, -math.inf, -1.0],
+        ]
+        probs = softmax_normalize(scores, tau)
+        assert probs[:2].tolist() == [[0.5, 0.0, 0.5, 0.0], [1 / 3, 0.0, 1 / 3, 1 / 3]]
+        for row, got in zip(scores[2:], probs[2:]):
+            z = np.array(row) / tau
+            e = np.exp(z - z.max())
+            assert got.tobytes() == (e / e.sum()).tobytes()
+
+    def test_row_holding_an_infinite_score_stays_nan(self):
+        """Training's divergence check reads the NaN."""
+        with np.errstate(invalid="ignore"):
+            probs = softmax_normalize([[math.inf, 1.0], [1e308, 1.0]], tau=1e-10)
+        assert np.isnan(probs[0]).all() and probs[1].tolist() == [1.0, 0.0]
 
 
 class TestKlLoss:
@@ -459,6 +486,11 @@ class TestBuildCandidateSet:
     def test_ordered_by_descending_teacher_score(self, med_index, med_record):
         cs = build_candidate_set(med_index, med_record, 0, 6, 2)
         assert list(cs.teacher_scores) == sorted(cs.teacher_scores, reverse=True)
+
+    @pytest.mark.parametrize("kappa1, kappa2", [(-3, 4), (4, -1)])
+    def test_negative_kappa_rejected(self, med_index, med_record, kappa1, kappa2):
+        with pytest.raises(ValueError, match=f"got {kappa1} and {kappa2}"):
+            build_candidate_set(med_index, med_record, 0, kappa1, kappa2)
 
     def test_degenerate_candidate_set_rejected(self, med_index):
         record = RationaleRecord(
