@@ -1,5 +1,8 @@
 """Exception types shared across the toolkit."""
 
+# Each character that str.splitlines breaks a line at, mapped to its \uXXXX escape.
+_LINE_BREAKS = {ord(c): f"\\u{ord(c):04x}" for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
 
 class RadkitError(Exception):
     """Base class for all toolkit errors."""
@@ -31,7 +34,8 @@ class UnknownFormatVersion(RadkitError):
 
 class ParseError(RadkitError):
     def __init__(self, path, line_no: int, message: str):
-        super().__init__(f"{path}: line {line_no}: {message}")
+        # One line: the path and the message may echo input text that holds line breaks.
+        super().__init__(f"{path}: line {line_no}: {message}".translate(_LINE_BREAKS))
         self.path = path
         self.line_no = line_no
 

@@ -66,9 +66,20 @@ class CandidateSet:
             raise ValueError("teacher scores must be finite")
 
 
-def _slot_sign(term: str, embedding_dim: int, hash_seed: int) -> tuple[int, float]:
-    digest = hashlib.blake2b(f"{hash_seed}:{term}".encode("utf-8"), digest_size=16).digest()
-    return int.from_bytes(digest[:8], "little") % embedding_dim, 1.0 if digest[8] & 1 else -1.0
+def _slot_sign(terms: Sequence[str], embedding_dim: int, hash_seed: int):
+    """Each term's slot (int64) and sign (+-1.0), from the 16-byte blake2b of ``f"{seed}:{term}"``.
+
+    The slot is bytes 0-7 read little-endian, modulo E; the sign is +1 when byte 8 is odd.
+    The seed prefix is hashed once and its state copied per term.
+    """
+    prefix, digests = hashlib.blake2b(f"{hash_seed}:".encode(), digest_size=16), []
+    for term in terms:
+        h = prefix.copy()
+        h.update(term.encode())
+        digests.append(h.digest())
+    table = np.frombuffer(b"".join(digests), np.uint8).reshape(-1, 16)
+    slots = table.view("<u8")[:, 0] % np.uint64(embedding_dim)
+    return slots.astype(np.int64), np.where(table[:, 8] & 1, 1.0, -1.0)
 
 
 def _unit_rows(rows, term_ids, tfs, terms, n_rows: int, dim: int, seed: int):
@@ -79,14 +90,13 @@ def _unit_rows(rows, term_ids, tfs, terms, n_rows: int, dim: int, seed: int):
     slot adds its weights in ascending order, whatever order the triples come in.
     """
     distinct_terms, term_of = np.unique(term_ids, return_inverse=True)
-    distinct_tfs, tf_of = np.unique(tfs, return_inverse=True)
-    table = np.reshape([_slot_sign(terms[t], dim, seed) for t in distinct_terms.tolist()], (-1, 2))
-    log1p = np.array([math.log1p(tf) for tf in distinct_tfs.tolist()])
-    slots, weights = table[term_of, 0], table[term_of, 1] * log1p[tf_of]
-    del term_ids, tfs, term_of, tf_of
+    slots, signs = _slot_sign([terms[t] for t in distinct_terms.tolist()], dim, seed)
+    log1p = np.array([math.log1p(tf) for tf in range(int(tfs.max(initial=0)) + 1)])
+    slots, weights = slots[term_of], signs[term_of] * log1p[tfs]
+    del term_ids, tfs, term_of
     order = np.argsort(weights, kind="stable")
     keys = rows[order] * dim
-    np.add(keys, slots[order], out=keys, casting="unsafe")  # slots are integral floats
+    keys += slots[order]
     vecs = np.bincount(keys, weights[order], minlength=n_rows * dim)  # int if empty
     del rows, slots, weights, order, keys  # the triples go before the dense rows are normalized
     vecs = vecs.astype(np.float64, copy=False).reshape(n_rows, dim)
@@ -112,10 +122,15 @@ def doc_rows(
 ) -> np.ndarray:
     """Feature rows (len(ordinals), E) of the index's documents at distinct ``ordinals``.
 
-    Built from the postings, equal to ``featurize(doc.text)`` bit for bit.
+    Built from the postings, equal to ``featurize(doc.text)`` bit for bit. A
+    repeated or negative ordinal raises ValueError.
     """
+    if np.min(ordinals, initial=0) < 0:
+        raise ValueError("ordinals must be >= 0")
     row_of = np.full(index.doc_count, -1, dtype=np.int64)
     row_of[ordinals] = np.arange(len(ordinals))
+    if np.count_nonzero(row_of >= 0) != len(ordinals):
+        raise ValueError("ordinals must be distinct")
     hit = np.flatnonzero(row_of[index.ordinals] >= 0)
     return _unit_rows(
         row_of[index.ordinals[hit]], np.searchsorted(index.offsets, hit, side="right") - 1,

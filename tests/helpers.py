@@ -293,13 +293,18 @@ def padded_fixture() -> tuple[RerankerModel, list[CandidateSet], PostingsIndex]:
     return model, sets, text_index(doc_texts)
 
 
+def reference_slot_sign(term: str, dim: int, seed: int) -> tuple[int, float]:
+    """One term's slot and sign from its own blake2b of ``f"{seed}:{term}"``, read as Python ints."""
+    digest = hashlib.blake2b(f"{seed}:{term}".encode(), digest_size=16).digest()
+    return int.from_bytes(digest[:8], "little") % dim, 1.0 if digest[8] & 1 else -1.0
+
+
 def reference_featurize(text: str, dim: int, seed: int) -> np.ndarray:
     """``featurize`` as a loop: blake2b per term, then per slot the signed ln(1 + tf) ascending."""
     by_slot: dict[int, list[float]] = {}
     for term, tf in Counter(tokenize(text)).items():
-        digest = hashlib.blake2b(f"{seed}:{term}".encode(), digest_size=16).digest()
-        slot = int.from_bytes(digest[:8], "little") % dim
-        by_slot.setdefault(slot, []).append((1.0 if digest[8] & 1 else -1.0) * math.log1p(tf))
+        slot, sign = reference_slot_sign(term, dim, seed)
+        by_slot.setdefault(slot, []).append(sign * math.log1p(tf))
     vec = np.zeros((1, dim))
     for slot, weights in by_slot.items():
         for w in sorted(weights):

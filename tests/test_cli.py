@@ -960,6 +960,20 @@ MALFORMED_CASES = [
         'unknown doc id "z\\nz"',
         id="candidates-unknown-doc-id-with-a-line-break",
     ),
+    # U+2028 is a line break to str.splitlines, and json.dumps(ensure_ascii=False) keeps it.
+    pytest.param(
+        "candidates",
+        json.dumps(
+            {**JSONL_INPUTS["candidates"][0], "doc_ids": ["med-001", "x\u2028y"]},
+            ensure_ascii=False,
+        ).encode(),
+        'unknown doc id "x\\u2028y"',
+        id="candidates-unknown-doc-id-with-u2028",
+    ),
+    pytest.param(
+        "questions", '"a\u2028b"'.encode(), 'expected a JSON object, got "a\\u2028b"',
+        id="questions-non-object-with-u2028",
+    ),
 ] + [
     # A string where a list belongs, and values that do not convert.
     pytest.param(
@@ -1031,8 +1045,10 @@ class TestMalformedInput:
 
 
 # Any JSON value, non-finite floats and huge integers included (json.loads reads both),
-# with ids the fixture index knows and line breaks drawn often.
-EDGE_VALUES = st.sampled_from([10**400, -math.inf, "med-001", "ex-01", "a\nb"])
+# with ids the fixture index knows and line breaks (str.splitlines's) drawn often.
+EDGE_VALUES = st.sampled_from(
+    [10**400, -math.inf, "med-001", "ex-01", "a\nb", "a\u2028b", "a\u2029b", "a\x85b"]
+)
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8) | EDGE_VALUES,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner),

@@ -71,3 +71,12 @@ def test_read_jsonl_names_the_field_of_a_lone_surrogate(tmp_path, line, where):
     with pytest.raises(ParseError) as err:
         read_jsonl(path, dict)
     assert str(err.value).startswith(f"{path}: line 2: {where}: 'utf-8' codec can't encode")
+
+
+def test_parse_error_escapes_every_line_break():
+    """Input text echoed into the message, whatever it holds, cannot split the one error line."""
+    every_code_point = "".join(map(chr, range(0x110000)))
+    message = str(ParseError("rows\u2028.jsonl", 2, every_code_point))
+    assert len(message.splitlines()) == 1
+    assert message.startswith("rows\\u2028.jsonl: line 2: \x00")
+    assert "\t\\u000a\\u000b\\u000c\\u000d\x0e" in message

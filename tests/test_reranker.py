@@ -21,6 +21,7 @@ from radkit.errors import (
 from radkit.reranker import (
     CandidateSet,
     RerankerModel,
+    _slot_sign,
     build_candidate_set,
     candidates_jsonl_text,
     doc_rows,
@@ -45,6 +46,7 @@ from helpers import (
     random_reranker_fixture,
     reference_featurize,
     reference_rerank_inference,
+    reference_slot_sign,
     reference_train,
     text_index,
     unchecked_checkpoint,
@@ -134,6 +136,44 @@ class TestFeaturize:
             want = [reference_featurize(docs[o].text, dim, seed) for o in ordinals]
             assert np.array_equal(want, [featurize(docs[o].text, dim, seed) for o in ordinals])
             assert doc_rows(index, ordinals, dim, seed).tobytes() == np.stack(want).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        terms=st.lists(
+            st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6),
+            max_size=20,
+        ),
+        dim=st.sampled_from([1, 3, 256, 257, 1000]),
+        seed=st.integers(-(2**63), -1) | st.integers(2**63, 2**80) | st.integers(0, 9),
+    )
+    def test_slot_sign_table_equals_the_per_term_hash(self, terms, dim, seed):
+        """Slots read little-endian from bytes 0-7, signs from byte 8, for any text and seed."""
+        terms += ["é", "Straße", "жук", "中文"]
+        slots, signs = _slot_sign(terms, dim, seed)
+        assert slots.dtype == np.int64 and signs.dtype == np.float64
+        want = [reference_slot_sign(term, dim, seed) for term in terms]
+        assert list(zip(slots.tolist(), signs.tolist())) == want
+
+    @pytest.mark.parametrize(
+        "text", ["fever " * 1200 + "chills", "fever " * 5000 + "chills " * 1000, "-- ,.; !?", ""]
+    )
+    def test_large_term_frequency_and_no_terms_equal_the_reference(self, text):
+        """ln(1 + tf) comes from a table over 0..max tf; a text with no terms is all zero."""
+        want = reference_featurize(text, 64, 3).tobytes()
+        assert featurize(text, 64, 3).tobytes() == want
+        if tokenize(text):
+            index = build_index([Document("d", "", text), Document("e", "", "rest")])
+            assert doc_rows(index, [0], 64, 3).tobytes() == want
+
+    @pytest.mark.parametrize(
+        "ordinals", [[0, 0, 1], [1, 0, 1], [-1], [0, -1]], ids=["0-0-1", "1-0-1", "-1", "0--1"]
+    )
+    def test_repeated_or_negative_ordinals_rejected(self, med_index, ordinals):
+        """Rows are assigned by ordinal, so a repeat would leave a zero row and -1 would wrap."""
+        with pytest.raises(ValueError, match="ordinals must be"):
+            doc_rows(med_index, ordinals, 64, 0)
+        with pytest.raises(ValueError, match="ordinals must be"):
+            RerankerModel.identity(64, 0).scores("thyroid hormone", med_index, ordinals)
 
     def test_scored_index_is_not_kept_alive(self):
         """A model holds only its parameters, so it keeps no index it has scored alive."""
