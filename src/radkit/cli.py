@@ -35,7 +35,7 @@ from .distill import (
     retrieve_knowledge,
     training_jsonl_text,
 )
-from .errors import DuplicateDocId, EmptyDocument, RadkitError
+from .errors import _LINE_BREAKS, DuplicateDocId, EmptyDocument, RadkitError
 from .evaluation import (
     accuracy,
     build_silver,
@@ -302,111 +302,123 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--manifest-out", default=None, help="run-manifest path (default: <out>.manifest.json)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``: every subcommand with its help, arguments only for the one named.
+
+    The named subcommand is the first token that does not start with ``-``;
+    no top-level option takes a value, so no option's value can be taken for it.
+    """
     parser = argparse.ArgumentParser(
         prog="radkit",
         description="Retrieval-augmented distillation toolkit",
     )
     parser.add_argument("--version", action="version", version=f"radkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    named = next((token for token in argv if not token.startswith("-")), None)
 
-    p = sub.add_parser("index", help="build a BM25 index from a JSONL corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--k1", type=float, default=DEFAULT_K1)
-    p.add_argument("--b", type=float, default=DEFAULT_B)
-    _add_common(p)
-    p.set_defaults(func=cmd_index, params=("k1", "b"))
+    def add(name: str, help_text: str) -> argparse.ArgumentParser | None:
+        p = sub.add_parser(name, help=help_text)
+        return p if name == named else None
 
-    p = sub.add_parser("emit-train", help="emit knowledge-augmented training examples")
-    p.add_argument("--index", required=True)
-    p.add_argument("--rationales", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, default=1, help="passages per rationale")
-    p.add_argument("--template", default="medqa", help="medqa | strategyqa | custom:<file>")
-    p.add_argument("--filter", default="answer-match", help="answer-match | verdict-file:<path> | none")
-    p.add_argument("--max-knowledge-chars", type=int, default=None)
-    p.add_argument("--no-knowledge", action="store_true", help="plain distillation template without passages")
-    _add_common(p)
-    p.set_defaults(
-        func=cmd_emit_train,
-        params=("k", "template", "filter", "max_knowledge_chars", "no_knowledge"),
-    )
+    if (p := add("index", "build a BM25 index from a JSONL corpus")) is not None:
+        p.add_argument("--corpus", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--k1", type=float, default=DEFAULT_K1)
+        p.add_argument("--b", type=float, default=DEFAULT_B)
+        _add_common(p)
+        p.set_defaults(func=cmd_index, params=("k1", "b"))
 
-    p = sub.add_parser("candidates", help="build reranker training candidate sets")
-    p.add_argument("--index", required=True)
-    p.add_argument("--rationales", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--kappa1", type=int, default=DEFAULT_KAPPA1)
-    p.add_argument("--kappa2", type=int, default=DEFAULT_KAPPA2)
-    p.add_argument("--filter", default="answer-match")
-    _add_common(p)
-    p.set_defaults(func=cmd_candidates, params=("kappa1", "kappa2", "filter"))
+    if (p := add("emit-train", "emit knowledge-augmented training examples")) is not None:
+        p.add_argument("--index", required=True)
+        p.add_argument("--rationales", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--k", type=int, default=1, help="passages per rationale")
+        p.add_argument("--template", default="medqa", help="medqa | strategyqa | custom:<file>")
+        p.add_argument("--filter", default="answer-match", help="answer-match | verdict-file:<path> | none")
+        p.add_argument("--max-knowledge-chars", type=int, default=None)
+        p.add_argument("--no-knowledge", action="store_true", help="plain distillation template without passages")
+        _add_common(p)
+        p.set_defaults(
+            func=cmd_emit_train,
+            params=("k", "template", "filter", "max_knowledge_chars", "no_knowledge"),
+        )
 
-    p = sub.add_parser("rerank-train", help="train the reranker on candidate sets")
-    p.add_argument("--index", required=True)
-    p.add_argument("--candidates", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--tau1", type=float, default=DEFAULT_TAU1)
-    p.add_argument("--tau2", type=float, default=DEFAULT_TAU2)
-    p.add_argument("--lr", type=float, default=1e-2)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--dim", type=int, default=DEFAULT_EMBEDDING_DIM)
-    p.add_argument("--hash-seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(
-        func=cmd_rerank_train, params=("tau1", "tau2", "lr", "epochs", "dim", "hash_seed")
-    )
+    if (p := add("candidates", "build reranker training candidate sets")) is not None:
+        p.add_argument("--index", required=True)
+        p.add_argument("--rationales", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--kappa1", type=int, default=DEFAULT_KAPPA1)
+        p.add_argument("--kappa2", type=int, default=DEFAULT_KAPPA2)
+        p.add_argument("--filter", default="answer-match")
+        _add_common(p)
+        p.set_defaults(func=cmd_candidates, params=("kappa1", "kappa2", "filter"))
 
-    p = sub.add_parser("rerank-infer", help="two-stage retrieval with the reranker")
-    p.add_argument("--index", required=True)
-    p.add_argument("--questions", required=True, help="JSONL of {id, question}")
-    p.add_argument("--out", required=True)
-    p.add_argument("--model", default=None, help="reranker checkpoint (default: identity model)")
-    p.add_argument("--kappa-star", type=int, default=DEFAULT_KAPPA_STAR)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--score-file", default=None, help="external scorer JSONL of {id, doc_id, score}")
-    _add_common(p)
-    p.set_defaults(func=cmd_rerank_infer, params=("kappa_star", "k", "score_file"))
+    if (p := add("rerank-train", "train the reranker on candidate sets")) is not None:
+        p.add_argument("--index", required=True)
+        p.add_argument("--candidates", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--tau1", type=float, default=DEFAULT_TAU1)
+        p.add_argument("--tau2", type=float, default=DEFAULT_TAU2)
+        p.add_argument("--lr", type=float, default=1e-2)
+        p.add_argument("--epochs", type=int, default=50)
+        p.add_argument("--dim", type=int, default=DEFAULT_EMBEDDING_DIM)
+        p.add_argument("--hash-seed", type=int, default=0)
+        _add_common(p)
+        p.set_defaults(
+            func=cmd_rerank_train, params=("tau1", "tau2", "lr", "epochs", "dim", "hash_seed")
+        )
 
-    p = sub.add_parser("eval", help="Hits@k against silver sets and/or answer accuracy")
-    p.add_argument("--index")
-    p.add_argument("--rationales")
-    p.add_argument("--retrieved", help="rerank-infer output JSONL")
-    p.add_argument("--predictions", help="JSONL of {id, texts, gold}")
-    p.add_argument("--ks", default="1,3,10")
-    p.add_argument("--j-gold", type=int, default=0)
-    p.add_argument("--all-silver", action="store_true", help="require all silver docs in the top-k")
-    p.add_argument("--out", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_eval, params=("ks", "j_gold", "all_silver"))
+    if (p := add("rerank-infer", "two-stage retrieval with the reranker")) is not None:
+        p.add_argument("--index", required=True)
+        p.add_argument("--questions", required=True, help="JSONL of {id, question}")
+        p.add_argument("--out", required=True)
+        p.add_argument("--model", default=None, help="reranker checkpoint (default: identity model)")
+        p.add_argument("--kappa-star", type=int, default=DEFAULT_KAPPA_STAR)
+        p.add_argument("--k", type=int, default=1)
+        p.add_argument("--score-file", default=None, help="external scorer JSONL of {id, doc_id, score}")
+        _add_common(p)
+        p.set_defaults(func=cmd_rerank_infer, params=("kappa_star", "k", "score_file"))
 
-    p = sub.add_parser("simulate", help="run the memorization simulator")
-    p.add_argument("--N", type=int, default=100)
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--d", type=int, default=128)
-    p.add_argument("--R", type=int, default=100)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--tests", type=int, default=500, dest="tests_per_trial")
-    p.add_argument("--sweep", default=None, help="param=start:stop:step, e.g. R=0:200:50")
-    p.add_argument("--seed", type=int, default=0, help="random seed for the trials")
-    p.add_argument("--out", default=None)
-    _add_common(p)
-    p.set_defaults(
-        func=cmd_simulate,
-        params=("N", "n", "d", "R", "eps", "trials", "tests_per_trial", "seed", "sweep"),
-    )
+    if (p := add("eval", "Hits@k against silver sets and/or answer accuracy")) is not None:
+        p.add_argument("--index")
+        p.add_argument("--rationales")
+        p.add_argument("--retrieved", help="rerank-infer output JSONL")
+        p.add_argument("--predictions", help="JSONL of {id, texts, gold}")
+        p.add_argument("--ks", default="1,3,10")
+        p.add_argument("--j-gold", type=int, default=0)
+        p.add_argument("--all-silver", action="store_true", help="require all silver docs in the top-k")
+        p.add_argument("--out", default=None)
+        _add_common(p)
+        p.set_defaults(func=cmd_eval, params=("ks", "j_gold", "all_silver"))
+
+    if (p := add("simulate", "run the memorization simulator")) is not None:
+        p.add_argument("--N", type=int, default=100)
+        p.add_argument("--n", type=int, default=100)
+        p.add_argument("--d", type=int, default=128)
+        p.add_argument("--R", type=int, default=100)
+        p.add_argument("--eps", type=float, default=0.1)
+        p.add_argument("--trials", type=int, default=200)
+        p.add_argument("--tests", type=int, default=500, dest="tests_per_trial")
+        p.add_argument("--sweep", default=None, help="param=start:stop:step, e.g. R=0:200:50")
+        p.add_argument("--seed", type=int, default=0, help="random seed for the trials")
+        p.add_argument("--out", default=None)
+        _add_common(p)
+        p.set_defaults(
+            func=cmd_simulate,
+            params=("N", "n", "d", "R", "eps", "trials", "tests_per_trial", "seed", "sweep"),
+        )
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (RadkitError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # One line, even where the message echoes a path or input text with a line break.
+        print(f"error: {exc}".translate(_LINE_BREAKS), file=sys.stderr)
         return 1
 
 

@@ -86,11 +86,17 @@ class TaskInstance:
 
 
 def prefix_keys(bits: np.ndarray) -> np.ndarray:
-    """One key per row of a 2-D 0/1 array: the row's packed bytes, viewed as one np.void.
+    """One key per row of a 2-D 0/1 array, ordered as the row's packed bytes.
 
-    Rows of one width have equal keys exactly when their bits are equal.
+    A row that packs into at most 8 bytes is one big-endian uint64 of them; a
+    wider row is its packed bytes viewed as one np.void. Rows of one width have
+    equal keys exactly when their bits are equal.
     """
     packed = np.packbits(bits, axis=1)
+    if packed.shape[1] <= 8:
+        wide = np.zeros((len(packed), 8), np.uint8)
+        wide[:, : packed.shape[1]] = packed
+        return wide.view(">u8")[:, 0].astype(np.uint64)
     return np.ascontiguousarray(packed).view(np.dtype((np.void, packed.shape[1])))[:, 0]
 
 
@@ -101,8 +107,8 @@ def sample_task(config: SimConfig, rng: np.random.Generator) -> TaskInstance:
     the KB holds exactly N + R rows with every reference present.
     """
     refs = rng.integers(0, 2, size=(config.N, config.d), dtype=np.uint8)
-    ref_keys = prefix_keys(refs)
-    distinct = len(np.unique(ref_keys))
+    ref_keys = set(prefix_keys(refs).tolist())
+    distinct = len(ref_keys)
     if config.R > (1 << config.d) - distinct:
         raise ValueError(
             f"cannot draw {config.R} distractors distinct from {distinct} "
@@ -112,7 +118,7 @@ def sample_task(config: SimConfig, rng: np.random.Generator) -> TaskInstance:
     missing = config.R
     while missing:
         block = rng.integers(0, 2, size=(missing, config.d), dtype=np.uint8)
-        block = block[~np.isin(prefix_keys(block), ref_keys)]
+        block = block[[key not in ref_keys for key in prefix_keys(block).tolist()]]
         rows.append(block)
         missing -= len(block)
     kb = np.concatenate(rows, axis=0)

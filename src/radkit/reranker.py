@@ -89,6 +89,8 @@ def _unit_rows(rows, term_ids, tfs, terms, n_rows: int, dim: int, seed: int):
     each triple adds sign * ln(1 + tf) at its term's slot in its row, and each
     slot adds its weights in ascending order, whatever order the triples come in.
     """
+    if dim < 1:
+        raise ValueError(f"embedding dim must be >= 1, got {dim}")
     distinct_terms, term_of = np.unique(term_ids, return_inverse=True)
     slots, signs = _slot_sign([terms[t] for t in distinct_terms.tolist()], dim, seed)
     log1p = np.array([math.log1p(tf) for tf in range(int(tfs.max(initial=0)) + 1)])

@@ -835,6 +835,73 @@ class TestSimulateCommand:
         assert not out.exists()
 
 
+# `radkit --help`, each subcommand's --help, and the usage errors for a missing
+# and an unknown subcommand at COLUMNS=80: exit code, stdout and stderr.
+HELP_PINS = json.loads((DATA_DIR / "cli_help.json").read_text(encoding="utf-8"))
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", list(HELP_PINS), ids=lambda argv: argv or "no-command")
+    def test_help_and_usage_errors_are_pinned(self, monkeypatch, argv):
+        """The parser adds arguments only to the subcommand it is asked for, yet
+        every help text and usage error reads as when all of them had theirs."""
+        monkeypatch.setenv("COLUMNS", "80")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exited:
+                main(argv.split())
+        got = {"code": exited.value.code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+        assert got == HELP_PINS[argv]
+
+    def test_main_without_argv_reads_sys_argv(self, monkeypatch, capsys):
+        """The console script and ``python -m radkit`` call main() with no argv."""
+        monkeypatch.setattr(sys, "argv", [
+            "radkit", "simulate", "--N", "4", "--n", "8", "--d", "12", "--R", "2",
+            "--eps", "0.2", "--trials", "2", "--tests", "10", "--quiet",
+        ])
+        assert main() == 0
+        assert json.loads(capsys.readouterr().out)["config"]["N"] == 4
+
+
+class TestLineBreakInPath:
+    @pytest.mark.parametrize(
+        "command, bad_text, expected",
+        [
+            (
+                "index --corpus {bad} --out {out}",
+                '{"id": "d1", "text": "alpha"}\n{"id": "d1", "text": "beta"}\n',
+                ": line 2: duplicate document id: 'd1'",
+            ),
+            (
+                "rerank-infer --index {bad} --questions {questions} --out {out}",
+                "not an index\n",
+                ": unknown file format version None",
+            ),
+            (
+                "rerank-infer --index {index} --model {bad} --questions {questions} --out {out}",
+                "not a checkpoint\n",
+                ": unknown file format version None",
+            ),
+        ],
+        ids=["index-duplicate-id", "rerank-infer-index", "rerank-infer-model"],
+    )
+    def test_error_line_escapes_a_line_break_in_the_path(
+        self, pipeline, tmp_path, capsys, command, bad_text, expected
+    ):
+        """A path that holds U+2028 (a line break to str.splitlines) is printed escaped."""
+        paths, _, _ = pipeline
+        bad = tmp_path / "bad\u2028file"
+        bad.write_text(bad_text)
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text('{"id": "q1", "question": "thyroid"}\n')
+        where = {"bad": bad, "out": tmp_path / "out", "index": paths["index"], "questions": questions}
+        assert main([arg.format(**where) for arg in command.split()]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        escaped = str(bad).replace("\u2028", "\\u2028")
+        assert lines == [lines[0]] and lines[0].startswith(f"error: {escaped}{expected}"), lines
+        assert not (tmp_path / "out").exists()
+
+
 
 # Every JSONL input of every stage: a valid row, the fields its reader
 # requires, and the stage invocation that reads it from {bad}.

@@ -1,5 +1,6 @@
 """Memorization simulator: sampling, learners, budget formula, error gaps."""
 
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radkit import memsim
 from radkit.errors import DegenerateBoundWarning, InvalidEpsilon
 from radkit.memsim import (
     CASE_GUESS,
@@ -417,13 +419,38 @@ class TestPrefixIndex:
             scan = np.flatnonzero((kb[:, :m] == kb[i, :m]).all(1))
             assert order[first[i] : stop[i]].tolist() == scan.tolist()
 
-    def test_keys_equal_exactly_when_bits_equal(self):
-        bits = np.array([[1, 0, 1], [1, 0, 1], [1, 0, 0], [0, 0, 0]], dtype=np.uint8)
-        keys = prefix_keys(bits)
-        assert keys.shape == (4,)
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), width=st.sampled_from([1, 8, 9, 63, 64, 65, 72, 130]) | st.integers(1, 130))
+    def test_keys_equal_exactly_when_bits_equal(self, data, width):
+        """Keys are uint64 up to 64 bits and np.void above; either way they compare and
+        sort like the rows' bits. Rows are copies of a few bases, some with one bit
+        flipped in the last nine, so equal rows and rows that differ only in the last
+        packed byte are both common. For every prefix width m, each row's
+        ``searchsorted`` range holds exactly the rows of the brute-force scan."""
+        row = st.lists(st.integers(0, 1), min_size=width, max_size=width)
+        bases = data.draw(st.lists(row, min_size=1, max_size=3))
+        rows = []
+        for _ in range(data.draw(st.integers(1, 12))):
+            bits = list(data.draw(st.sampled_from(bases)))
+            if data.draw(st.booleans()):
+                bits[data.draw(st.integers(max(0, width - 9), width - 1))] ^= 1
+            rows.append(bits)
+        kb = np.array(rows, dtype=np.uint8)
+        keys = prefix_keys(kb)
+        assert keys.shape == (len(kb),)
+        assert keys.dtype == (np.uint64 if width <= 64 else np.dtype((np.void, -(-width // 8))))
         assert [[a == b for b in keys] for a in keys] == [
-            [bool((x == y).all()) for y in bits] for x in bits
+            [bool((x == y).all()) for y in kb] for x in kb
         ]
+        m = data.draw(st.integers(1, width))
+        sorted_keys, order = build_prefix_index(kb, m)
+        assert order.tolist() == sorted(range(len(kb)), key=lambda i: (rows[i][:m], i))
+        wanted = prefix_keys(kb[:, :m])
+        first = np.searchsorted(sorted_keys, wanted)
+        stop = np.searchsorted(sorted_keys, wanted, side="right")
+        for i in range(len(kb)):
+            scan = np.flatnonzero((kb[:, :m] == kb[i, :m]).all(1))
+            assert order[first[i] : stop[i]].tolist() == scan.tolist()
 
 
 class TestRunSimulation:
@@ -463,6 +490,36 @@ class TestRunSimulation:
         assert report.max_bits_phi <= report.bits_budget
         assert report.mean_bits_phi <= report.max_bits_phi
         assert report.bits_naive > report.mean_bits_phi
+
+    @pytest.mark.parametrize(
+        "config, m, redraws, digest",
+        [
+            (
+                SimConfig(N=3, n=10, d=3, R=4, eps=0.1, trials=6, tests_per_trial=50, seed=2),
+                3, 8, "15150aa4083ffe26330a43f95c009ed00387646a8f85be2ca60d10e161b4b545",
+            ),
+            (
+                SimConfig(N=60, n=200, d=200, R=3000, eps=1e-15, trials=3, tests_per_trial=200,
+                          seed=1),
+                72, 0, "357ae7552c8c7ff490a2bbb76bb3b5c2f96bcd859dd1affddd6c46e7c9c9a802",
+            ),
+        ],
+        ids=["distractor-redraws", "m-above-64"],
+    )
+    def test_report_is_pinned(self, monkeypatch, config, m, redraws, digest):
+        """Reports, byte for byte: one config whose distractor blocks hit references
+        and are redrawn, one whose 72-bit prefixes are wider than a uint64 key.
+
+        ``prefix_keys`` runs four times a trial (references, the first distractor
+        block, the prefix index, the test queries) and once more per redrawn block.
+        As the bench pins, these hold for numpy's PCG64 ``Generator.integers`` stream.
+        """
+        calls = []
+        keys = memsim.prefix_keys
+        monkeypatch.setattr(memsim, "prefix_keys", lambda bits: calls.append(1) or keys(bits))
+        report = run_simulation(config)
+        assert (report.m, len(calls) - 4 * config.trials) == (m, redraws)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
     def test_report_serializes_to_json(self):
         import json

@@ -175,6 +175,15 @@ class TestFeaturize:
         with pytest.raises(ValueError, match="ordinals must be"):
             RerankerModel.identity(64, 0).scores("thyroid hormone", med_index, ordinals)
 
+    @pytest.mark.parametrize("dim", [0, -3])
+    def test_embedding_dim_below_one_rejected(self, med_index, dim):
+        """The same message as RerankerModel's, not a division by zero or an overflow."""
+        for text in ("a b", "a", ""):
+            with pytest.raises(ValueError, match=f"embedding dim must be >= 1, got {dim}"):
+                featurize(text, dim, 0)
+        with pytest.raises(ValueError, match=f"embedding dim must be >= 1, got {dim}"):
+            doc_rows(med_index, [0, 1], dim, 0)
+
     def test_scored_index_is_not_kept_alive(self):
         """A model holds only its parameters, so it keeps no index it has scored alive."""
         model = RerankerModel.identity(8, 1)
