@@ -32,10 +32,8 @@ from .distill import (
 )
 from .evaluation import (
     PredictionBundle,
-    SilverSet,
     accuracy,
     build_silver,
-    hits_at_k,
     majority_vote,
 )
 from .answers import extract_answer
@@ -84,10 +82,8 @@ __all__ = [
     "build_candidate_set",
     "rerank_batch",
     "rerank_inference",
-    "SilverSet",
     "PredictionBundle",
     "build_silver",
-    "hits_at_k",
     "majority_vote",
     "accuracy",
     "SimConfig",

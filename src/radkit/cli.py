@@ -197,10 +197,12 @@ def cmd_rerank_infer(args) -> int:
         raise ValueError("--model and --score-file are two scorers: pass only one")
     index = load_index(args.index)
     file_scorer = FileScorer.load(args.score_file) if args.score_file else None
-    model = load_model(args.model) if args.model else RerankerModel.identity()
+    model = load_model(args.model) if args.model else None
     questions = read_jsonl(args.questions, lambda obj: (str(obj["id"]), str(obj["question"])))
     if file_scorer:
         model = [file_scorer.for_example(example_id) for example_id, _ in questions]
+    elif model is None:
+        model = RerankerModel.identity()
     texts = [question for _, question in questions]
     ranked = rerank_batch(index, model, texts, args.kappa_star, args.k)
     rows = [

@@ -60,7 +60,6 @@ class TrainingExample:
 class TrainingTemplate:
     """Header line plus whether a Knowledge block is included."""
 
-    template_id: str
     header: str
     with_knowledge: bool = True
 
@@ -68,10 +67,10 @@ class TrainingTemplate:
     def named(cls, name: str, with_knowledge: bool = True) -> "TrainingTemplate":
         """Resolve "medqa", "strategyqa", or "custom:<path to header file>"."""
         if name in HEADERS:
-            return cls(name, HEADERS[name], with_knowledge)
+            return cls(HEADERS[name], with_knowledge)
         if name.startswith("custom:"):
             header = Path(name[len("custom:"):]).read_text(encoding="utf-8").rstrip("\n")
-            return cls(name, header, with_knowledge)
+            return cls(header, with_knowledge)
         raise ValueError(f"unknown template {name!r}")
 
 

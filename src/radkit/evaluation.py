@@ -23,86 +23,67 @@ SILVER_K = 3
 
 
 @dataclass(frozen=True)
-class SilverSet:
-    example_id: str
-    silver_doc_ids: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class PredictionBundle:
     example_id: str
     generated_texts: tuple[str, ...]
     gold_answer: str
 
 
-def build_silver(index: PostingsIndex, record: RationaleRecord, j_gold: int) -> SilverSet:
-    """Top-3 retrieval with the designated gold rationale as the query.
+def build_silver(index: PostingsIndex, record: RationaleRecord, j_gold: int) -> tuple[str, ...]:
+    """The doc ids of the top-3 retrieval with the designated gold rationale as the query.
 
     A rationale with no corpus overlap yields an empty silver set; such
     examples are excluded from Hits@k denominators and reported.
     """
-    hits = retrieve(index, record.rationales[j_gold], SILVER_K)
-    return SilverSet(record.example_id, tuple(sd.doc_id for sd in hits))
-
-
-def hits_at_k(
-    retrieved_lists: Mapping[str, Sequence[str]],
-    silver_sets: Mapping[str, SilverSet],
-    k: int,
-    mode: str = "any",
-) -> float:
-    """Fraction of examples whose top-k retrieval intersects the silver set.
-
-    mode="any" counts one overlapping document as a hit; mode="all"
-    requires all silver documents in the top-k. Empty-silver examples are
-    excluded from the denominator.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if mode not in ("any", "all"):
-        raise ValueError(f"mode must be 'any' or 'all', got {mode!r}")
-    hits = 0
-    evaluated = 0
-    for example_id in sorted(retrieved_lists):
-        if example_id not in silver_sets:
-            raise MissingSilver(example_id)
-        silver = set(silver_sets[example_id].silver_doc_ids)
-        if not silver:
-            continue
-        evaluated += 1
-        top = set(list(retrieved_lists[example_id])[:k])
-        if mode == "any":
-            hits += bool(top & silver)
-        else:
-            hits += silver <= top
-    if evaluated == 0:
-        raise EmptyEvaluation("all silver sets are empty")
-    return hits / evaluated
+    return tuple(sd.doc_id for sd in retrieve(index, record.rationales[j_gold], SILVER_K))
 
 
 def hits_report(
     retrieved_lists: Mapping[str, Sequence[str]],
-    silver_sets: Mapping[str, SilverSet],
+    silver_sets: Mapping[str, Sequence[str]],
     ks: Sequence[int],
     mode: str = "any",
 ) -> dict:
-    """Hits@k for several cutoffs plus evaluated / excluded counts."""
-    excluded = sorted(
-        ex
-        for ex in retrieved_lists
-        if ex in silver_sets and not silver_sets[ex].silver_doc_ids
-    )
-    report = {
-        "hits": {str(k): hits_at_k(retrieved_lists, silver_sets, k, mode) for k in ks},
+    """Hits@k at every cutoff in ``ks``, counted in one pass, plus evaluated / excluded counts.
+
+    An example is a hit at k when its top k holds one silver document (mode="any") or
+    all of them (mode="all"); one with an empty silver set is excluded and listed.
+    """
+    for k in ks:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+    if mode not in ("any", "all"):
+        raise ValueError(f"mode must be 'any' or 'all', got {mode!r}")
+    hits = dict.fromkeys(ks, 0)
+    excluded = []
+    for example_id in sorted(retrieved_lists):
+        if example_id not in silver_sets:
+            raise MissingSilver(example_id)
+        silver = set(silver_sets[example_id])
+        if not silver:
+            excluded.append(example_id)
+            continue
+        # A hit at every k from the rank of its first ("any") or last ("all") silver id.
+        for rank, doc_id in enumerate(retrieved_lists[example_id], 1):
+            if doc_id in silver:
+                silver.remove(doc_id)
+                if mode == "any" or not silver:
+                    for k in hits:
+                        hits[k] += rank <= k
+                    break
+    evaluated = len(retrieved_lists) - len(excluded)
+    if evaluated == 0:
+        raise EmptyEvaluation("all silver sets are empty")
+    return {
+        "hits": {str(k): n / evaluated for k, n in hits.items()},
         "mode": mode,
         "counts": {
             "examples": len(retrieved_lists),
-            "evaluated": len(retrieved_lists) - len(excluded),
+            "evaluated": evaluated,
             "excluded_empty_silver": len(excluded),
         },
         "excluded": excluded,
     }
-    return report
 
 
 def majority_vote(bundle: PredictionBundle) -> str | None:

@@ -79,7 +79,7 @@ def _check_strings(obj: dict, path, line_no: int) -> None:
                 raise ParseError(path, line_no, f'field "{name}": {exc}') from None
 
 
-def field(obj: dict, name: str, convert: Callable = lambda value: value, many: bool = False):
+def field(obj: dict, name: str, convert: Callable, many: bool = False):
     """``convert(obj[name])``, per item into a tuple if ``many``; a bad value names the field."""
     value = obj[name]
     if many and not isinstance(value, list):

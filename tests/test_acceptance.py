@@ -21,7 +21,7 @@ from radkit.distill import (
     retrieve_knowledge,
     TrainingTemplate,
 )
-from radkit.evaluation import SilverSet, hits_at_k
+from radkit.evaluation import hits_report
 from radkit.memsim import (
     CASE_KB_LOOKUP,
     MemorizedState,
@@ -258,11 +258,9 @@ def test_criterion_7_retrieval_metric_properties():
             ex = f"e{e}"
             pool = [f"d{i}" for i in range(25)]
             retrieved[ex] = list(rng.permutation(pool)[:10])
-            silver[ex] = SilverSet(ex, tuple(rng.choice(pool, size=3, replace=False)))
-        h1 = hits_at_k(retrieved, silver, 1)
-        h3 = hits_at_k(retrieved, silver, 3)
-        h10 = hits_at_k(retrieved, silver, 10)
-        monotone = monotone and h1 <= h3 <= h10
+            silver[ex] = tuple(rng.choice(pool, size=3, replace=False))
+        hits = hits_report(retrieved, silver, [1, 3, 10])["hits"]
+        monotone = monotone and hits["1"] <= hits["3"] <= hits["10"]
 
     vocab = [f"w{i:03d}" for i in range(60)]
     docs = [
@@ -292,10 +290,10 @@ def test_criterion_7_retrieval_metric_properties():
         }
         bm25_lists[ex] = [sd.doc_id for sd in bm25_top]
         reranked_lists[ex] = [sd.doc_id for sd in reranked]
-        silver[ex] = SilverSet(ex, tuple(sd.doc_id for sd in bm25_top[:3]))
-    identical = all(
-        hits_at_k(reranked_lists, silver, k) == hits_at_k(bm25_lists, silver, k)
-        for k in (1, 3, 10)
+        silver[ex] = tuple(sd.doc_id for sd in bm25_top[:3])
+    ks = (1, 3, 10)
+    identical = hits_report(reranked_lists, silver, ks)["hits"] == (
+        hits_report(bm25_lists, silver, ks)["hits"]
     )
     report(
         "retrieval metrics: monotone, identity reranker exact, subset contract",

@@ -303,13 +303,17 @@ class TestPipeline:
             }, step[0]
 
     def test_outputs_are_pinned(self, pipeline):
-        """Bytes of the retrieval-driven outputs, pinned so a scoring change cannot move them."""
+        """Bytes of the retrieval-driven outputs and the metrics, pinned so a scoring change
+        cannot move them."""
         paths, _, _ = pipeline
         assert sha256(paths["train"]) == (
             "61238f5ab0b66cd84ec7408786f3371a206fa34006688ab0361fad328eacc5bb"
         )
         assert sha256(paths["cands"]) == (
             "ea42e15cbe07396be75ef4ae413254b0c3e2db4ea0bebdaa9ebd291ec60fafa7"
+        )
+        assert sha256(paths["metrics"]) == (
+            "847c95651200d91b0c9e572b3b685b2a74cd015a41bad78db69df016ad16f221"
         )
         rows = [json.loads(line) for line in paths["retrieved"].read_text().splitlines()]
         assert [(row["id"], row["doc_ids"]) for row in rows] == [
@@ -365,6 +369,29 @@ class TestRerankInferOptions:
         assert proc.returncode == 0, proc.stderr
         row = json.loads(out.read_text())
         assert row["doc_ids"] == ["med-009"]
+
+    def test_only_a_run_without_scorer_builds_the_identity_model(
+        self, pipeline, tmp_path, monkeypatch
+    ):
+        paths, _, _ = pipeline
+        built = []
+        identity = radkit.cli.RerankerModel.identity.__func__
+        monkeypatch.setattr(
+            radkit.cli.RerankerModel,
+            "identity",
+            classmethod(lambda cls, *args, **kw: built.append(args) or identity(cls, *args, **kw)),
+        )
+        score_file = tmp_path / "scores.jsonl"
+        score_file.write_text(json.dumps({"id": "ex-01", "doc_id": "med-009", "score": 1.0}) + "\n")
+        base = [
+            "rerank-infer", "--index", str(paths["index"]), "--quiet",
+            "--questions", str(DATA_DIR / "rationales.jsonl"), "--kappa-star", "10",
+        ]
+        assert main([*base, "--score-file", str(score_file), "--out", str(tmp_path / "f")]) == 0
+        assert main([*base, "--model", str(paths["model"]), "--out", str(tmp_path / "m")]) == 0
+        assert built == []
+        assert main([*base, "--out", str(tmp_path / "i")]) == 0
+        assert built == [()]
 
     def test_model_with_score_file_is_one_line_and_writes_nothing(self, pipeline, tmp_path):
         """Two scorers for one run: the checkpoint would be loaded, listed and never used."""

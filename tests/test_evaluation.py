@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radkit.answers import extract_answer
 from radkit.corpus import build_index, load_corpus_jsonl, retrieve
@@ -11,10 +13,8 @@ from radkit.distill import RationaleRecord, ingest_rationales
 from radkit.errors import EmptyEvaluation, MissingSilver
 from radkit.evaluation import (
     PredictionBundle,
-    SilverSet,
     accuracy,
     build_silver,
-    hits_at_k,
     hits_report,
     load_predictions_jsonl,
     majority_vote,
@@ -39,11 +39,11 @@ class TestBuildSilver:
         target = med_docs[3]
         record = RationaleRecord("e", "q (A) x (B) y", "A", (target.text,))
         silver = build_silver(index, record, 0)
-        assert silver.silver_doc_ids[0] == target.doc_id
+        assert silver[0] == target.doc_id
 
     def test_no_overlap_gives_empty_silver(self, med_index):
         record = RationaleRecord("e", "q (A) x (B) y", "A", ("zzzz qqqq plugh",))
-        assert build_silver(med_index, record, 0).silver_doc_ids == ()
+        assert build_silver(med_index, record, 0) == ()
 
     def test_matches_exhaustive_scoring(self, med_index, med_docs):
         records = ingest_rationales(DATA_DIR / "rationales.jsonl")
@@ -52,22 +52,22 @@ class TestBuildSilver:
             want = bm25_oracle_topk(
                 med_docs, record.rationales[0], 3, med_index.k1, med_index.b
             )
-            assert list(silver.silver_doc_ids) == want
+            assert list(silver) == want
 
 
 class TestHitsAtK:
     def test_full_overlap_is_one(self):
         retrieved = {"a": ["d1", "d2", "d3"], "b": ["d9", "d8"]}
         silver = {
-            "a": SilverSet("a", ("d2",)),
-            "b": SilverSet("b", ("d8", "d9")),
+            "a": ("d2",),
+            "b": ("d8", "d9"),
         }
-        assert hits_at_k(retrieved, silver, 3) == 1.0
+        assert hits_report(retrieved, silver, [3])["hits"]["3"] == 1.0
 
     def test_disjoint_is_zero(self):
         retrieved = {"a": ["d1"], "b": ["d2"]}
-        silver = {"a": SilverSet("a", ("x",)), "b": SilverSet("b", ("y",))}
-        assert hits_at_k(retrieved, silver, 5) == 0.0
+        silver = {"a": ("x",), "b": ("y",)}
+        assert hits_report(retrieved, silver, [5])["hits"]["5"] == 0.0
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(40)
@@ -78,34 +78,32 @@ class TestHitsAtK:
                 ex = f"e{e}"
                 pool = [f"d{i}" for i in range(20)]
                 retrieved[ex] = list(rng.permutation(pool)[:10])
-                silver[ex] = SilverSet(ex, tuple(rng.choice(pool, size=3, replace=False)))
-            h1 = hits_at_k(retrieved, silver, 1)
-            h3 = hits_at_k(retrieved, silver, 3)
-            h10 = hits_at_k(retrieved, silver, 10)
-            assert h1 <= h3 <= h10
+                silver[ex] = tuple(rng.choice(pool, size=3, replace=False))
+            hits = hits_report(retrieved, silver, [1, 3, 10])["hits"]
+            assert hits["1"] <= hits["3"] <= hits["10"]
 
     def test_missing_silver_raises(self):
         with pytest.raises(MissingSilver):
-            hits_at_k({"a": ["d1"]}, {}, 1)
+            hits_report({"a": ["d1"]}, {}, [1])
 
     def test_empty_silver_excluded_from_denominator(self):
         retrieved = {"a": ["d1"], "b": ["d9"]}
-        silver = {"a": SilverSet("a", ("d1",)), "b": SilverSet("b", ())}
-        assert hits_at_k(retrieved, silver, 1) == 1.0
+        silver = {"a": ("d1",), "b": ()}
         report = hits_report(retrieved, silver, [1])
+        assert report["hits"]["1"] == 1.0
         assert report["counts"]["evaluated"] == 1
         assert report["counts"]["excluded_empty_silver"] == 1
         assert report["excluded"] == ["b"]
 
     def test_all_silver_mode_is_stricter(self):
         retrieved = {"a": ["d1", "d2"]}
-        silver = {"a": SilverSet("a", ("d1", "d3"))}
-        assert hits_at_k(retrieved, silver, 2, mode="any") == 1.0
-        assert hits_at_k(retrieved, silver, 2, mode="all") == 0.0
+        silver = {"a": ("d1", "d3")}
+        assert hits_report(retrieved, silver, [2], mode="any")["hits"]["2"] == 1.0
+        assert hits_report(retrieved, silver, [2], mode="all")["hits"]["2"] == 0.0
 
     def test_all_empty_silver_raises(self):
         with pytest.raises(EmptyEvaluation):
-            hits_at_k({"a": ["d1"]}, {"a": SilverSet("a", ())}, 1)
+            hits_report({"a": ["d1"]}, {"a": ()}, [1])
 
     def test_identity_reranker_reproduces_bm25_hits(self, med_index):
         """A reranker echoing BM25 scores leaves Hits@k unchanged."""
@@ -127,8 +125,156 @@ class TestHitsAtK:
             ]
             for ex, ids in bm25_lists.items()
         }
-        for k in (1, 3, 10):
-            assert hits_at_k(relisted, silver, k) == hits_at_k(bm25_lists, silver, k)
+        ks = (1, 3, 10)
+        want = hits_report(bm25_lists, silver, ks)["hits"]
+        assert hits_report(relisted, silver, ks)["hits"] == want
+
+
+RETRIEVED = {
+    "a": ["d1", "d2", "d3"],
+    "b": ["d4", "d5", "d6"],
+    "c": ["d7", "d8", "d9"],
+    "e": ["d1", "d1", "d2"],
+}
+PARTIAL = {"a": ("d1", "d3"), "b": ("d5", "x"), "c": ("d8", "d9", "d7"), "e": ("d1", "d2")}
+
+
+def counts(examples, evaluated):
+    return {
+        "examples": examples,
+        "evaluated": evaluated,
+        "excluded_empty_silver": examples - evaluated,
+    }
+
+
+def per_cutoff_hits(retrieved, silver, k, mode):
+    """Hits@k by its definition: one set test per evaluated example at one cutoff."""
+    evaluated = [ex for ex in retrieved if silver[ex]]
+    if mode == "any":
+        hits = sum(bool(set(retrieved[ex][:k]) & set(silver[ex])) for ex in evaluated)
+    else:
+        hits = sum(set(silver[ex]) <= set(retrieved[ex][:k]) for ex in evaluated)
+    return hits / len(evaluated)
+
+
+class TestHitsReport:
+    """Reports and errors of ``hits_report``; the expected values were recorded from
+    the per-cutoff counter it replaces."""
+
+    @pytest.mark.parametrize(
+        "retrieved, silver, ks, mode, hits, want_counts, excluded",
+        [
+            pytest.param(
+                RETRIEVED, {"a": ("d3",), "b": ("d9",), "c": ("d8", "d7"), "e": ("d2",)},
+                [3, 1, 3, 2], "any", {"3": 0.75, "1": 0.25, "2": 0.25}, counts(4, 4), [],
+                id="repeated-unsorted-cutoffs",
+            ),
+            pytest.param(
+                RETRIEVED, {"a": ("d3",), "b": ("d9",), "c": ("d8",), "e": ("d2",)},
+                [1, 10], "any", {"1": 0.0, "10": 0.75}, counts(4, 4), [],
+                id="cutoff-past-the-list",
+            ),
+            pytest.param(
+                RETRIEVED, PARTIAL, [1, 2, 3, 5], "all",
+                {"1": 0.0, "2": 0.0, "3": 0.75, "5": 0.75}, counts(4, 4), [],
+                id="all-partial-overlap",
+            ),
+            pytest.param(
+                RETRIEVED, PARTIAL, [1, 2, 3, 5], "any",
+                {"1": 0.75, "2": 1.0, "3": 1.0, "5": 1.0}, counts(4, 4), [],
+                id="any-partial-overlap",
+            ),
+            pytest.param(
+                RETRIEVED, {"a": ("d2",), "b": (), "c": ("d9",), "e": ()},
+                [1, 2, 3], "any", {"1": 0.0, "2": 0.5, "3": 1.0}, counts(4, 2), ["b", "e"],
+                id="empty-silver-among-full",
+            ),
+            pytest.param(
+                {"a": RETRIEVED["a"], "c": RETRIEVED["c"]},
+                {"a": ("d1",), "b": ("d4",), "c": ("x",), "z": ()},
+                [1, 3], "any", {"1": 0.5, "3": 0.5}, counts(2, 2), [],
+                id="silver-for-unretrieved-id",
+            ),
+        ],
+    )
+    def test_report(self, retrieved, silver, ks, mode, hits, want_counts, excluded):
+        report = hits_report(retrieved, silver, ks, mode)
+        assert report == {"hits": hits, "mode": mode, "counts": want_counts, "excluded": excluded}
+        assert list(report["hits"]) == list(hits)
+
+    @pytest.mark.parametrize(
+        "retrieved, silver, ks, mode, error, message",
+        [
+            pytest.param(
+                {"c": ["d1"], "a": ["d1"], "b": ["d1"]}, {"b": ("d1",)}, [1], "any",
+                MissingSilver, "no silver set for example 'a'", id="first-missing-in-sorted-order",
+            ),
+            pytest.param(
+                {"a": ["d1"], "b": ["d2"]}, {"a": (), "b": ()}, [1], "any",
+                EmptyEvaluation, "all silver sets are empty", id="all-silver-empty",
+            ),
+            pytest.param(
+                {}, {}, [1], "any", EmptyEvaluation, "all silver sets are empty", id="no-examples"
+            ),
+            pytest.param(
+                {"a": ["d1"]}, {"a": ("d1",)}, [1, 0], "any",
+                ValueError, "k must be >= 1, got 0", id="cutoff-zero",
+            ),
+            pytest.param(
+                {"a": ["d1"]}, {"a": ("d1",)}, [-2], "any",
+                ValueError, "k must be >= 1, got -2", id="cutoff-negative",
+            ),
+            pytest.param(
+                {"a": ["d1"]}, {"a": ("d1",)}, [1], "some",
+                ValueError, "mode must be 'any' or 'all', got 'some'", id="unknown-mode",
+            ),
+        ],
+    )
+    def test_single_fault_raises(self, retrieved, silver, ks, mode, error, message):
+        with pytest.raises(error) as info:
+            hits_report(retrieved, silver, ks, mode)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "silver, mode", [({}, "any"), ({"a": ()}, "any"), ({"a": ("d1",)}, "some")]
+    )
+    def test_cutoff_below_one_is_reported_first(self, silver, mode):
+        """Every cutoff is checked before the mode and the examples."""
+        with pytest.raises(ValueError) as info:
+            hits_report({"a": ["d1"]}, silver, [2, 0], mode)
+        assert str(info.value) == "k must be >= 1, got 0"
+
+    @pytest.mark.parametrize(
+        "silver, mode, error",
+        [
+            ({"a": ("d1",)}, "some", ValueError),
+            ({}, "any", MissingSilver),
+            ({"a": ()}, "any", EmptyEvaluation),
+        ],
+    )
+    def test_no_cutoffs_gets_the_same_checks(self, silver, mode, error):
+        with pytest.raises(error):
+            hits_report({"a": ["d1"]}, silver, [], mode)
+
+    def test_no_cutoffs_reports_the_counts(self):
+        report = hits_report({"a": ["d1"], "b": ["d2"]}, {"a": ("d1",), "b": ()}, [])
+        assert report == {"hits": {}, "mode": "any", "counts": counts(2, 1), "excluded": ["b"]}
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_per_cutoff_definition(self, data):
+        ids = st.sampled_from(["d0", "d1", "d2", "d3", "d4", "d5"])
+        examples = data.draw(st.lists(st.sampled_from("abcdef"), min_size=1, unique=True))
+        retrieved = {ex: data.draw(st.lists(ids, max_size=6)) for ex in examples}
+        silver = {ex: tuple(data.draw(st.lists(ids, max_size=3, unique=True))) for ex in examples}
+        ks = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+        mode = data.draw(st.sampled_from(["any", "all"]))
+        if not any(silver.values()):
+            with pytest.raises(EmptyEvaluation):
+                hits_report(retrieved, silver, ks, mode)
+            return
+        report = hits_report(retrieved, silver, ks, mode)
+        assert report["hits"] == {str(k): per_cutoff_hits(retrieved, silver, k, mode) for k in ks}
 
 
 def retrieve_score(index, ids, doc_id):
