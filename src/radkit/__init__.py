@@ -25,6 +25,7 @@ from .distill import (
     TrainingExample,
     TrainingTemplate,
     emit_training_example,
+    extract_answer,
     filter_rationales,
     ingest_rationales,
     parse_training_example,
@@ -36,7 +37,6 @@ from .evaluation import (
     build_silver,
     majority_vote,
 )
-from .answers import extract_answer
 from .memsim import SimConfig, SimReport, compute_m, run_simulation, sample_task
 from .reranker import (
     CandidateSet,

@@ -324,14 +324,9 @@ def _index(meta: dict, members) -> PostingsIndex:
     return PostingsIndex(doc_ids, titles, texts, meta["terms"], *arrays, k1, b)
 
 
-def deserialize_index(data: bytes) -> PostingsIndex:
-    """Read format 3. Any other file, formats 1 and 2 included, raises UnknownFormatVersion."""
-    return read_arrays(data, INDEX_FORMAT_VERSION, _index)
-
-
 def save_index(index: PostingsIndex, path: str | Path) -> None:
     atomic_write({path: serialize_index(index)})
 
 
 def load_index(path: str | Path) -> PostingsIndex:
-    return read_arrays(Path(path).read_bytes(), INDEX_FORMAT_VERSION, _index, path)
+    return read_arrays(path, INDEX_FORMAT_VERSION, _index)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .answers import extract_answer, option_letters
 from .corpus import Document, PostingsIndex, ScoredDoc, retrieve
 from .errors import AnswerNotInOptions, NoKnowledge
 from .records import field, jsonl_text, read_jsonl
@@ -24,6 +23,13 @@ EXPLANATION_MARKER = "Explanation:"
 ANSWER_MARKER = "Answer: "
 
 _NEWLINES = re.compile(r"\n+")
+
+# Last "Answer: X" wins; the letter must not run into a word, trailing
+# punctuation is ignored. Both "Answer: B" and "Answer: (B)" are accepted.
+_ANSWER_RE = re.compile(r"answer:\s*\(?([A-Za-z])\)?(?![A-Za-z0-9])", re.IGNORECASE)
+
+# Option letters appear either as "(A) text" or as "A. text".
+_OPTION_RE = re.compile(r"(?:\(([A-Z])\)|(?:^|\s)([A-Z])\.(?=\s))")
 
 HEADERS = {
     "medqa": (
@@ -72,6 +78,22 @@ class TrainingTemplate:
             header = Path(name[len("custom:"):]).read_text(encoding="utf-8").rstrip("\n")
             return cls(header, with_knowledge)
         raise ValueError(f"unknown template {name!r}")
+
+
+def extract_answer(text: str) -> str | None:
+    """Return the declared answer letter (uppercased), or None if absent."""
+    matches = _ANSWER_RE.findall(text)
+    if not matches:
+        return None
+    return matches[-1].upper()
+
+
+def option_letters(question: str) -> set[str]:
+    """Letters of the answer options present in a question string."""
+    letters = set()
+    for paren, dotted in _OPTION_RE.findall(question):
+        letters.add(paren or dotted)
+    return letters
 
 
 def _rationale_record(obj: dict) -> RationaleRecord:

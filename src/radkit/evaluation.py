@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .answers import extract_answer
 from .corpus import PostingsIndex, retrieve
-from .distill import RationaleRecord
+from .distill import RationaleRecord, extract_answer
 from .errors import EmptyEvaluation, MissingSilver
 from .records import read_jsonl
 

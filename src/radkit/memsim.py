@@ -19,6 +19,7 @@ checked against its analytic bound.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from dataclasses import asdict, dataclass
@@ -264,25 +265,22 @@ def naive_bits(task: TaskInstance) -> int:
 
 
 def answer_tests(
-    task: TaskInstance,
-    state: MemorizedState,
-    longest: np.ndarray,
-    prefix_index: tuple[np.ndarray, np.ndarray],
-    count: int,
-    rng: np.random.Generator,
+    task: TaskInstance, state: MemorizedState, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``count`` test queries; return the (3, count) answers and the true labels.
 
     Row 0 answers as ``infer_budgeted(state, ...)``, row 1 as
-    ``infer_opt(task, longest, ...)`` and row 2, the naive memorizer, as
+    ``infer_opt(task, learn_opt(task), ...)`` and row 2, the naive memorizer, as
     ``infer_opt`` with coins of its own, given the draws in this order:
     subpopulations, prefix lengths, a (3, count) block of coins (a row per
     learner), then one pick per KB lookup. Stored prefixes are the
     references', so a position a stored prefix covers is answered with its
-    true label. ``prefix_index`` is ``build_prefix_index(task.kb, state.m)``.
+    true label. KB lookups search ``build_prefix_index(task.kb, state.m)``.
     """
     N, d = task.references.shape
     m = state.m
+    longest = learn_opt(task)
+    keys, rows = build_prefix_index(task.kb, m)
     j = rng.integers(0, N, size=count)
     l = rng.integers(0, d, size=count)
     coins = rng.integers(0, 2, size=(3, count))
@@ -290,7 +288,6 @@ def answer_tests(
     stored = state.lengths
     answers = np.where(longest[j] > l, truth, coins)
     answers[0] = np.where(l < stored[j], truth, coins[0])
-    keys, rows = prefix_index
     wanted = prefix_keys(task.references[:, :m])
     first = np.searchsorted(keys, wanted)  # each subpopulation's KB matches, as a range of rows
     counts = np.searchsorted(keys, wanted, side="right") - first
@@ -318,10 +315,8 @@ class SimReport:
     test_count: int
     config: dict
 
-    def to_json(self, indent: int | None = 2) -> str:
-        import json
-
-        return json.dumps(asdict(self), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def _rate_and_se(errors: int, count: int) -> tuple[float, float]:
@@ -350,11 +345,7 @@ def run_simulation(config: SimConfig) -> SimReport:
             raise AssertionError(
                 f"stored bits {bits[0, trial]} exceed budget {budget} on trial {trial}"
             )
-        longest = learn_opt(task)
-        prefix_index = build_prefix_index(task.kb, m)
-        answers, truth = answer_tests(
-            task, state, longest, prefix_index, config.tests_per_trial, rng
-        )
+        answers, truth = answer_tests(task, state, config.tests_per_trial, rng)
         errors += (answers != truth).sum(axis=1)
     count = config.trials * config.tests_per_trial
     (p_phi, se_phi), (p_opt, se_opt), (p_nv, se_nv) = (

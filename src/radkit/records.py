@@ -109,13 +109,16 @@ def arrays_bytes(meta: dict, arrays: Mapping[str, np.ndarray]) -> bytes:
     return buf.getvalue()
 
 
-def read_arrays(data: bytes, version: int, make: Callable[[dict, Mapping], T], path=None) -> T:
-    """``make(meta, members)`` for an array file whose meta has ``format_version == version``.
+def read_arrays(path: str | Path, version: int, make: Callable[[dict, Mapping], T]) -> T:
+    """``make(meta, members)`` for the array file at ``path``, if its meta's format is ``version``.
 
     A format-1 file (one JSON object) or another version raises UnknownFormatVersion
     with the version found; any other file, or a member, field or value ``make``
-    cannot use, raises UnknownFormatVersion(None, version). Errors name ``path``.
+    cannot use (a number too large to convert included), raises
+    UnknownFormatVersion(None, version). Every error about the content, a RadkitError from
+    ``make`` included, starts with ``path``; a file that cannot be read raises OSError.
     """
+    data = Path(path).read_bytes()  # one buffer: np.load through an open file faults far more pages
     try:
         if data[:1] == b"{":  # format 1 of both files was one JSON object
             raise UnknownFormatVersion(json.loads(data).get("format_version"), version)
@@ -125,10 +128,9 @@ def read_arrays(data: bytes, version: int, make: Callable[[dict, Mapping], T], p
                 raise UnknownFormatVersion(meta.get("format_version"), version)
             return make(meta, members)
     except RadkitError as exc:
-        if path is not None:
-            exc.args = (f"{path}: {exc}",)
+        exc.args = (f"{path}: {exc}",)
         raise
-    except (AttributeError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+    except (AttributeError, EOFError, KeyError, OverflowError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         raise UnknownFormatVersion(None, version, path=path) from exc
 
 

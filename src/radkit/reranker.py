@@ -470,7 +470,7 @@ def load_model(path: str | Path) -> RerankerModel:
 
     A checkpoint with a NaN or infinite weight raises RadkitError naming ``path``.
     """
-    return read_arrays(Path(path).read_bytes(), MODEL_FORMAT_VERSION, _model, path)
+    return read_arrays(path, MODEL_FORMAT_VERSION, _model)
 
 
 def candidates_jsonl_text(sets: Sequence[CandidateSet]) -> str:

@@ -9,12 +9,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import radkit
 from radkit.cli import main
+from radkit.corpus import INDEX_FORMAT_VERSION
+from radkit.records import arrays_bytes
+from radkit.reranker import MODEL_FORMAT_VERSION
 from helpers import DATA_DIR, FORMAT_1_INDEX, format_2_index, unchecked_checkpoint, with_meta
 
 
@@ -471,6 +475,58 @@ class TestRerankInferOptions:
             f"error: {bad}: checkpoint weights must be finite"
         ], proc.stderr
         assert not out.exists()
+
+
+# Each array file: the stage invocation that reads it from {bad}, and its format version.
+ARRAY_FILE_READERS = {
+    "index": ("emit-train --index {bad} --rationales {rationales} --out {out}", INDEX_FORMAT_VERSION),
+    "model": (
+        "rerank-infer --index {index} --model {bad} --questions {rationales} --out {out}",
+        MODEL_FORMAT_VERSION,
+    ),
+}
+
+
+class TestArrayFileMetaOverflow:
+    @pytest.mark.parametrize(
+        "file, name, value",
+        [
+            ("model", "E", math.inf),
+            ("model", "hash_seed", math.inf),
+            ("model", "step", math.inf),
+            ("index", "k1", 10**400),
+            ("index", "b", 10**400),
+        ],
+        ids=["model-E", "model-hash_seed", "model-step", "index-k1", "index-b"],
+    )
+    def test_number_int_or_float_cannot_convert_is_one_line(
+        self, pipeline, tmp_path, file, name, value
+    ):
+        """A meta number json.loads reads but int() or float() cannot convert.
+
+        json.loads reads a 1e400 as inf, as it reads the ``Infinity`` arrays_bytes writes,
+        and int(inf) overflows; float() of a 400-digit integer overflows.
+        """
+        paths, _, _ = pipeline
+        with np.load(paths[file]) as members:
+            arrays = {key: members[key] for key in members.files if key != "meta"}
+            meta = json.loads(members["meta"].tobytes())
+        (meta["build_params"] if file == "index" else meta)[name] = value
+        bad = tmp_path / f"{file}.npz"
+        bad.write_bytes(arrays_bytes(meta, arrays))
+        command, version = ARRAY_FILE_READERS[file]
+        where = {
+            "bad": bad,
+            "out": tmp_path / "out.jsonl",
+            "index": paths["index"],
+            "rationales": DATA_DIR / "rationales.jsonl",
+        }
+        proc = run_cli(*(arg.format(**where) for arg in command.split()))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"error: {bad}: unknown file format version None (expected {version})"
+        ], proc.stderr
+        assert not (tmp_path / "out.jsonl").exists()
 
 
 @pytest.mark.parametrize(

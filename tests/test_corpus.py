@@ -15,7 +15,6 @@ from radkit.corpus import (
     build_index,
     bm25_score,
     bm25_scores,
-    deserialize_index,
     load_corpus_jsonl,
     load_index,
     retrieve,
@@ -354,33 +353,42 @@ UNICODE_DOCS = [
 ]
 
 
+def index_file(directory, data: bytes):
+    """``data`` written to an index file in ``directory``; its path."""
+    path = directory / "index.npz"
+    path.write_bytes(data)
+    return path
+
+
 class TestSerialization:
-    def test_round_trip_preserves_retrieval(self):
+    def test_round_trip_preserves_retrieval(self, tmp_path):
         docs = load_corpus_jsonl(DATA_DIR / "corpus.jsonl")
         index = build_index(docs)
-        clone = deserialize_index(serialize_index(index))
+        clone = load_index(index_file(tmp_path, serialize_index(index)))
         for query in ["methimazole graves", "pregnancy nitrofurantoin", "blunt chest trauma"]:
             assert retrieve(clone, query, 5) == retrieve(index, query, 5)
 
-    def test_unknown_version_rejected(self):
+    def test_unknown_version_rejected(self, tmp_path):
         data = serialize_index(build_index(FIVE_DOCS))
-        assert deserialize_index(with_meta(data, lambda meta: None)).doc_count == 5
-        tampered = with_meta(data, lambda meta: meta.update(format_version=99))
-        with pytest.raises(UnknownFormatVersion, match="99"):
-            deserialize_index(tampered)
-
-    def test_format_1_json_rejected(self):
+        assert load_index(index_file(tmp_path, with_meta(data, lambda meta: None))).doc_count == 5
+        path = index_file(tmp_path, with_meta(data, lambda meta: meta.update(format_version=99)))
         with pytest.raises(UnknownFormatVersion) as err:
-            deserialize_index(FORMAT_1_INDEX)
-        assert str(err.value) == str(UnknownFormatVersion(1, INDEX_FORMAT_VERSION))
+            load_index(path)
+        assert str(err.value) == f"{path}: {UnknownFormatVersion(99, INDEX_FORMAT_VERSION)}"
 
-    def test_other_tokenizer_rejected_naming_both(self):
+    def test_format_1_json_rejected(self, tmp_path):
+        path = index_file(tmp_path, FORMAT_1_INDEX)
+        with pytest.raises(UnknownFormatVersion) as err:
+            load_index(path)
+        assert str(err.value) == f"{path}: {UnknownFormatVersion(1, INDEX_FORMAT_VERSION)}"
+
+    def test_other_tokenizer_rejected_naming_both(self, tmp_path):
         data = serialize_index(build_index(FIVE_DOCS))
         tampered = with_meta(
             data, lambda meta: meta["build_params"].update(tokenizer_version="stem-porter-9")
         )
         with pytest.raises(RadkitError) as err:
-            deserialize_index(tampered)
+            load_index(index_file(tmp_path, tampered))
         assert "stem-porter-9" in str(err.value)
         assert TOKENIZER_VERSION in str(err.value)
 
@@ -414,8 +422,6 @@ class TestSerialization:
     )
     def test_neither_format_is_a_radkit_error(self, tmp_path, data, index_version):
         """``index_version``: the version an index file names, which the model loader reports."""
-        with pytest.raises(RadkitError):
-            deserialize_index(data)
         path = tmp_path / "artifact"
         path.write_bytes(data)
         for load, found, version in (
@@ -527,11 +533,11 @@ class TestSerialization:
         k1=st.floats(0.1, 3.0),
         b=st.floats(0.0, 1.0),
     )
-    def test_round_trip_on_random_corpora(self, texts, titles, ids, k1, b):
+    def test_round_trip_on_random_corpora(self, tmp_path_factory, texts, titles, ids, k1, b):
         docs = [Document(i, t, text) for i, t, text in zip(ids, titles, texts)]
         index = build_index(docs, k1=k1, b=b)
         data = serialize_index(index)
-        clone = deserialize_index(data)
+        clone = load_index(index_file(tmp_path_factory.mktemp("random"), data))
         for name in ("offsets", "ordinals", "tfs", "doc_lengths", "impacts"):
             assert getattr(clone, name).tobytes() == getattr(index, name).tobytes(), name
         for name in ("doc_ids", "titles", "texts"):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radkit.answers import extract_answer, option_letters
+from radkit.distill import extract_answer, option_letters
 from radkit.corpus import Document, build_index, load_corpus_jsonl
 from radkit.distill import (
     HEADERS,

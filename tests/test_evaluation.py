@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radkit.answers import extract_answer
+from radkit.distill import extract_answer
 from radkit.corpus import build_index, load_corpus_jsonl, retrieve
 from radkit.distill import RationaleRecord, ingest_rationales
 from radkit.errors import EmptyEvaluation, MissingSilver

@@ -370,9 +370,8 @@ class TestAnswerTests:
             task = sample_task(config, rng)
             state = learn_budgeted(task, m)
             longest = learn_opt(task)
-            prefix_index = build_prefix_index(task.kb, m)
             recording = _Recording(rng)
-            answers, truth = answer_tests(task, state, longest, prefix_index, 300, recording)
+            answers, truth = answer_tests(task, state, 300, recording)
             j, l, coins, picks = recording.draws
             assert np.array_equal(truth, task.references[j, l])
             picks = iter(picks.tolist())
