@@ -76,24 +76,39 @@ def _digests(paths: list) -> dict[str, str]:
     return digests
 
 
-def _finish(args, inputs: list, text: str | bytes, summary: str | None = None) -> int:
+def _option_file(value: str, prefix: str) -> str | None:
+    """The path in an option value ``<prefix><path>``, such as ``verdict-file:v.jsonl``."""
+    return value[len(prefix):] if value.startswith(prefix) else None
+
+
+def _params(args) -> dict:
+    """Every option of the stage but its ``inputs`` files, --out, --quiet and --manifest-out."""
+    skip = {"command", "func", "inputs", "out", "quiet", "manifest_out", *args.inputs}
+    return {name: value for name, value in vars(args).items() if name not in skip}
+
+
+def _finish(args, text: str | bytes, summary: str | None = None) -> int:
     """The end of every stage: ``text`` to ``--out`` with the run manifest, then stdout.
 
     The manifest goes to ``--manifest-out``, else next to ``--out``. It holds
-    the subcommand, the arguments its parser lists in ``params``, and the
-    digests of ``inputs`` and of the output. The two files are written as a
-    pair: if either fails, neither is replaced. ``summary`` is printed unless
-    ``--quiet``; a stage without one prints ``text`` itself.
+    the subcommand, its ``_params``, and the digests of the output and of the
+    files read (the parser's ``inputs``, a ``verdict-file:`` or ``custom:``
+    file). The two are written as a pair: if either fails, neither is
+    replaced. ``summary`` is printed unless ``--quiet``; with none, ``text`` is.
     """
     data = text.encode("utf-8") if isinstance(text, str) else text
     files = {args.out: data} if args.out else {}
     target = args.manifest_out or (args.out and f"{Path(args.out)}.manifest.json")
     if target:
+        params = _params(args)
+        inputs = [getattr(args, name) for name in args.inputs]
+        inputs.append(_option_file(params.get("filter", ""), "verdict-file:"))
+        inputs.append(_option_file(params.get("template", ""), "custom:"))
         manifest = {
             "tool": "radkit",
             "version": __version__,
             "command": args.command,
-            "params": {name: getattr(args, name) for name in args.params},
+            "params": params,
             "inputs": _digests(inputs),
             "outputs": {str(Path(out)): hashlib.sha256(data).hexdigest() for out in files},
         }
@@ -114,12 +129,7 @@ def cmd_index(args) -> int:
         check_corpus_jsonl(args.corpus)  # reads the file again only to name the bad line
         raise
     summary = f"indexed {index.doc_count} documents, avg_doc_length={index.avg_doc_length:.4f}"
-    return _finish(args, [args.corpus], serialize_index(index), summary)
-
-
-def _option_file(value: str, prefix: str) -> str | None:
-    """The path in an option value ``<prefix><path>``, such as ``verdict-file:v.jsonl``."""
-    return value[len(prefix):] if value.startswith(prefix) else None
+    return _finish(args, serialize_index(index), summary)
 
 
 def _load_filtered_records(args):
@@ -152,9 +162,7 @@ def cmd_emit_train(args) -> int:
             )
     dropped = sum(drops.values())
     summary = f"emitted {len(examples)} training examples ({dropped} rationales filtered out)"
-    inputs = [args.index, args.rationales, _option_file(args.filter, "verdict-file:")]
-    inputs.append(_option_file(args.template, "custom:"))
-    return _finish(args, inputs, training_jsonl_text(examples), summary)
+    return _finish(args, training_jsonl_text(examples), summary)
 
 
 def cmd_candidates(args) -> int:
@@ -164,8 +172,7 @@ def cmd_candidates(args) -> int:
     for record in records:
         for j in range(len(record.rationales)):
             sets.append(build_candidate_set(index, record, j, args.kappa1, args.kappa2))
-    inputs = [args.index, args.rationales, _option_file(args.filter, "verdict-file:")]
-    return _finish(args, inputs, candidates_jsonl_text(sets), f"built {len(sets)} candidate sets")
+    return _finish(args, candidates_jsonl_text(sets), f"built {len(sets)} candidate sets")
 
 
 def _known_doc_ids(obj: dict, known: set) -> None:
@@ -189,7 +196,7 @@ def cmd_rerank_train(args) -> int:
     if epoch is not None:
         raise ValueError(f"training diverged at epoch {epoch} (loss {trace[epoch]}); no model written")
     summary = f"trained {args.epochs} epochs, loss {trace[0]:.6f} -> {trace[-1]:.6f}"
-    return _finish(args, [args.index, args.candidates], serialize_model(trained), summary)
+    return _finish(args, serialize_model(trained), summary)
 
 
 def cmd_rerank_infer(args) -> int:
@@ -209,12 +216,10 @@ def cmd_rerank_infer(args) -> int:
         {"id": example_id, "doc_ids": [sd.doc_id for sd in r], "scores": [sd.score for sd in r]}
         for (example_id, _), r in zip(questions, ranked)
     ]
-    inputs = [args.index, args.questions, args.score_file, args.model]
-    return _finish(args, inputs, jsonl_text(rows), f"reranked {len(rows)} questions")
+    return _finish(args, jsonl_text(rows), f"reranked {len(rows)} questions")
 
 
 def cmd_eval(args) -> int:
-    inputs = []
     report: dict = {}
     if args.retrieved:
         if not args.index or not args.rationales:
@@ -225,7 +230,6 @@ def cmd_eval(args) -> int:
             ks = [int(k) for k in args.ks.split(",")]
         except ValueError as exc:
             raise ValueError(f"--ks {args.ks!r}: {exc}") from None
-        inputs += [args.index, args.rationales, args.retrieved]
         index = load_index(args.index)
         records = ingest_rationales(args.rationales)
         silver = {
@@ -243,13 +247,12 @@ def cmd_eval(args) -> int:
     elif args.index or args.rationales:
         raise ValueError("--index and --rationales are read only with --retrieved")
     if args.predictions:
-        inputs.append(args.predictions)
         bundles = load_predictions_jsonl(args.predictions)
         report["accuracy"] = accuracy(bundles)
         report.setdefault("counts", {})["predictions"] = len(bundles)
     if not report:
         raise ValueError("nothing to evaluate: pass --retrieved and/or --predictions")
-    return _finish(args, inputs, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return _finish(args, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def _parse_sweep(spec: str) -> tuple[str, list]:
@@ -274,8 +277,8 @@ def _parse_sweep(spec: str) -> tuple[str, list]:
 
 
 def cmd_simulate(args) -> int:
-    base = {name: getattr(args, name) for name in args.params if name != "sweep"}
-    if args.sweep:
+    base = _params(args)
+    if base.pop("sweep"):
         param, values = _parse_sweep(args.sweep)
         if param not in base:
             raise ValueError(f"--sweep {args.sweep!r}: unknown parameter {param!r}")
@@ -296,7 +299,7 @@ def cmd_simulate(args) -> int:
     else:
         report = run_simulation(SimConfig(**base))
         text = report.to_json() + "\n"
-    return _finish(args, [], text)
+    return _finish(args, text)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -328,7 +331,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         p.add_argument("--k1", type=float, default=DEFAULT_K1)
         p.add_argument("--b", type=float, default=DEFAULT_B)
         _add_common(p)
-        p.set_defaults(func=cmd_index, params=("k1", "b"))
+        p.set_defaults(func=cmd_index, inputs=("corpus",))
 
     if (p := add("emit-train", "emit knowledge-augmented training examples")) is not None:
         p.add_argument("--index", required=True)
@@ -340,10 +343,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         p.add_argument("--max-knowledge-chars", type=int, default=None)
         p.add_argument("--no-knowledge", action="store_true", help="plain distillation template without passages")
         _add_common(p)
-        p.set_defaults(
-            func=cmd_emit_train,
-            params=("k", "template", "filter", "max_knowledge_chars", "no_knowledge"),
-        )
+        p.set_defaults(func=cmd_emit_train, inputs=("index", "rationales"))
 
     if (p := add("candidates", "build reranker training candidate sets")) is not None:
         p.add_argument("--index", required=True)
@@ -353,7 +353,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         p.add_argument("--kappa2", type=int, default=DEFAULT_KAPPA2)
         p.add_argument("--filter", default="answer-match")
         _add_common(p)
-        p.set_defaults(func=cmd_candidates, params=("kappa1", "kappa2", "filter"))
+        p.set_defaults(func=cmd_candidates, inputs=("index", "rationales"))
 
     if (p := add("rerank-train", "train the reranker on candidate sets")) is not None:
         p.add_argument("--index", required=True)
@@ -366,9 +366,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         p.add_argument("--dim", type=int, default=DEFAULT_EMBEDDING_DIM)
         p.add_argument("--hash-seed", type=int, default=0)
         _add_common(p)
-        p.set_defaults(
-            func=cmd_rerank_train, params=("tau1", "tau2", "lr", "epochs", "dim", "hash_seed")
-        )
+        p.set_defaults(func=cmd_rerank_train, inputs=("index", "candidates"))
 
     if (p := add("rerank-infer", "two-stage retrieval with the reranker")) is not None:
         p.add_argument("--index", required=True)
@@ -379,7 +377,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, default=1)
         p.add_argument("--score-file", default=None, help="external scorer JSONL of {id, doc_id, score}")
         _add_common(p)
-        p.set_defaults(func=cmd_rerank_infer, params=("kappa_star", "k", "score_file"))
+        p.set_defaults(func=cmd_rerank_infer, inputs=("index", "questions", "score_file", "model"))
 
     if (p := add("eval", "Hits@k against silver sets and/or answer accuracy")) is not None:
         p.add_argument("--index")
@@ -391,7 +389,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         p.add_argument("--all-silver", action="store_true", help="require all silver docs in the top-k")
         p.add_argument("--out", default=None)
         _add_common(p)
-        p.set_defaults(func=cmd_eval, params=("ks", "j_gold", "all_silver"))
+        p.set_defaults(func=cmd_eval, inputs=("index", "rationales", "retrieved", "predictions"))
 
     if (p := add("simulate", "run the memorization simulator")) is not None:
         p.add_argument("--N", type=int, default=100)
@@ -405,10 +403,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="random seed for the trials")
         p.add_argument("--out", default=None)
         _add_common(p)
-        p.set_defaults(
-            func=cmd_simulate,
-            params=("N", "n", "d", "R", "eps", "trials", "tests_per_trial", "seed", "sweep"),
-        )
+        p.set_defaults(func=cmd_simulate, inputs=())
 
     return parser
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DuplicateDocId, EmptyDocument, InvalidOrdinal, UnknownFormatVersion
-from .records import arrays_bytes, atomic_write, read_arrays, read_jsonl
+from .records import arrays_bytes, atomic_write, meta_field, read_arrays, read_jsonl
 
 INDEX_FORMAT_VERSION = 3
 TOKENIZER_VERSION = "lower-alnum-2"
@@ -317,11 +317,11 @@ def _index(meta: dict, members) -> PostingsIndex:
     params = meta["build_params"]
     if params["tokenizer_version"] != TOKENIZER_VERSION:
         raise UnknownFormatVersion(params["tokenizer_version"], TOKENIZER_VERSION, "tokenizer")
-    doc_ids, titles = meta["doc_ids"], meta["titles"]
+    doc_ids, titles, terms = (meta_field(meta, key, str) for key in ("doc_ids", "titles", "terms"))
     texts = _texts(members["texts"], members["text_offsets"], len(doc_ids))
     arrays = (members[name] for name in _ARRAYS)
-    k1, b = float(params["k1"]), float(params["b"])
-    return PostingsIndex(doc_ids, titles, texts, meta["terms"], *arrays, k1, b)
+    k1, b = (float(meta_field(params, name, float)) for name in ("k1", "b"))
+    return PostingsIndex(doc_ids, titles, texts, terms, *arrays, k1, b)
 
 
 def save_index(index: PostingsIndex, path: str | Path) -> None:

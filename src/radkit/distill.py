@@ -21,6 +21,9 @@ QUESTION_MARKER = "Question: "
 KNOWLEDGE_MARKER = "Knowledge: "
 EXPLANATION_MARKER = "Explanation:"
 ANSWER_MARKER = "Answer: "
+# parse_training_example splits an input at the first of each of these.
+_QUESTION_START = "\n\n" + QUESTION_MARKER
+_KNOWLEDGE_START = "\n\n" + KNOWLEDGE_MARKER
 
 _NEWLINES = re.compile(r"\n+")
 
@@ -69,14 +72,22 @@ class TrainingTemplate:
     header: str
     with_knowledge: bool = True
 
+    def __post_init__(self):
+        if _QUESTION_START in self.header:
+            raise ValueError(f"template header holds {_QUESTION_START!r}")
+
     @classmethod
     def named(cls, name: str, with_knowledge: bool = True) -> "TrainingTemplate":
         """Resolve "medqa", "strategyqa", or "custom:<path to header file>"."""
         if name in HEADERS:
             return cls(HEADERS[name], with_knowledge)
         if name.startswith("custom:"):
-            header = Path(name[len("custom:"):]).read_text(encoding="utf-8").rstrip("\n")
-            return cls(header, with_knowledge)
+            path = name[len("custom:"):]
+            header = Path(path).read_text(encoding="utf-8").rstrip("\n")
+            try:
+                return cls(header, with_knowledge)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
         raise ValueError(f"unknown template {name!r}")
 
 
@@ -190,9 +201,15 @@ def emit_training_example(
     Each passage is cut to ``max_knowledge_chars``; then each run of
     newlines in it becomes one newline, and newlines at its ends are dropped.
     Target layout: rationale, blank line, "Answer: <gold letter>".
+    A question holding a blank line and "Knowledge: " raises ValueError, since
+    ``parse_training_example`` would read a knowledge block from there.
     """
     if template.with_knowledge and not knowledge_docs:
         raise NoKnowledge(record.example_id, j)
+    if _KNOWLEDGE_START in record.question:
+        raise ValueError(
+            f"record {record.example_id!r} rationale {j}: question holds {_KNOWLEDGE_START!r}"
+        )
     parts = [template.header, QUESTION_MARKER + record.question]
     doc_ids: tuple[str, ...] = ()
     if template.with_knowledge:
@@ -228,17 +245,15 @@ def parse_training_example(input_text: str, target_text: str) -> ParsedExample:
 
     Passages are split at blank lines; the emitter leaves none inside one.
     """
-    q_marker = "\n\n" + QUESTION_MARKER
-    q_at = input_text.index(q_marker)
+    q_at = input_text.index(_QUESTION_START)
     header = input_text[:q_at]
-    rest = input_text[q_at + len(q_marker):]
+    rest = input_text[q_at + len(_QUESTION_START):]
     suffix = "\n\n" + EXPLANATION_MARKER
     if not rest.endswith(suffix):
         raise ValueError("input text does not end with the explanation marker")
     rest = rest[: -len(suffix)]
-    k_marker = "\n\n" + KNOWLEDGE_MARKER
-    if k_marker in rest:
-        question, _sep, knowledge_block = rest.partition(k_marker)
+    if _KNOWLEDGE_START in rest:
+        question, _sep, knowledge_block = rest.partition(_KNOWLEDGE_START)
         knowledge = tuple(knowledge_block.split("\n\n"))
     else:
         question, knowledge = rest, ()

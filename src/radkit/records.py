@@ -109,6 +109,25 @@ def arrays_bytes(meta: dict, arrays: Mapping[str, np.ndarray]) -> bytes:
     return buf.getvalue()
 
 
+_META_KINDS = {int: "an integer", float: "a number", str: "a list of strings"}
+
+
+def meta_field(meta: dict, name: str, kind: type):
+    """``meta[name]`` if JSON read it as ``kind``: ``int`` an integer, ``float`` any number
+    (a boolean is neither), ``str`` a list of strings. Else RadkitError ``field "<name>": …``.
+    """
+    value = meta[name]
+    if kind is str and type(value) is list:
+        try:
+            "".join(value)  # the quickest check that every item is a str
+        except TypeError as exc:
+            raise RadkitError(f'field "{name}": {exc}') from None
+        return value
+    if kind is not str and (type(value) is int or kind is float and type(value) is float):
+        return value
+    raise RadkitError(f'field "{name}": expected {_META_KINDS[kind]}, got {json.dumps(value)[:40]}')
+
+
 def read_arrays(path: str | Path, version: int, make: Callable[[dict, Mapping], T]) -> T:
     """``make(meta, members)`` for the array file at ``path``, if its meta's format is ``version``.
 

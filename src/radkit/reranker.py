@@ -27,7 +27,8 @@ from .corpus import PostingsIndex, ScoredDoc, bm25_scores, tokenize, top_ordinal
 from .corpus import bm25_score, retrieve  # noqa: F401 (perfbench/spans.py wraps them here)
 from .distill import RationaleRecord
 from .errors import DegenerateCandidateSet, EmptyCandidates, NonPositiveTemperature, RadkitError
-from .records import arrays_bytes, atomic_write, field, jsonl_text, read_arrays, read_jsonl
+from .records import arrays_bytes, atomic_write, field, jsonl_text, meta_field, read_arrays
+from .records import read_jsonl
 
 MODEL_FORMAT_VERSION = 2
 
@@ -454,11 +455,12 @@ def serialize_model(model: RerankerModel) -> bytes:
 
 
 def _model(meta: dict, members) -> RerankerModel:
-    dim, seed = int(meta["E"]), int(meta["hash_seed"])
+    dim, seed, step = (meta_field(meta, name, int) for name in ("E", "hash_seed", "step"))
+    bias = meta_field(meta, "bias", float)
     projections = members["query_projection"], members["doc_projection"]
-    if not all(np.isfinite(w).all() for w in (*projections, meta["bias"])):
+    if not all(np.isfinite(w).all() for w in (*projections, bias)):
         raise RadkitError("checkpoint weights must be finite")
-    return RerankerModel(dim, seed, *projections, meta["bias"], meta["step"])
+    return RerankerModel(dim, seed, *projections, bias, step)
 
 
 def save_model(model: RerankerModel, path: str | Path) -> None:

@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,7 +352,7 @@ def test_criterion_8_end_to_end_smoke(tmp_path):
             continue
         manifest = json.loads(manifest_path.read_text())
         for out_path, digest in manifest["outputs"].items():
-            actual = hashlib.sha256(open(out_path, "rb").read()).hexdigest()
+            actual = hashlib.sha256(Path(out_path).read_bytes()).hexdigest()
             manifests_ok = manifests_ok and actual == digest
 
     rerun_out = tmp_path / "retrieved-rerun.jsonl"

@@ -281,7 +281,7 @@ class TestPipeline:
             },
             {"kappa1": 4, "kappa2": 2, "filter": "answer-match"},
             {"tau1": 1.0, "tau2": 100.0, "lr": 0.01, "epochs": 10, "dim": 64, "hash_seed": 0},
-            {"kappa_star": 10, "k": 3, "score_file": None},
+            {"kappa_star": 10, "k": 3},
             {"ks": "1,3", "j_gold": 0, "all_silver": False},
             {"ks": "1,3,10", "j_gold": 0, "all_silver": False},
             {
@@ -487,46 +487,88 @@ ARRAY_FILE_READERS = {
 }
 
 
+def _read_with_meta(paths, tmp_path, file, name, value):
+    """Run the stage that reads ``file``, rewritten by arrays_bytes with meta ``name`` = ``value``.
+
+    A callable ``value`` is applied to the old value. Returns the process and the file's path.
+    """
+    with np.load(paths[file]) as members:
+        arrays = {key: members[key] for key in members.files if key != "meta"}
+        meta = json.loads(members["meta"].tobytes())
+    holder = meta["build_params"] if name in ("k1", "b") else meta
+    holder[name] = value(holder[name]) if callable(value) else value
+    bad = tmp_path / f"{file}.npz"
+    bad.write_bytes(arrays_bytes(meta, arrays))
+    command, _ = ARRAY_FILE_READERS[file]
+    where = {
+        "bad": bad,
+        "out": tmp_path / "out.jsonl",
+        "index": paths["index"],
+        "rationales": DATA_DIR / "rationales.jsonl",
+    }
+    return run_cli(*(arg.format(**where) for arg in command.split())), bad
+
+
 class TestArrayFileMetaOverflow:
     @pytest.mark.parametrize(
-        "file, name, value",
+        "file, name, value, expected",
         [
-            ("model", "E", math.inf),
-            ("model", "hash_seed", math.inf),
-            ("model", "step", math.inf),
-            ("index", "k1", 10**400),
-            ("index", "b", 10**400),
+            ("model", "E", math.inf, 'field "E": expected an integer, got Infinity'),
+            ("model", "hash_seed", math.inf, 'field "hash_seed": expected an integer, got Infinity'),
+            ("model", "step", math.inf, 'field "step": expected an integer, got Infinity'),
+            ("index", "k1", 10**400, None),
+            ("index", "b", 10**400, None),
         ],
         ids=["model-E", "model-hash_seed", "model-step", "index-k1", "index-b"],
     )
     def test_number_int_or_float_cannot_convert_is_one_line(
-        self, pipeline, tmp_path, file, name, value
+        self, pipeline, tmp_path, file, name, value, expected
     ):
         """A meta number json.loads reads but int() or float() cannot convert.
 
-        json.loads reads a 1e400 as inf, as it reads the ``Infinity`` arrays_bytes writes,
-        and int(inf) overflows; float() of a 400-digit integer overflows.
+        json.loads reads a 1e400 as inf, as it reads the ``Infinity`` arrays_bytes writes:
+        a float, so the checkpoint's integers name the field. float() of a 400-digit
+        integer overflows.
         """
         paths, _, _ = pipeline
-        with np.load(paths[file]) as members:
-            arrays = {key: members[key] for key in members.files if key != "meta"}
-            meta = json.loads(members["meta"].tobytes())
-        (meta["build_params"] if file == "index" else meta)[name] = value
-        bad = tmp_path / f"{file}.npz"
-        bad.write_bytes(arrays_bytes(meta, arrays))
-        command, version = ARRAY_FILE_READERS[file]
-        where = {
-            "bad": bad,
-            "out": tmp_path / "out.jsonl",
-            "index": paths["index"],
-            "rationales": DATA_DIR / "rationales.jsonl",
-        }
-        proc = run_cli(*(arg.format(**where) for arg in command.split()))
+        proc, bad = _read_with_meta(paths, tmp_path, file, name, value)
+        version = ARRAY_FILE_READERS[file][1]
+        expected = expected or f"unknown file format version None (expected {version})"
         assert proc.returncode == 1, proc.stderr
-        assert proc.stderr.splitlines() == [
-            f"error: {bad}: unknown file format version None (expected {version})"
-        ], proc.stderr
+        assert proc.stderr.splitlines() == [f"error: {bad}: {expected}"], proc.stderr
         assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "file, name, value",
+    [
+        ("index", "doc_ids", lambda ids: [[i] for i in range(len(ids))]),
+        ("index", "doc_ids", "ab"),
+        ("index", "titles", lambda titles: [{"x": 1}] + [None] * (len(titles) - 1)),
+        ("index", "terms", lambda terms: [*terms[:-1], 7]),
+        ("index", "k1", "0.9"),
+        ("index", "k1", True),
+        ("index", "b", False),
+        ("model", "E", True),
+        ("model", "hash_seed", 2.5),
+        ("model", "hash_seed", True),
+        ("model", "step", 2.5),
+        ("model", "bias", True),
+    ],
+    ids=[
+        "doc_ids-lists", "doc_ids-string", "titles-not-strings", "terms-number", "k1-string",
+        "k1-true", "b-false", "E-true", "hash_seed-float", "hash_seed-true", "step-float",
+        "bias-true",
+    ],
+)
+def test_array_file_meta_of_another_type_is_one_line(pipeline, tmp_path, file, name, value):
+    """A meta field of the wrong JSON type names the file and the field, whatever it would
+    have loaded as."""
+    paths, _, _ = pipeline
+    proc, bad = _read_with_meta(paths, tmp_path, file, name, value)
+    assert_one_error_line(proc, bad)
+    assert proc.stderr.startswith(f'error: {bad}: field "{name}": '), proc.stderr
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 @pytest.mark.parametrize(
@@ -690,6 +732,25 @@ class TestEmitTrainOptions:
         assert proc.returncode == 0, proc.stderr
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert [(r["id"], r["j"]) for r in rows] == [("ex-01", 0)]
+
+    @pytest.mark.parametrize("part", ["header", "question"])
+    def test_marker_the_parser_would_split_at_is_one_error_line(self, pipeline, tmp_path, part):
+        """A header holding a question start, or a question holding a knowledge start,
+        would parse back as other text: emit-train writes nothing."""
+        paths, _, _ = pipeline
+        header, rationales = tmp_path / "header.txt", tmp_path / "rationales.jsonl"
+        header.write_text("Intro" + ("\n\nQuestion: x" if part == "header" else "") + "\n")
+        question = "q (A) x (B) y" + ("\n\nKnowledge: z" if part == "question" else "")
+        row = {"id": "r1", "question": question, "answer": "A", "rationales": ["goiter. Answer: A"]}
+        rationales.write_text(json.dumps(row) + "\n")
+        out = tmp_path / "train.jsonl"
+        proc = run_cli(
+            "emit-train", "--index", str(paths["index"]), "--rationales", str(rationales),
+            "--out", str(out), "--template", f"custom:{header}",
+        )
+        assert_one_error_line(proc, header if part == "header" else "record 'r1' rationale 0")
+        assert "holds '\\n\\n" in proc.stderr, proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["emit-train", "candidates"])
     def test_manifest_digests_the_verdict_and_template_files(self, pipeline, tmp_path, command):

@@ -11,6 +11,7 @@ from radkit.distill import extract_answer, option_letters
 from radkit.corpus import Document, build_index, load_corpus_jsonl
 from radkit.distill import (
     HEADERS,
+    ParsedExample,
     RationaleRecord,
     TrainingTemplate,
     emit_training_example,
@@ -228,6 +229,10 @@ class TestEmit:
         assert example.input_text.startswith("Answer the question below with an explanation:\n\n")
 
 
+# Pieces of the layout's markers, so generated text can hold a marker whole or in part.
+MARKER_FRAGMENTS = ["\n", "\n\n", "Question: ", "Knowledge: ", "Explanation:", "Answer: ", "a", " "]
+
+
 class TestParse:
     def test_round_trip_identity(self, fixture_index, fixture_records):
         record = next(r for r in fixture_records if r.example_id == "ex-02")
@@ -255,6 +260,33 @@ class TestParse:
         parsed = parse_training_example(example.input_text, example.target_text)
         assert parsed.question == record.question
         assert parsed.knowledge_texts == ()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        header=st.lists(st.sampled_from(MARKER_FRAGMENTS), max_size=6).map("".join),
+        question=st.lists(st.sampled_from(MARKER_FRAGMENTS), max_size=6).map("".join),
+        with_knowledge=st.booleans(),
+    )
+    def test_round_trip_or_error_for_any_header_and_question(
+        self, header, question, with_knowledge
+    ):
+        """Emission raises exactly when the parser would split the header or question early."""
+        if "\n\nQuestion: " in header:
+            with pytest.raises(ValueError, match="template header holds"):
+                TrainingTemplate(header, with_knowledge)
+            return
+        template = TrainingTemplate(header, with_knowledge)
+        record = RationaleRecord("e", question, "A", ("unused", "because\n\nAnswer: B"))
+        docs = [Document("p", "", "some passage")]
+        if "\n\nKnowledge: " in question:
+            with pytest.raises(ValueError, match=r"^record 'e' rationale 1: question holds"):
+                emit_training_example(record, 1, docs, template)
+            return
+        example = emit_training_example(record, 1, docs, template)
+        knowledge = ("some passage",) if with_knowledge else ()
+        assert parse_training_example(example.input_text, example.target_text) == ParsedExample(
+            header, question, knowledge, record.rationales[1], "A"
+        )
 
     @settings(max_examples=150, deadline=None)
     @given(
