@@ -176,7 +176,7 @@ def cmd_candidates(args) -> int:
 
 
 def _known_doc_ids(obj: dict, known: set) -> None:
-    for doc_id in field(obj, "doc_ids", str, many=True):
+    for doc_id in field(obj, "doc_ids", many=True):
         if doc_id not in known:
             raise ValueError(f"unknown doc id {json.dumps(doc_id, ensure_ascii=False)}")
 
@@ -205,7 +205,7 @@ def cmd_rerank_infer(args) -> int:
     index = load_index(args.index)
     file_scorer = FileScorer.load(args.score_file) if args.score_file else None
     model = load_model(args.model) if args.model else None
-    questions = read_jsonl(args.questions, lambda obj: (str(obj["id"]), str(obj["question"])))
+    questions = read_jsonl(args.questions, lambda obj: (field(obj, "id"), field(obj, "question")))
     if file_scorer:
         model = [file_scorer.for_example(example_id) for example_id, _ in questions]
     elif model is None:
@@ -239,7 +239,7 @@ def cmd_eval(args) -> int:
         }
         retrieved = dict(
             read_jsonl(
-                args.retrieved, lambda obj: (str(obj["id"]), field(obj, "doc_ids", str, many=True))
+                args.retrieved, lambda obj: (field(obj, "id"), field(obj, "doc_ids", many=True))
             )
         )
         mode = "all" if args.all_silver else "any"

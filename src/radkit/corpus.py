@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DuplicateDocId, EmptyDocument, InvalidOrdinal, UnknownFormatVersion
-from .records import arrays_bytes, atomic_write, meta_field, read_arrays, read_jsonl
+from .records import arrays_bytes, atomic_write, field, read_arrays, read_jsonl
 
 INDEX_FORMAT_VERSION = 3
 TOKENIZER_VERSION = "lower-alnum-2"
@@ -71,7 +71,7 @@ class PostingsIndex:
     strictly ascending; ordinals follow corpus input order. ``tfs`` and
     ``impacts`` run parallel to ``ordinals``: a posting's BM25 contribution
     is ``idf * tf * (k1 + 1) / (tf + norm)``, evaluated in that order. The
-    source passages are embedded as three lists indexed by ordinal,
+    source passages are embedded as three sequences indexed by ordinal,
     ``doc_ids``, ``titles`` and ``texts``, so downstream stages can resolve
     passage texts from the index file alone; ``document(doc_id)`` builds one
     ``Document`` from them. Arrays that are not 1-D int32 or do not fit the
@@ -81,10 +81,10 @@ class PostingsIndex:
 
     def __init__(
         self,
-        doc_ids: list[str],
-        titles: list[str],
+        doc_ids: tuple[str, ...],
+        titles: tuple[str, ...],
         texts: list[str],
-        terms: list[str],
+        terms: tuple[str, ...],
         offsets: np.ndarray,
         ordinals: np.ndarray,
         tfs: np.ndarray,
@@ -206,10 +206,10 @@ def build_index(
     keys, tfs = np.unique(keys, return_counts=True)
     offsets = np.searchsorted(keys, np.arange(len(vocabulary) + 1, dtype=np.int64) * n)
     ordinals, tfs, offsets = (a.astype(np.int32) for a in (keys % n, tfs, offsets))
-    doc_ids, titles = [d.doc_id for d in docs], [d.title for d in docs]
+    doc_ids, titles = tuple(d.doc_id for d in docs), tuple(d.title for d in docs)
     texts = [d.text for d in docs]
     return PostingsIndex(
-        doc_ids, titles, texts, list(vocabulary), offsets, ordinals, tfs, doc_lengths, k1, b
+        doc_ids, titles, texts, tuple(vocabulary), offsets, ordinals, tfs, doc_lengths, k1, b
     )
 
 
@@ -260,7 +260,7 @@ def retrieve(index: PostingsIndex, query: str, k: int) -> list[ScoredDoc]:
 
 def _document(obj: dict) -> Document:
     obj.setdefault("title", "")
-    return Document(*(str(obj[name]) for name in ("id", "title", "text")))
+    return Document(*(field(obj, name) for name in ("id", "title", "text")))
 
 
 def load_corpus_jsonl(path: str | Path) -> list[Document]:
@@ -317,10 +317,10 @@ def _index(meta: dict, members) -> PostingsIndex:
     params = meta["build_params"]
     if params["tokenizer_version"] != TOKENIZER_VERSION:
         raise UnknownFormatVersion(params["tokenizer_version"], TOKENIZER_VERSION, "tokenizer")
-    doc_ids, titles, terms = (meta_field(meta, key, str) for key in ("doc_ids", "titles", "terms"))
+    doc_ids, titles, terms = (field(meta, key, many=True) for key in ("doc_ids", "titles", "terms"))
     texts = _texts(members["texts"], members["text_offsets"], len(doc_ids))
     arrays = (members[name] for name in _ARRAYS)
-    k1, b = (float(meta_field(params, name, float)) for name in ("k1", "b"))
+    k1, b = (field(params, name, float) for name in ("k1", "b"))
     return PostingsIndex(doc_ids, titles, texts, terms, *arrays, k1, b)
 
 

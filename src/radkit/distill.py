@@ -108,14 +108,12 @@ def option_letters(question: str) -> set[str]:
 
 
 def _rationale_record(obj: dict) -> RationaleRecord:
-    rationales = obj.get("rationales", [])
-    if not isinstance(rationales, list) or not all(isinstance(r, str) for r in rationales):
-        raise ValueError('"rationales" must be a list of strings')
+    obj.setdefault("rationales", [])
     record = RationaleRecord(
-        example_id=str(obj["id"]),
-        question=str(obj["question"]),
-        answer=str(obj["answer"]).strip().upper(),
-        rationales=tuple(rationales),
+        example_id=field(obj, "id"),
+        question=field(obj, "question"),
+        answer=field(obj, "answer").strip().upper(),
+        rationales=field(obj, "rationales", many=True),
     )
     options = option_letters(record.question)
     if record.answer not in options:
@@ -170,7 +168,9 @@ def load_verdicts(path: str | Path) -> KeepRule:
     earlier one.
     """
     verdicts = dict(
-        read_jsonl(path, lambda obj: ((str(obj["id"]), field(obj, "j", int)), bool(obj["keep"])))
+        read_jsonl(
+            path, lambda obj: ((field(obj, "id"), field(obj, "j", int)), field(obj, "keep", bool))
+        )
     )
 
     def keep(record: RationaleRecord, j: int) -> bool:

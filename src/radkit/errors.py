@@ -11,19 +11,16 @@ class RadkitError(Exception):
 class DuplicateDocId(RadkitError):
     def __init__(self, doc_id: str):
         super().__init__(f"duplicate document id: {doc_id!r}")
-        self.doc_id = doc_id
 
 
 class EmptyDocument(RadkitError):
     def __init__(self, doc_id: str):
         super().__init__(f"document {doc_id!r} has no tokens")
-        self.doc_id = doc_id
 
 
 class InvalidOrdinal(RadkitError):
     def __init__(self, ordinal: int, doc_count: int):
         super().__init__(f"ordinal {ordinal} out of range for {doc_count} documents")
-        self.ordinal = ordinal
 
 
 class UnknownFormatVersion(RadkitError):
@@ -36,7 +33,6 @@ class ParseError(RadkitError):
     def __init__(self, path, line_no: int, message: str):
         # One line: the path and the message may echo input text that holds line breaks.
         super().__init__(f"{path}: line {line_no}: {message}".translate(_LINE_BREAKS))
-        self.path = path
         self.line_no = line_no
 
 
@@ -46,7 +42,6 @@ class AnswerNotInOptions(RadkitError):
         super().__init__(
             f"record {example_id!r}: answer {answer!r} is not among options {{{opts}}}"
         )
-        self.example_id = example_id
 
 
 class NoKnowledge(RadkitError):
@@ -78,12 +73,10 @@ class EmptyCandidates(RadkitError):
 class MissingSilver(RadkitError):
     def __init__(self, example_id: str):
         super().__init__(f"no silver set for example {example_id!r}")
-        self.example_id = example_id
 
 
 class EmptyEvaluation(RadkitError):
-    def __init__(self, message: str = "nothing to evaluate"):
-        super().__init__(message)
+    """Nothing to score: no prediction bundles, or every silver set is empty."""
 
 
 class InvalidEpsilon(RadkitError):

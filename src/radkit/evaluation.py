@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 from .corpus import PostingsIndex, retrieve
 from .distill import RationaleRecord, extract_answer
 from .errors import EmptyEvaluation, MissingSilver
-from .records import read_jsonl
+from .records import field, read_jsonl
 
 SILVER_K = 3
 
@@ -112,13 +112,13 @@ def accuracy(bundles: Sequence[PredictionBundle]) -> float:
 
 
 def _prediction_bundle(obj: dict) -> PredictionBundle:
-    texts = obj["texts"]
-    if not isinstance(texts, list) or not texts:
-        raise ValueError('"texts" must be a non-empty list')
+    texts = field(obj, "texts", many=True)
+    if not texts:
+        raise ValueError('field "texts": expected a non-empty list, got []')
     return PredictionBundle(
-        example_id=str(obj["id"]),
-        generated_texts=tuple(str(t) for t in texts),
-        gold_answer=str(obj["gold"]).strip().upper(),
+        example_id=field(obj, "id"),
+        generated_texts=texts,
+        gold_answer=field(obj, "gold").strip().upper(),
     )
 
 

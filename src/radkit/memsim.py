@@ -256,8 +256,6 @@ def naive_bits(task: TaskInstance) -> int:
     the same rule as the optimal baseline (it holds the same information).
     """
     n = len(task.training_j)
-    if n == 0:
-        return 0
     N, d = task.references.shape
     index_bits = ceil_log2(N)
     length_bits = ceil_log2(d)

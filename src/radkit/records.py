@@ -2,19 +2,22 @@
 
 Stages hand over to each other, and to external trainers and scorers,
 through JSONL files of one JSON object per line. This module is the one
-place that format is read and written: ``read_jsonl`` turns each line into
-a record and reports a malformed line as a ParseError naming the file, the
-line and the field; ``atomic_write`` replaces files only with complete
-new content, so a failed write leaves the old files as they were. The index
-and the reranker checkpoint are array files (``arrays_bytes``, ``read_arrays``).
+place that format is read and written: ``read_jsonl`` turns each line into a
+record, ``field`` takes each field only as its JSON type, and a malformed
+line is reported naming the file, the line and the field; ``atomic_write``
+replaces files only with complete new content, so a failed write leaves the
+old files as they were. The index and the reranker checkpoint are array
+files (``arrays_bytes``, ``read_arrays``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import io
 import json
 import os
+import sys
 import tempfile
 import zipfile
 from pathlib import Path
@@ -79,15 +82,29 @@ def _check_strings(obj: dict, path, line_no: int) -> None:
                 raise ParseError(path, line_no, f'field "{name}": {exc}') from None
 
 
-def field(obj: dict, name: str, convert: Callable, many: bool = False):
-    """``convert(obj[name])``, per item into a tuple if ``many``; a bad value names the field."""
-    value = obj[name]
-    if many and not isinstance(value, list):
-        raise ValueError(f'field "{name}" must be a list')
-    try:
-        return tuple(map(convert, value)) if many else convert(value)
-    except (OverflowError, TypeError, ValueError) as exc:  # OverflowError: int(inf), float(10**400)
-        raise ValueError(f'field "{name}": {exc}') from exc
+_KINDS = {str: "a string", int: "an integer", bool: "true or false", float: "a finite number"}
+
+
+def field(obj: dict, name: str, kind: type = str, many: bool = False):
+    """``obj[name]`` if JSON gave it as ``kind``, which ``_KINDS`` words (a number is returned
+    as a float; a boolean is no number); with ``many``, a JSON list of ``kind`` as a tuple.
+    Any other value raises RadkitError ``field "<name>": expected …, got <the value as JSON>``.
+    """
+    value = _of_kind(obj[name], name, list if many else kind)
+    if many and kind is str:
+        with contextlib.suppress(TypeError):  # else the loop below names the first non-str
+            "".join(value)  # the quickest check that every item is a str
+            return tuple(value)
+    return tuple(_of_kind(item, name, kind) for item in value) if many else value
+
+
+def _of_kind(value, name: str, kind: type):
+    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)  # not NaN, not infinite, and no integer too large for a float
+    if type(value) is kind and kind is not float:
+        return value
+    expected = _KINDS.get(kind, "a list")
+    raise RadkitError(f'field "{name}": expected {expected}, got {json.dumps(value)[:40]}')
 
 
 def jsonl_text(rows: Iterable[dict]) -> str:
@@ -107,25 +124,6 @@ def arrays_bytes(meta: dict, arrays: Mapping[str, np.ndarray]) -> bytes:
     buf = io.BytesIO()
     np.savez(buf, meta=np.frombuffer(text.encode("utf-8"), dtype=np.uint8), **arrays)
     return buf.getvalue()
-
-
-_META_KINDS = {int: "an integer", float: "a number", str: "a list of strings"}
-
-
-def meta_field(meta: dict, name: str, kind: type):
-    """``meta[name]`` if JSON read it as ``kind``: ``int`` an integer, ``float`` any number
-    (a boolean is neither), ``str`` a list of strings. Else RadkitError ``field "<name>": …``.
-    """
-    value = meta[name]
-    if kind is str and type(value) is list:
-        try:
-            "".join(value)  # the quickest check that every item is a str
-        except TypeError as exc:
-            raise RadkitError(f'field "{name}": {exc}') from None
-        return value
-    if kind is not str and (type(value) is int or kind is float and type(value) is float):
-        return value
-    raise RadkitError(f'field "{name}": expected {_META_KINDS[kind]}, got {json.dumps(value)[:40]}')
 
 
 def read_arrays(path: str | Path, version: int, make: Callable[[dict, Mapping], T]) -> T:

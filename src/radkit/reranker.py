@@ -27,8 +27,7 @@ from .corpus import PostingsIndex, ScoredDoc, bm25_scores, tokenize, top_ordinal
 from .corpus import bm25_score, retrieve  # noqa: F401 (perfbench/spans.py wraps them here)
 from .distill import RationaleRecord
 from .errors import DegenerateCandidateSet, EmptyCandidates, NonPositiveTemperature, RadkitError
-from .records import arrays_bytes, atomic_write, field, jsonl_text, meta_field, read_arrays
-from .records import read_jsonl
+from .records import arrays_bytes, atomic_write, field, jsonl_text, read_arrays, read_jsonl
 
 MODEL_FORMAT_VERSION = 2
 
@@ -408,13 +407,6 @@ def rerank_inference(
     return rerank_batch(index, scorers, [question], kappa_star, k)[0]
 
 
-def _finite(value) -> float:
-    score = float(value)
-    if not math.isfinite(score):
-        raise ValueError(f"must be finite, got {value!r}")
-    return score
-
-
 class FileScorer:
     """External-scorer plug-in: scores read from a JSONL exchange file.
 
@@ -428,7 +420,7 @@ class FileScorer:
     @classmethod
     def load(cls, path: str | Path) -> "FileScorer":
         rows = read_jsonl(
-            path, lambda obj: ((str(obj["id"]), str(obj["doc_id"])), field(obj, "score", _finite))
+            path, lambda obj: ((field(obj, "id"), field(obj, "doc_id")), field(obj, "score", float))
         )
         return cls(dict(rows))
 
@@ -455,12 +447,11 @@ def serialize_model(model: RerankerModel) -> bytes:
 
 
 def _model(meta: dict, members) -> RerankerModel:
-    dim, seed, step = (meta_field(meta, name, int) for name in ("E", "hash_seed", "step"))
-    bias = meta_field(meta, "bias", float)
+    dim, seed, step = (field(meta, name, int) for name in ("E", "hash_seed", "step"))
     projections = members["query_projection"], members["doc_projection"]
-    if not all(np.isfinite(w).all() for w in (*projections, bias)):
+    if not all(np.isfinite(w).all() for w in projections):
         raise RadkitError("checkpoint weights must be finite")
-    return RerankerModel(dim, seed, *projections, bias, step)
+    return RerankerModel(dim, seed, *projections, field(meta, "bias", float), step)
 
 
 def save_model(model: RerankerModel, path: str | Path) -> None:
@@ -490,11 +481,11 @@ def candidates_jsonl_text(sets: Sequence[CandidateSet]) -> str:
 
 def _candidate_set(obj: dict) -> CandidateSet:
     return CandidateSet(
-        example_id=str(obj["example_id"]),
+        example_id=field(obj, "example_id"),
         rationale_index=field(obj, "j", int),
-        question=str(obj["question"]),
-        doc_ids=field(obj, "doc_ids", str, many=True),
-        teacher_scores=field(obj, "teacher_scores", _finite, many=True),
+        question=field(obj, "question"),
+        doc_ids=field(obj, "doc_ids", many=True),
+        teacher_scores=field(obj, "teacher_scores", float, many=True),
     )
 
 

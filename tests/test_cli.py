@@ -470,10 +470,11 @@ class TestRerankInferOptions:
             "--questions", str(DATA_DIR / "rationales.jsonl"), "--model", str(bad),
             "--out", str(out), "--kappa-star", "10",
         )
+        expected = "checkpoint weights must be finite"
+        if weight == "bias":
+            expected = 'field "bias": expected a finite number, got Infinity'
         assert proc.returncode == 1
-        assert proc.stderr.splitlines() == [
-            f"error: {bad}: checkpoint weights must be finite"
-        ], proc.stderr
+        assert proc.stderr.splitlines() == [f"error: {bad}: {expected}"], proc.stderr
         assert not out.exists()
 
 
@@ -516,24 +517,22 @@ class TestArrayFileMetaOverflow:
             ("model", "E", math.inf, 'field "E": expected an integer, got Infinity'),
             ("model", "hash_seed", math.inf, 'field "hash_seed": expected an integer, got Infinity'),
             ("model", "step", math.inf, 'field "step": expected an integer, got Infinity'),
-            ("index", "k1", 10**400, None),
-            ("index", "b", 10**400, None),
+            ("index", "k1", 10**400, f'field "k1": expected a finite number, got 1{"0" * 39}'),
+            ("index", "b", 10**400, f'field "b": expected a finite number, got 1{"0" * 39}'),
         ],
         ids=["model-E", "model-hash_seed", "model-step", "index-k1", "index-b"],
     )
     def test_number_int_or_float_cannot_convert_is_one_line(
         self, pipeline, tmp_path, file, name, value, expected
     ):
-        """A meta number json.loads reads but int() or float() cannot convert.
+        """A meta number json.loads reads that is no integer or no finite number.
 
         json.loads reads a 1e400 as inf, as it reads the ``Infinity`` arrays_bytes writes:
-        a float, so the checkpoint's integers name the field. float() of a 400-digit
-        integer overflows.
+        a float, so the checkpoint's integers name the field. A 400-digit integer is too
+        large for a float, so ``k1`` and ``b`` name the field too.
         """
         paths, _, _ = pipeline
         proc, bad = _read_with_meta(paths, tmp_path, file, name, value)
-        version = ARRAY_FILE_READERS[file][1]
-        expected = expected or f"unknown file format version None (expected {version})"
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.splitlines() == [f"error: {bad}: {expected}"], proc.stderr
         assert not (tmp_path / "out.jsonl").exists()
@@ -1096,6 +1095,30 @@ JSONL_INPUTS = {
 }
 
 
+# The JSON type each reader takes for each field it reads; ``[kind]`` is a list of kind.
+JSONL_FIELD_TYPES = {
+    "corpus": {"id": str, "title": str, "text": str},
+    "rationales": {"id": str, "question": str, "answer": str, "rationales": [str]},
+    "verdict file": {"id": str, "j": int, "keep": bool},
+    "candidates": {
+        "example_id": str, "j": int, "question": str, "doc_ids": [str], "teacher_scores": [float],
+    },
+    "questions": {"id": str, "question": str},
+    "score file": {"id": str, "doc_id": str, "score": float},
+    "retrieved": {"id": str, "doc_ids": [str]},
+    "predictions": {"id": str, "texts": [str], "gold": str},
+}
+
+
+def _has_json_type(value, kind) -> bool:
+    """Whether JSON gives ``value`` as ``kind``: ``float`` is any finite number, not a boolean."""
+    if isinstance(kind, list):
+        return type(value) is list and all(_has_json_type(item, kind[0]) for item in value)
+    if kind is float:
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return type(value) is kind
+
+
 def _second_line(name: str, field: str | None) -> tuple[bytes, str]:
     """A line without ``field`` (a bare number for None) and the error it must give."""
     if field is None:
@@ -1194,25 +1217,31 @@ MALFORMED_CASES = [
         id=f"{name.replace(' ', '-')}-{field}-{value}",
     )
     for name, field, value, expected in [
-        ("candidates", "teacher_scores", "12", 'field "teacher_scores" must be a list'),
+        (
+            "candidates", "teacher_scores", "12",
+            'field "teacher_scores": expected a list, got "12"',
+        ),
         (
             "candidates", "teacher_scores", [math.nan, 1.0],
-            'field "teacher_scores": must be finite, got nan',
+            'field "teacher_scores": expected a finite number, got NaN',
         ),
         (
             "candidates", "teacher_scores", [-math.inf, 1.0],
-            'field "teacher_scores": must be finite, got -inf',
+            'field "teacher_scores": expected a finite number, got -Infinity',
         ),
-        ("candidates", "doc_ids", "med-001", 'field "doc_ids" must be a list'),
-        ("retrieved", "doc_ids", "med-001", 'field "doc_ids" must be a list'),
-        ("candidates", "j", "x", 'field "j": invalid literal'),
-        ("verdict file", "j", "x", 'field "j": invalid literal'),
-        ("score file", "score", "x", 'field "score": could not convert'),
-        ("score file", "score", math.nan, 'field "score": must be finite, got nan'),
-        ("score file", "score", -math.inf, 'field "score": must be finite, got -inf'),
+        ("candidates", "doc_ids", "med-001", 'field "doc_ids": expected a list, got "med-001"'),
+        ("retrieved", "doc_ids", "med-001", 'field "doc_ids": expected a list, got "med-001"'),
+        ("candidates", "j", "x", 'field "j": expected an integer, got "x"'),
+        ("verdict file", "j", "x", 'field "j": expected an integer, got "x"'),
+        ("score file", "score", "x", 'field "score": expected a finite number, got "x"'),
+        ("score file", "score", math.nan, 'field "score": expected a finite number, got NaN'),
+        (
+            "score file", "score", -math.inf,
+            'field "score": expected a finite number, got -Infinity',
+        ),
     ]
 ] + [
-    # Numbers that json.loads reads but int() or float() cannot convert.
+    # Numbers that json.loads reads but that are no integer or no finite number.
     pytest.param(
         name,
         json.dumps({**JSONL_INPUTS[name][0], field: value}).encode(),
@@ -1220,12 +1249,15 @@ MALFORMED_CASES = [
         id=f"{name.replace(' ', '-')}-{field}-{label}",
     )
     for name, field, value, label, expected in [
-        ("verdict file", "j", math.inf, "inf", 'field "j": cannot convert float infinity'),
-        ("candidates", "j", -math.inf, "-inf", 'field "j": cannot convert float infinity'),
-        ("score file", "score", 10**400, "1e400", 'field "score": int too large to convert'),
+        ("verdict file", "j", math.inf, "inf", 'field "j": expected an integer, got Infinity'),
+        ("candidates", "j", -math.inf, "-inf", 'field "j": expected an integer, got -Infinity'),
+        (
+            "score file", "score", 10**400, "1e400",
+            f'field "score": expected a finite number, got 1{"0" * 39}',
+        ),
         (
             "candidates", "teacher_scores", [10**400, 1], "1e400",
-            'field "teacher_scores": int too large to convert',
+            f'field "teacher_scores": expected a finite number, got 1{"0" * 39}',
         ),
     ]
 ]
@@ -1255,6 +1287,44 @@ class TestMalformedInput:
         assert expected in lines[0], lines[0]
 
 
+# Values of another JSON type that str(), bool(), int() or float() would turn into one of
+# the field's type: each is an error, not a converted value.
+COERCED_VALUES = [
+    ("verdict file", "keep", "false", 'expected true or false, got "false"'),
+    ("verdict file", "j", 0.9, "expected an integer, got 0.9"),
+    ("verdict file", "j", True, "expected an integer, got true"),
+    ("questions", "id", None, "expected a string, got null"),
+    ("questions", "id", [1, 2], "expected a string, got [1, 2]"),
+    ("score file", "score", "7", 'expected a finite number, got "7"'),
+    ("predictions", "texts", [None, 5, "Answer: B"], "expected a string, got null"),
+    ("corpus", "id", 1, "expected a string, got 1"),
+    ("candidates", "teacher_scores", [True, 1.0], "expected a finite number, got true"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, field, value, expected",
+    COERCED_VALUES,
+    ids=[f"{name.replace(' ', '-')}-{f}-{json.dumps(v)}" for name, f, v, _ in COERCED_VALUES],
+)
+def test_value_of_another_json_type_is_one_error_line(
+    pipeline, tmp_path, name, field, value, expected
+):
+    """A field is read only as its JSON type: no other value is converted into it."""
+    paths, _, _ = pipeline
+    row, _, command = JSONL_INPUTS[name]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(row) + "\n" + json.dumps({**row, field: value}) + "\n")
+    out = tmp_path / "out"
+    where = {
+        "bad": bad, "out": out, "index": paths["index"], "rationales": DATA_DIR / "rationales.jsonl"
+    }
+    proc = run_cli(*(arg.format(**where) for arg in command.split()))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.splitlines() == [f'error: {bad}: line 2: field "{field}": {expected}']
+    assert not out.exists()
+
+
 # Any JSON value, non-finite floats and huge integers included (json.loads reads both),
 # with ids the fixture index knows and line breaks (str.splitlines's) drawn often.
 EDGE_VALUES = st.sampled_from(
@@ -1277,7 +1347,8 @@ class TestArbitraryJsonlLine:
     def test_stage_writes_its_output_or_one_error_line(self, pipeline, tmp_path, name, data):
         """Line 2 is the valid row with some fields replaced by arbitrary JSON values.
 
-        The stage runs in-process, so a traceback would raise here.
+        The stage runs in-process, so a traceback would raise here. A stage that writes
+        its output has read every replaced field as its JSON type.
         """
         paths, _, _ = pipeline
         row, _, command = JSONL_INPUTS[name]
@@ -1296,3 +1367,7 @@ class TestArbitraryJsonlLine:
         lines = stderr.getvalue().splitlines()
         assert code == 0 and lines == [] or code == 1 and len(lines) == 1, stderr.getvalue()
         assert all(line.startswith("error: ") for line in lines), lines
+        if code == 0:
+            types = JSONL_FIELD_TYPES[name]
+            held = {f: _has_json_type(v, types[f]) for f, v in replaced.items() if f in types}
+            assert all(held.values()), (replaced, held)

@@ -1,4 +1,5 @@
-"""Records: savers write atomically, JSONL text is strict JSON, read strings are UTF-8."""
+"""Records: savers write atomically, JSONL text is strict JSON, read strings are UTF-8,
+and a field is read only as its JSON type."""
 
 import math
 import os
@@ -6,8 +7,8 @@ import os
 import pytest
 
 from radkit.corpus import build_index, load_corpus_jsonl, save_index
-from radkit.errors import ParseError
-from radkit.records import jsonl_text, read_jsonl
+from radkit.errors import ParseError, RadkitError
+from radkit.records import field, jsonl_text, read_jsonl
 from radkit.reranker import RerankerModel, save_model
 
 from helpers import DATA_DIR
@@ -80,3 +81,42 @@ def test_parse_error_escapes_every_line_break():
     assert len(message.splitlines()) == 1
     assert message.startswith("rows\\u2028.jsonl: line 2: \x00")
     assert "\t\\u000a\\u000b\\u000c\\u000d\x0e" in message
+
+
+@pytest.mark.parametrize(
+    "value, kind, many, expected",
+    [
+        ("", str, False, ""),
+        (-3, int, False, -3),
+        (False, bool, False, False),
+        (7, float, False, 7.0),
+        (-2.5, float, False, -2.5),
+        (["a", "b"], str, True, ("a", "b")),
+        ([1, 0.5], float, True, (1.0, 0.5)),
+        ([], int, True, ()),
+    ],
+)
+def test_field_of_its_json_type_is_returned_as_that_type(value, kind, many, expected):
+    got = field({"x": value}, "x", kind, many)
+    assert got == expected
+    assert all(type(item) is kind for item in got) if many else type(got) is kind
+
+
+@pytest.mark.parametrize(
+    "value, kind, many, expected",
+    [
+        (1, str, False, "expected a string, got 1"),
+        (1.0, int, False, "expected an integer, got 1.0"),
+        (0, bool, False, "expected true or false, got 0"),
+        (True, float, False, "expected a finite number, got true"),
+        (math.nan, float, False, "expected a finite number, got NaN"),
+        (10**400, float, False, f"expected a finite number, got 1{'0' * 39}"),
+        ("a", str, True, 'expected a list, got "a"'),
+        (["a", None], str, True, "expected a string, got null"),
+        ([1, -math.inf], float, True, "expected a finite number, got -Infinity"),
+    ],
+)
+def test_field_of_another_json_type_names_the_field(value, kind, many, expected):
+    with pytest.raises(RadkitError) as err:
+        field({"x": value}, "x", kind, many)
+    assert str(err.value) == f'field "x": {expected}'

@@ -1,6 +1,7 @@
 """Reranker scoring, distillation objective, gradients, and inference."""
 
 import gc
+import json
 import math
 import struct
 import weakref
@@ -782,4 +783,7 @@ class TestModelSerialization:
         path.write_bytes(unchecked_checkpoint(model))  # as another tool might write it
         with pytest.raises(RadkitError) as err:
             load_model(path)
-        assert str(err.value) == f"{path}: checkpoint weights must be finite"
+        expected = "checkpoint weights must be finite"
+        if weight == "bias":
+            expected = f'field "bias": expected a finite number, got {json.dumps(value)}'
+        assert str(err.value) == f"{path}: {expected}"
