@@ -29,6 +29,10 @@ class UnknownFormatVersion(RadkitError):
         super().__init__(f"{where}unknown {what} version {found!r} (expected {expected!r})")
 
 
+class FieldTypeError(RadkitError, ValueError):
+    """A field of another JSON type than its reader takes; ``read_jsonl`` makes it a ParseError."""
+
+
 class ParseError(RadkitError):
     def __init__(self, path, line_no: int, message: str):
         # One line: the path and the message may echo input text that holds line breaks.

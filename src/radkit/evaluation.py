@@ -114,7 +114,7 @@ def accuracy(bundles: Sequence[PredictionBundle]) -> float:
 def _prediction_bundle(obj: dict) -> PredictionBundle:
     texts = field(obj, "texts", many=True)
     if not texts:
-        raise ValueError('field "texts": expected a non-empty list, got []')
+        raise ValueError('"texts" must be a non-empty list')
     return PredictionBundle(
         example_id=field(obj, "id"),
         generated_texts=texts,

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Mapping, TypeVar
 
 import numpy as np
 
-from .errors import ParseError, RadkitError, UnknownFormatVersion
+from .errors import FieldTypeError, ParseError, RadkitError, UnknownFormatVersion
 
 T = TypeVar("T")
 
@@ -35,8 +35,8 @@ def read_jsonl(path: str | Path, make: Callable[[dict], T]) -> list[T]:
 
     A line that is not UTF-8 or not a JSON object, a string that UTF-8 cannot
     encode (a lone surrogate escape such as ``"\\ud800"``), a field ``make``
-    looks up and does not find (KeyError), or a value it rejects
-    (TypeError/ValueError) raises ParseError with the file and line number.
+    looks up and does not find (KeyError), or a value it rejects (TypeError,
+    ValueError, FieldTypeError) raises ParseError with the file and line number.
     A RadkitError from ``make`` keeps its type and gains the same location.
     """
     records = []
@@ -88,7 +88,7 @@ _KINDS = {str: "a string", int: "an integer", bool: "true or false", float: "a f
 def field(obj: dict, name: str, kind: type = str, many: bool = False):
     """``obj[name]`` if JSON gave it as ``kind``, which ``_KINDS`` words (a number is returned
     as a float; a boolean is no number); with ``many``, a JSON list of ``kind`` as a tuple.
-    Any other value raises RadkitError ``field "<name>": expected …, got <the value as JSON>``.
+    Any other value raises FieldTypeError ``field "<name>": expected …, got <the value as JSON>``.
     """
     value = _of_kind(obj[name], name, list if many else kind)
     if many and kind is str:
@@ -104,7 +104,7 @@ def _of_kind(value, name: str, kind: type):
     if type(value) is kind and kind is not float:
         return value
     expected = _KINDS.get(kind, "a list")
-    raise RadkitError(f'field "{name}": expected {expected}, got {json.dumps(value)[:40]}')
+    raise FieldTypeError(f'field "{name}": expected {expected}, got {json.dumps(value)[:40]}')
 
 
 def jsonl_text(rows: Iterable[dict]) -> str:

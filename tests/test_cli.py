@@ -519,8 +519,9 @@ class TestArrayFileMetaOverflow:
             ("model", "step", math.inf, 'field "step": expected an integer, got Infinity'),
             ("index", "k1", 10**400, f'field "k1": expected a finite number, got 1{"0" * 39}'),
             ("index", "b", 10**400, f'field "b": expected a finite number, got 1{"0" * 39}'),
+            ("index", "k1", math.nan, 'field "k1": expected a finite number, got NaN'),
         ],
-        ids=["model-E", "model-hash_seed", "model-step", "index-k1", "index-b"],
+        ids=["model-E", "model-hash_seed", "model-step", "index-k1", "index-b", "index-k1-nan"],
     )
     def test_number_int_or_float_cannot_convert_is_one_line(
         self, pipeline, tmp_path, file, name, value, expected
@@ -529,7 +530,7 @@ class TestArrayFileMetaOverflow:
 
         json.loads reads a 1e400 as inf, as it reads the ``Infinity`` arrays_bytes writes:
         a float, so the checkpoint's integers name the field. A 400-digit integer is too
-        large for a float, so ``k1`` and ``b`` name the field too.
+        large for a float, and a NaN is no finite number, so ``k1`` and ``b`` name the field too.
         """
         paths, _, _ = pipeline
         proc, bad = _read_with_meta(paths, tmp_path, file, name, value)
@@ -1209,7 +1210,8 @@ MALFORMED_CASES = [
         id="questions-non-object-with-u2028",
     ),
 ] + [
-    # A string where a list belongs, and values that do not convert.
+    # A string where a list belongs, and values of another JSON type, which are not
+    # converted into the field's type (str(), bool(), int() or float() would).
     pytest.param(
         name,
         json.dumps({**JSONL_INPUTS[name][0], field: value}).encode(),
@@ -1238,6 +1240,21 @@ MALFORMED_CASES = [
         (
             "score file", "score", -math.inf,
             'field "score": expected a finite number, got -Infinity',
+        ),
+        ("verdict file", "keep", "false", 'field "keep": expected true or false, got "false"'),
+        ("verdict file", "j", 0.9, 'field "j": expected an integer, got 0.9'),
+        ("verdict file", "j", True, 'field "j": expected an integer, got true'),
+        ("questions", "id", None, 'field "id": expected a string, got null'),
+        ("questions", "id", [1, 2], 'field "id": expected a string, got [1, 2]'),
+        ("score file", "score", "7", 'field "score": expected a finite number, got "7"'),
+        (
+            "predictions", "texts", [None, 5, "Answer: B"],
+            'field "texts": expected a string, got null',
+        ),
+        ("corpus", "id", 1, 'field "id": expected a string, got 1'),
+        (
+            "candidates", "teacher_scores", [True, 1.0],
+            'field "teacher_scores": expected a finite number, got true',
         ),
     ]
 ] + [
@@ -1285,44 +1302,7 @@ class TestMalformedInput:
         assert len(lines) == 1, proc.stderr
         assert lines[0].startswith(f"error: {bad}: line 2: "), lines[0]
         assert expected in lines[0], lines[0]
-
-
-# Values of another JSON type that str(), bool(), int() or float() would turn into one of
-# the field's type: each is an error, not a converted value.
-COERCED_VALUES = [
-    ("verdict file", "keep", "false", 'expected true or false, got "false"'),
-    ("verdict file", "j", 0.9, "expected an integer, got 0.9"),
-    ("verdict file", "j", True, "expected an integer, got true"),
-    ("questions", "id", None, "expected a string, got null"),
-    ("questions", "id", [1, 2], "expected a string, got [1, 2]"),
-    ("score file", "score", "7", 'expected a finite number, got "7"'),
-    ("predictions", "texts", [None, 5, "Answer: B"], "expected a string, got null"),
-    ("corpus", "id", 1, "expected a string, got 1"),
-    ("candidates", "teacher_scores", [True, 1.0], "expected a finite number, got true"),
-]
-
-
-@pytest.mark.parametrize(
-    "name, field, value, expected",
-    COERCED_VALUES,
-    ids=[f"{name.replace(' ', '-')}-{f}-{json.dumps(v)}" for name, f, v, _ in COERCED_VALUES],
-)
-def test_value_of_another_json_type_is_one_error_line(
-    pipeline, tmp_path, name, field, value, expected
-):
-    """A field is read only as its JSON type: no other value is converted into it."""
-    paths, _, _ = pipeline
-    row, _, command = JSONL_INPUTS[name]
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text(json.dumps(row) + "\n" + json.dumps({**row, field: value}) + "\n")
-    out = tmp_path / "out"
-    where = {
-        "bad": bad, "out": out, "index": paths["index"], "rationales": DATA_DIR / "rationales.jsonl"
-    }
-    proc = run_cli(*(arg.format(**where) for arg in command.split()))
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.splitlines() == [f'error: {bad}: line 2: field "{field}": {expected}']
-    assert not out.exists()
+        assert not (tmp_path / "out").exists()
 
 
 # Any JSON value, non-finite floats and huge integers included (json.loads reads both),

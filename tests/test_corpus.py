@@ -360,10 +360,6 @@ def index_file(directory, data: bytes):
     return path
 
 
-def _nan_k1(meta: dict) -> None:
-    meta["build_params"]["k1"] = math.nan
-
-
 class TestSerialization:
     def test_round_trip_preserves_retrieval(self, tmp_path):
         docs = load_corpus_jsonl(DATA_DIR / "corpus.jsonl")
@@ -445,7 +441,6 @@ class TestSerialization:
             (lambda m: m["terms"].pop(), {}),
             (lambda m: m["terms"].append("zebra"), {}),
             (lambda m: m["terms"].__setitem__(1, m["terms"][0]), {}),
-            (_nan_k1, {}),
             (lambda m: m["build_params"].update(k1=-0.5), {}),
             (lambda m: m["build_params"].update(b=5.0), {}),
             (None, {"doc_lengths": lambda a: a[:-1]}),
@@ -476,7 +471,7 @@ class TestSerialization:
         ],
         ids=[
             "no-documents", "one-document-short", "one-term-short", "one-term-extra",
-            "one-term-repeated", "k1-nan",
+            "one-term-repeated",
             "k1-negative", "b-above-one", "lengths-short", "offsets-from-1", "offsets-decrease",
             "offsets-short-of-postings", "tfs-short", "ordinal-past-end", "ordinal-negative",
             "tf-zero", "tf-negative", "length-zero", "lengths-all-zero", "ordinals-float64",
@@ -492,12 +487,9 @@ class TestSerialization:
             replaced = {name: edit(members[name]) for name, edit in arrays.items()}
         path = tmp_path / "index.npz"
         path.write_bytes(with_meta(data, change or (lambda m: None), **replaced))
-        expected = UnknownFormatVersion(None, INDEX_FORMAT_VERSION)
-        if change is _nan_k1:  # a meta value JSON gave as no finite number names its field
-            expected = 'field "k1": expected a finite number, got NaN'
-        with pytest.raises(RadkitError) as err:
+        with pytest.raises(UnknownFormatVersion) as err:
             load_index(path)
-        assert str(err.value) == f"{path}: {expected}"
+        assert str(err.value) == f"{path}: {UnknownFormatVersion(None, INDEX_FORMAT_VERSION)}"
 
     def test_file_round_trip(self, tmp_path):
         docs = load_corpus_jsonl(DATA_DIR / "corpus.jsonl") + UNICODE_DOCS

@@ -120,3 +120,13 @@ def test_field_of_another_json_type_names_the_field(value, kind, many, expected)
     with pytest.raises(RadkitError) as err:
         field({"x": value}, "x", kind, many)
     assert str(err.value) == f'field "x": {expected}'
+
+
+def test_read_jsonl_reports_a_field_of_another_type_as_a_parse_error(tmp_path):
+    """Library callers catch ParseError, and read its line number, for every malformed line."""
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"j": 1}\n{"j": "x"}\n')
+    with pytest.raises(ParseError) as err:
+        read_jsonl(path, lambda obj: field(obj, "j", int))
+    assert err.value.line_no == 2
+    assert str(err.value) == f'{path}: line 2: field "j": expected an integer, got "x"'
