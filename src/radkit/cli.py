@@ -20,7 +20,6 @@ from .corpus import (
     DEFAULT_B,
     DEFAULT_K1,
     build_index,
-    check_corpus_jsonl,
     load_corpus_jsonl,
     load_index,
     serialize_index,
@@ -35,7 +34,7 @@ from .distill import (
     retrieve_knowledge,
     training_jsonl_text,
 )
-from .errors import _LINE_BREAKS, DuplicateDocId, EmptyDocument, RadkitError
+from .errors import _LINE_BREAKS, MissingSilver, RadkitError
 from .evaluation import (
     accuracy,
     build_silver,
@@ -93,12 +92,15 @@ def _finish(args, text: str | bytes, summary: str | None = None) -> int:
     The manifest goes to ``--manifest-out``, else next to ``--out``. It holds
     the subcommand, its ``_params``, and the digests of the output and of the
     files read (the parser's ``inputs``, a ``verdict-file:`` or ``custom:``
-    file). The two are written as a pair: if either fails, neither is
-    replaced. ``summary`` is printed unless ``--quiet``; with none, ``text`` is.
+    file). The two are written as a pair: if either fails, or both name one
+    file, neither is replaced. ``summary`` is printed unless ``--quiet``;
+    with none, ``text`` is.
     """
     data = text.encode("utf-8") if isinstance(text, str) else text
     files = {args.out: data} if args.out else {}
     target = args.manifest_out or (args.out and f"{Path(args.out)}.manifest.json")
+    if args.out and Path(target).resolve() == Path(args.out).resolve():
+        raise ValueError(f"--manifest-out names the --out file {args.out}")
     if target:
         params = _params(args)
         inputs = [getattr(args, name) for name in args.inputs]
@@ -122,12 +124,7 @@ def _finish(args, text: str | bytes, summary: str | None = None) -> int:
 
 
 def cmd_index(args) -> int:
-    docs = load_corpus_jsonl(args.corpus)
-    try:
-        index = build_index(docs, k1=args.k1, b=args.b)
-    except (DuplicateDocId, EmptyDocument):
-        check_corpus_jsonl(args.corpus)  # reads the file again only to name the bad line
-        raise
+    index = build_index(load_corpus_jsonl(args.corpus), k1=args.k1, b=args.b)
     summary = f"indexed {index.doc_count} documents, avg_doc_length={index.avg_doc_length:.4f}"
     return _finish(args, serialize_index(index), summary)
 
@@ -175,19 +172,9 @@ def cmd_candidates(args) -> int:
     return _finish(args, candidates_jsonl_text(sets), f"built {len(sets)} candidate sets")
 
 
-def _known_doc_ids(obj: dict, known: set) -> None:
-    for doc_id in field(obj, "doc_ids", many=True):
-        if doc_id not in known:
-            raise ValueError(f"unknown doc id {json.dumps(doc_id, ensure_ascii=False)}")
-
-
 def cmd_rerank_train(args) -> int:
     index = load_index(args.index)
-    sets = read_candidates_jsonl(args.candidates)
-    known = set(index.doc_ids)
-    if any(doc_id not in known for cs in sets for doc_id in cs.doc_ids):
-        # Read the file again only to name the line of the first unknown id.
-        read_jsonl(args.candidates, lambda obj: _known_doc_ids(obj, known))
+    sets = read_candidates_jsonl(args.candidates, index)
     model = RerankerModel.identity(args.dim, hash_seed=args.hash_seed)
     trained, trace = train(
         model, sets, index, epochs=args.epochs, lr=args.lr, tau1=args.tau1, tau2=args.tau2
@@ -219,6 +206,14 @@ def cmd_rerank_infer(args) -> int:
     return _finish(args, jsonl_text(rows), f"reranked {len(rows)} questions")
 
 
+def _retrieved_list(obj: dict, silver: dict) -> tuple[str, tuple[str, ...]]:
+    """A retrieved line's id and doc ids; an id with no silver set raises MissingSilver."""
+    example_id, doc_ids = field(obj, "id"), field(obj, "doc_ids", many=True)
+    if example_id not in silver:
+        raise MissingSilver(example_id)
+    return example_id, doc_ids
+
+
 def cmd_eval(args) -> int:
     report: dict = {}
     if args.retrieved:
@@ -237,11 +232,7 @@ def cmd_eval(args) -> int:
             for r in records
             if len(r.rationales) > args.j_gold
         }
-        retrieved = dict(
-            read_jsonl(
-                args.retrieved, lambda obj: (field(obj, "id"), field(obj, "doc_ids", many=True))
-            )
-        )
+        retrieved = dict(read_jsonl(args.retrieved, lambda obj: _retrieved_list(obj, silver)))
         mode = "all" if args.all_silver else "any"
         report.update(hits_report(retrieved, silver, ks, mode))
     elif args.index or args.rationales:

@@ -11,7 +11,6 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -75,8 +74,9 @@ class PostingsIndex:
     ``doc_ids``, ``titles`` and ``texts``, so downstream stages can resolve
     passage texts from the index file alone; ``document(doc_id)`` builds one
     ``Document`` from them. Arrays that are not 1-D int32 or do not fit the
-    passages and terms, a repeated term, a tf or length below 1, k1 < 0, b outside
-    [0, 1] or a non-finite k1 or b raise ValueError, whether built or loaded.
+    passages and terms, a repeated doc id or term, a tf or length below 1,
+    k1 < 0, b outside [0, 1] or a non-finite k1 or b raise ValueError,
+    whether built or loaded.
     """
 
     def __init__(
@@ -99,6 +99,9 @@ class PostingsIndex:
         self.vocabulary = dict(zip(terms, range(len(terms))))
         if len(self.vocabulary) != len(terms):
             raise ValueError("terms must be distinct")
+        self._ordinal_by_id = dict(zip(doc_ids, range(len(doc_ids))))
+        if len(self._ordinal_by_id) != len(doc_ids):
+            raise ValueError("doc ids must be distinct")
         self.doc_ids = doc_ids
         self.titles = titles
         self.texts = texts
@@ -128,10 +131,6 @@ class PostingsIndex:
         denominator += tfs
         impacts /= denominator
         self.impacts = impacts
-
-    @cached_property
-    def _ordinal_by_id(self) -> dict[str, int]:
-        return {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
 
     def ordinal(self, doc_id: str) -> int:
         return self._ordinal_by_id[doc_id]
@@ -169,15 +168,19 @@ def _check_fit(n_docs, n_titles, n_texts, n_terms, offsets, ordinals, tfs, doc_l
         raise ValueError("term frequencies and document lengths must be >= 1")
 
 
-def _checked_tokens(doc: Document, seen: set[str]) -> list[str]:
-    """``tokenize(doc.text)``; an id in ``seen`` or a text with no tokens raises."""
+def _checked(doc: Document, seen: set[str]) -> Document:
+    """``doc``, its id added to ``seen``; an id already there or a text with no token raises.
+
+    ``_TOKEN_RE.search(doc.text) is None`` exactly when ``tokenize(doc.text) == []``, with no
+    lowercased copy: no code point's lowercase differs from it in holding an alphanumeric,
+    and the one context rule of lowercasing turns ``Σ`` into ``σ`` or ``ς``, both alphanumeric.
+    """
     if doc.doc_id in seen:
         raise DuplicateDocId(doc.doc_id)
     seen.add(doc.doc_id)
-    tokens = tokenize(doc.text)
-    if not tokens:
+    if _TOKEN_RE.search(doc.text) is None:
         raise EmptyDocument(doc.doc_id)
-    return tokens
+    return doc
 
 
 def build_index(
@@ -193,7 +196,7 @@ def build_index(
     vocabulary: dict[str, int] = {}
     term_ids, lengths = array("i"), array("i")  # one term id per token; tokens per document
     for doc in docs:
-        tokens = _checked_tokens(doc, seen)
+        tokens = tokenize(_checked(doc, seen).text)
         for term in sorted(set(tokens).difference(vocabulary)):
             vocabulary[term] = len(vocabulary)
         term_ids.extend(map(vocabulary.__getitem__, tokens))
@@ -264,14 +267,13 @@ def _document(obj: dict) -> Document:
 
 
 def load_corpus_jsonl(path: str | Path) -> list[Document]:
-    """Read a JSONL corpus of {"id", "title", "text"} objects ("title" optional)."""
-    return read_jsonl(path, _document)
+    """Read a JSONL corpus of {"id", "title", "text"} objects ("title" optional).
 
-
-def check_corpus_jsonl(path: str | Path) -> None:
-    """Raise build_index's DuplicateDocId or EmptyDocument for a corpus file, naming the line."""
+    A repeated id or a text with no token raises build_index's DuplicateDocId or
+    EmptyDocument, naming the file and the line.
+    """
     seen: set[str] = set()
-    read_jsonl(path, lambda obj: _checked_tokens(_document(obj), seen))
+    return read_jsonl(path, lambda obj: _checked(_document(obj), seen))
 
 
 def serialize_index(index: PostingsIndex) -> bytes:

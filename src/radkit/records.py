@@ -141,8 +141,9 @@ def read_arrays(path: str | Path, version: int, make: Callable[[dict, Mapping], 
             raise UnknownFormatVersion(json.loads(data).get("format_version"), version)
         with np.load(io.BytesIO(data), allow_pickle=False) as members:
             meta = json.loads(members["meta"].tobytes().decode("utf-8"))
-            if meta.get("format_version") != version:
-                raise UnknownFormatVersion(meta.get("format_version"), version)
+            found = meta.get("format_version")
+            if type(found) is not int or found != version:  # a 3.0 equals 3, but is no integer
+                raise UnknownFormatVersion(found, version)
             return make(meta, members)
     except RadkitError as exc:
         exc.args = (f"{path}: {exc}",)

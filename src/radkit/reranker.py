@@ -15,6 +15,7 @@ side into one vector, so each document row costs one dot product.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -449,6 +450,8 @@ def serialize_model(model: RerankerModel) -> bytes:
 def _model(meta: dict, members) -> RerankerModel:
     dim, seed, step = (field(meta, name, int) for name in ("E", "hash_seed", "step"))
     projections = members["query_projection"], members["doc_projection"]
+    if any(w.dtype != np.float64 or w.ndim != 2 for w in projections):
+        raise ValueError("projections must be 2-D float64 arrays")  # what serialize_model writes
     if not all(np.isfinite(w).all() for w in projections):
         raise RadkitError("checkpoint weights must be finite")
     return RerankerModel(dim, seed, *projections, field(meta, "bias", float), step)
@@ -479,15 +482,21 @@ def candidates_jsonl_text(sets: Sequence[CandidateSet]) -> str:
     )
 
 
-def _candidate_set(obj: dict) -> CandidateSet:
-    return CandidateSet(
+def _candidate_set(obj: dict, known: set[str]) -> CandidateSet:
+    cs = CandidateSet(
         example_id=field(obj, "example_id"),
         rationale_index=field(obj, "j", int),
         question=field(obj, "question"),
         doc_ids=field(obj, "doc_ids", many=True),
         teacher_scores=field(obj, "teacher_scores", float, many=True),
     )
+    for doc_id in cs.doc_ids:
+        if doc_id not in known:
+            raise ValueError(f"unknown doc id {json.dumps(doc_id, ensure_ascii=False)}")
+    return cs
 
 
-def read_candidates_jsonl(path: str | Path) -> list[CandidateSet]:
-    return read_jsonl(path, _candidate_set)
+def read_candidates_jsonl(path: str | Path, index: PostingsIndex) -> list[CandidateSet]:
+    """The candidate sets of a JSONL file; an id ``index`` lacks raises ParseError with its line."""
+    known = set(index.doc_ids)
+    return read_jsonl(path, lambda obj: _candidate_set(obj, known))

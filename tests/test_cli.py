@@ -571,6 +571,68 @@ def test_array_file_meta_of_another_type_is_one_line(pipeline, tmp_path, file, n
     assert not (tmp_path / "out.jsonl").exists()
 
 
+def _array_file(path) -> tuple[dict, dict]:
+    """An array file's meta and its other members."""
+    with np.load(path) as members:
+        arrays = {key: members[key] for key in members.files if key != "meta"}
+        return json.loads(members["meta"].tobytes()), arrays
+
+
+def _read_array_file(paths, tmp_path, file, meta, arrays) -> tuple[int, list[str], Path]:
+    """Run the stage that reads ``file``, written from ``meta`` and ``arrays``, in-process.
+
+    Returns its exit code, its stderr lines and the file's path.
+    """
+    bad = tmp_path / f"{file}.npz"
+    bad.write_bytes(arrays_bytes(meta, arrays))
+    command, _ = ARRAY_FILE_READERS[file]
+    where = {
+        "bad": bad,
+        "out": tmp_path / "out.jsonl",
+        "index": paths["index"],
+        "rationales": DATA_DIR / "rationales.jsonl",
+    }
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([arg.format(**where) for arg in command.split()])
+    return code, stderr.getvalue().splitlines(), bad
+
+
+def _cast_projections(dtype):
+    def cast(meta, arrays):
+        for name in ("query_projection", "doc_projection"):
+            arrays[name] = arrays[name].astype(dtype)
+
+    return cast
+
+
+@pytest.mark.parametrize(
+    "file, change, expected",
+    [
+        ("index", lambda meta, arrays: meta.update(format_version=3.0),
+         "unknown file format version 3.0 (expected 3)"),
+        ("model", lambda meta, arrays: meta.update(format_version=2.0),
+         "unknown file format version 2.0 (expected 2)"),
+    ] + [
+        ("model", _cast_projections(dtype), "unknown file format version None (expected 2)")
+        for dtype in ("int64", "bool", "float32", "complex128")
+    ],
+    ids=[
+        "index-version-float", "model-version-float",
+        "model-int64", "model-bool", "model-float32", "model-complex128",
+    ],
+)
+def test_array_file_radkit_does_not_write_is_one_line(pipeline, tmp_path, file, change, expected):
+    """A version that is no JSON integer, or projections that are not float64, as
+    ``serialize_index`` and ``serialize_model`` never write them."""
+    paths, _, _ = pipeline
+    meta, arrays = _array_file(paths[file])
+    change(meta, arrays)
+    code, lines, bad = _read_array_file(paths, tmp_path, file, meta, arrays)
+    assert (code, lines) == (1, [f"error: {bad}: {expected}"])
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 @pytest.mark.parametrize(
     "command, reason",
     [
@@ -894,6 +956,21 @@ def test_manifest_out_without_out_records_no_outputs(tmp_path, command, params):
     assert written["outputs"] == {}
 
 
+@pytest.mark.parametrize("manifest", ["{dir}/x.json", "{dir}/./x.json"], ids=["same", "dot"])
+def test_manifest_out_naming_the_out_file_is_one_error_line(tmp_path, manifest):
+    """Both files renamed onto one path would leave only the manifest there."""
+    out = tmp_path / "x.json"
+    out.write_text("old bytes\n")
+    proc = run_cli(
+        "simulate", "--N", "4", "--n", "8", "--d", "12", "--R", "2", "--eps", "0.2",
+        "--trials", "2", "--tests", "10", "--out", str(out),
+        "--manifest-out", manifest.format(dir=tmp_path),
+    )
+    assert_one_error_line(proc, out)
+    assert out.read_text() == "old bytes\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["x.json"]
+
+
 class TestSimulateCommand:
     def test_default_small_run_prints_report(self):
         proc = run_cli(
@@ -1209,6 +1286,25 @@ MALFORMED_CASES = [
         "questions", '"a\u2028b"'.encode(), 'expected a JSON object, got "a\\u2028b"',
         id="questions-non-object-with-u2028",
     ),
+    pytest.param(
+        "retrieved", b'{"id": "nope", "doc_ids": ["med-001"]}', "no silver set for example 'nope'",
+        id="retrieved-id-without-silver",
+    ),
+] + [
+    # The reader checks each line as it reads it: line 2 is named, not the broken line 3.
+    pytest.param(name, second + b"\n{", expected, id=f"{name}-{label}-before-a-broken-line")
+    for name, label, second, expected in [
+        (
+            "corpus", "duplicate-id", b'{"id": "d1", "text": "gamma"}',
+            "duplicate document id: 'd1'",
+        ),
+        ("corpus", "no-tokens", b'{"id": "d2", "text": "..."}', "document 'd2' has no tokens"),
+        (
+            "candidates", "unknown-doc-id",
+            json.dumps({**JSONL_INPUTS["candidates"][0], "doc_ids": ["med-001", "zz"]}).encode(),
+            'unknown doc id "zz"',
+        ),
+    ]
 ] + [
     # A string where a list belongs, and values of another JSON type, which are not
     # converted into the field's type (str(), bool(), int() or float() would).
@@ -1351,3 +1447,56 @@ class TestArbitraryJsonlLine:
             types = JSONL_FIELD_TYPES[name]
             held = {f: _has_json_type(v, types[f]) for f, v in replaced.items() if f in types}
             assert all(held.values()), (replaced, held)
+
+
+# The JSON type of each meta field radkit writes in each array file (k1, b and the
+# tokenizer version sit in the index's build_params).
+ARRAY_META_TYPES = {
+    "index": {
+        "format_version": int, "tokenizer_version": str, "k1": float, "b": float,
+        "terms": [str], "doc_ids": [str], "titles": [str],
+    },
+    "model": {"format_version": int, "E": int, "hash_seed": int, "step": int, "bias": float},
+}
+# Huge integers, non-finite floats and the float spellings of the versions and of E, drawn often.
+ARRAY_META_VALUES = JSON_VALUES | st.sampled_from(
+    [10**400, -(10**400), math.inf, -math.inf, math.nan, 2.0, 3.0, 64.0, True]
+)
+ARRAY_DTYPES = ["int32", "int64", "uint8", "bool", "float32", "float64", ">f8", "complex128"]
+
+
+class TestArbitraryArrayFile:
+    @pytest.mark.parametrize("file", list(ARRAY_FILE_READERS))
+    @settings(
+        max_examples=40, derandomize=True, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_stage_writes_its_output_or_one_error_line(self, pipeline, tmp_path, file, data):
+        """One meta field replaced by an arbitrary JSON value, or one member by an array of
+        another dtype or rank, in the pipeline's index or checkpoint.
+
+        The stage runs in-process, so a traceback would raise here. A stage that writes
+        its output has read the field as its JSON type, or the member as radkit wrote it.
+        """
+        paths, _, _ = pipeline
+        meta, arrays = _array_file(paths[file])
+        if data.draw(st.booleans(), label="replace a meta field"):
+            name = data.draw(st.sampled_from(sorted(ARRAY_META_TYPES[file])), label="field")
+            value = data.draw(ARRAY_META_VALUES, label="value")
+            (meta if name in meta else meta["build_params"])[name] = value
+            held = _has_json_type(value, ARRAY_META_TYPES[file][name])
+        else:
+            name = data.draw(st.sampled_from(sorted(arrays)), label="member")
+            old = arrays[name]
+            rank = data.draw(st.sampled_from(["same", "one more", "flat"]), label="rank")
+            new = {"same": old, "one more": old[None], "flat": old.reshape(-1)}[rank]
+            with np.errstate(invalid="ignore"):  # a cast may wrap a value; the file is bad anyway
+                new = new.astype(data.draw(st.sampled_from(ARRAY_DTYPES), label="dtype"))
+            arrays[name] = new
+            held = (new.dtype, new.ndim) == (old.dtype, old.ndim)
+        code, lines, _ = _read_array_file(paths, tmp_path, file, meta, arrays)
+        assert code == 0 and lines == [] or code == 1 and len(lines) == 1, lines
+        assert all(line.startswith("error: ") for line in lines), lines
+        if code == 0:
+            assert held, name

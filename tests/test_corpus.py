@@ -441,6 +441,7 @@ class TestSerialization:
             (lambda m: m["terms"].pop(), {}),
             (lambda m: m["terms"].append("zebra"), {}),
             (lambda m: m["terms"].__setitem__(1, m["terms"][0]), {}),
+            (lambda m: m["doc_ids"].__setitem__(1, m["doc_ids"][0]), {}),
             (lambda m: m["build_params"].update(k1=-0.5), {}),
             (lambda m: m["build_params"].update(b=5.0), {}),
             (None, {"doc_lengths": lambda a: a[:-1]}),
@@ -471,7 +472,7 @@ class TestSerialization:
         ],
         ids=[
             "no-documents", "one-document-short", "one-term-short", "one-term-extra",
-            "one-term-repeated",
+            "one-term-repeated", "one-doc-id-repeated",
             "k1-negative", "b-above-one", "lengths-short", "offsets-from-1", "offsets-decrease",
             "offsets-short-of-postings", "tfs-short", "ordinal-past-end", "ordinal-negative",
             "tf-zero", "tf-negative", "length-zero", "lengths-all-zero", "ordinals-float64",
@@ -565,3 +566,21 @@ class TestCorpusIngestion:
         path.write_text('{"id": "a", "title": "t"}\n')
         with pytest.raises(ParseError):
             load_corpus_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "second, error, message",
+        [
+            ('{"id": "a", "text": "again"}', DuplicateDocId, "duplicate document id: 'a'"),
+            ('{"id": "b", "text": "..!! --"}', EmptyDocument, "document 'b' has no tokens"),
+        ],
+        ids=["duplicate-id", "no-tokens"],
+    )
+    def test_bad_document_names_its_line_before_a_later_bad_line(
+        self, tmp_path, second, error, message
+    ):
+        """The reader checks each document as it reads it, so the first bad line is named."""
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "a", "text": "ok"}\n' + second + "\n{broken\n")
+        with pytest.raises(error) as err:
+            load_corpus_jsonl(path)
+        assert str(err.value) == f"{path}: line 2: {message}"

@@ -708,7 +708,8 @@ class TestModelSerialization:
         ]
         path = tmp_path / "cands.jsonl"
         path.write_text(candidates_jsonl_text(sets), encoding="utf-8")
-        assert read_candidates_jsonl(path) == sets
+        index = text_index({"a": "alpha", "b": "beta", "c": "gamma"})
+        assert read_candidates_jsonl(path, index) == sets
 
     def test_unknown_checkpoint_version_rejected(self, tmp_path):
         from radkit.errors import UnknownFormatVersion
