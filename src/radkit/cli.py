@@ -92,20 +92,24 @@ def _finish(args, text: str | bytes, summary: str | None = None) -> int:
     The manifest goes to ``--manifest-out``, else next to ``--out``. It holds
     the subcommand, its ``_params``, and the digests of the output and of the
     files read (the parser's ``inputs``, a ``verdict-file:`` or ``custom:``
-    file). The two are written as a pair: if either fails, or both name one
-    file, neither is replaced. ``summary`` is printed unless ``--quiet``;
-    with none, ``text`` is.
+    file). The two are written as a pair: if either fails, both name one
+    file, or either names a file read, neither is replaced. ``summary`` is
+    printed unless ``--quiet``; with none, ``text`` is.
     """
     data = text.encode("utf-8") if isinstance(text, str) else text
     files = {args.out: data} if args.out else {}
     target = args.manifest_out or (args.out and f"{Path(args.out)}.manifest.json")
     if args.out and Path(target).resolve() == Path(args.out).resolve():
         raise ValueError(f"--manifest-out names the --out file {args.out}")
+    params = _params(args)
+    inputs = [getattr(args, name) for name in args.inputs]
+    inputs.append(_option_file(params.get("filter", ""), "verdict-file:"))
+    inputs.append(_option_file(params.get("template", ""), "custom:"))
+    read = {Path(path).resolve(): path for path in filter(None, inputs)}
+    for name, out in (("--out", args.out), ("the manifest", target)):
+        if out and (path := read.get(Path(out).resolve())):
+            raise ValueError(f"{name} {out} names the input file {path}")
     if target:
-        params = _params(args)
-        inputs = [getattr(args, name) for name in args.inputs]
-        inputs.append(_option_file(params.get("filter", ""), "verdict-file:"))
-        inputs.append(_option_file(params.get("template", ""), "custom:"))
         manifest = {
             "tool": "radkit",
             "version": __version__,
@@ -404,9 +408,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
-    except (RadkitError, OSError, ValueError) as exc:
+    except (RadkitError, OSError, ValueError, MemoryError) as exc:
         # One line, even where the message echoes a path or input text with a line break.
-        print(f"error: {exc}".translate(_LINE_BREAKS), file=sys.stderr)
+        message = str(exc) or type(exc).__name__  # a bare MemoryError() has no message
+        print(f"error: {message}".translate(_LINE_BREAKS), file=sys.stderr)
         return 1
 
 

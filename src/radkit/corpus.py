@@ -74,9 +74,10 @@ class PostingsIndex:
     ``doc_ids``, ``titles`` and ``texts``, so downstream stages can resolve
     passage texts from the index file alone; ``document(doc_id)`` builds one
     ``Document`` from them. Arrays that are not 1-D int32 or do not fit the
-    passages and terms, a repeated doc id or term, a tf or length below 1,
-    k1 < 0, b outside [0, 1] or a non-finite k1 or b raise ValueError,
-    whether built or loaded.
+    passages and terms, a repeated doc id or term, a tf or length below 1, a
+    document whose tfs do not sum to its length or whose length exceeds its
+    text's in code points, k1 < 0, b outside [0, 1] or a non-finite k1 or b
+    raise ValueError, whether built or loaded.
     """
 
     def __init__(
@@ -93,8 +94,7 @@ class PostingsIndex:
         b: float,
     ):
         _check_fit(
-            len(doc_ids), len(titles), len(texts), len(terms),
-            offsets, ordinals, tfs, doc_lengths, k1, b,
+            len(doc_ids), len(titles), texts, len(terms), offsets, ordinals, tfs, doc_lengths, k1, b
         )
         self.vocabulary = dict(zip(terms, range(len(terms))))
         if len(self.vocabulary) != len(terms):
@@ -140,17 +140,19 @@ class PostingsIndex:
         return Document(doc_id, self.titles[o], self.texts[o])
 
 
-def _check_fit(n_docs, n_titles, n_texts, n_terms, offsets, ordinals, tfs, doc_lengths, k1, b):
+def _check_fit(n_docs, n_titles, texts, n_terms, offsets, ordinals, tfs, doc_lengths, k1, b):
     """Raise ValueError unless the CSR arrays are 1-D int32 and fit the passages and terms,
-    the passages have one title and one text each, and k1, b are valid."""
+    the passages have one title and one text each, and k1, b are valid. A document's tfs sum
+    to its length, at most its text's code points: each token holds one, as only ``İ``
+    lowercases to two (``i`` and a mark). So no tf outgrows the file, nor featurize's table."""
     if not (math.isfinite(k1) and k1 >= 0.0):
         raise ValueError(f"k1 must be finite and >= 0, got {k1}")
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"b must lie in [0, 1], got {b}")
     if n_docs == 0:
         raise ValueError("cannot index an empty corpus")
-    if not n_titles == n_texts == n_docs:
-        raise ValueError(f"{n_titles} titles and {n_texts} texts for {n_docs} documents")
+    if not n_titles == len(texts) == n_docs:
+        raise ValueError(f"{n_titles} titles and {len(texts)} texts for {n_docs} documents")
     for name, a in zip(_ARRAYS, (offsets, ordinals, tfs, doc_lengths)):
         if a.dtype != np.int32 or a.ndim != 1:
             raise ValueError(f"{name} must be a 1-D int32 array, got {a.ndim}-D {a.dtype}")
@@ -166,6 +168,10 @@ def _check_fit(n_docs, n_titles, n_texts, n_terms, offsets, ordinals, tfs, doc_l
         raise ValueError(f"posting ordinals must lie in [0, {n_docs})")
     if len(tfs) and tfs.min() < 1 or doc_lengths.min() < 1:
         raise ValueError("term frequencies and document lengths must be >= 1")
+    if np.any(np.bincount(ordinals, tfs, minlength=n_docs) != doc_lengths):
+        raise ValueError("each document's term frequencies must sum to its length")
+    if np.any(doc_lengths > np.fromiter(map(len, texts), np.int64, n_docs)):
+        raise ValueError("a document length must not exceed its text's length in code points")
 
 
 def _checked(doc: Document, seen: set[str]) -> Document:

@@ -20,7 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,9 +38,6 @@ DEFAULT_TAU2 = 100.0
 DEFAULT_KAPPA1 = 8
 DEFAULT_KAPPA2 = 0
 DEFAULT_KAPPA_STAR = 100
-
-# A scorer maps (doc_id, doc_text, query_text) to a relevance score.
-Scorer = Callable[[str, str, str], float]
 
 
 @dataclass(frozen=True)
@@ -170,12 +167,6 @@ class RerankerModel:
         projections = self.query_projection.copy(), self.doc_projection.copy()
         return RerankerModel(self.embedding_dim, self.hash_seed, *projections, self.bias, self.step)
 
-    def scores(self, query_text: str, index: PostingsIndex, ordinals: Sequence[int]) -> np.ndarray:
-        """Score of the index's documents at ``ordinals`` against the query, featurized once."""
-        dim, seed = self.embedding_dim, self.hash_seed
-        rows = doc_rows(index, ordinals, dim, seed)
-        return _fold(self, featurize(query_text, dim, seed), rows)[1]
-
 
 def softmax_normalize(scores, tau: float) -> np.ndarray:
     """Temperature softmax over the last axis, with max-subtraction for stability.
@@ -209,13 +200,6 @@ def kl_loss(q, p) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = q * (np.log(q) - np.log(p))
     return np.where(q > 0.0, terms, 0.0).sum(axis=-1)
-
-
-@dataclass
-class RerankerGradient:
-    d_query_projection: np.ndarray
-    d_doc_projection: np.ndarray
-    d_bias: float
 
 
 def _fold(model: RerankerModel, qv: np.ndarray, dv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -260,10 +244,8 @@ def _batch(
     return qv, d_rows[cols], cols < len(docs), softmax_normalize(teacher, tau1)
 
 
-def _batch_loss_gradient(
-    model: RerankerModel, batch: tuple, tau2: float
-) -> tuple[np.ndarray, RerankerGradient]:
-    """Each set's KL(Q || P), and the gradient of their sum, in one array pass."""
+def _batch_loss_gradient(model: RerankerModel, batch: tuple, tau2: float):
+    """Each set's KL(Q || P), and their sum's gradient (d_query, d_doc, d_bias), in one pass."""
     qv, dv, mask, q = batch
     u, logits = _fold(model, qv, dv)
     p = softmax_normalize(np.where(mask, logits, -np.inf), tau2)
@@ -271,17 +253,13 @@ def _batch_loss_gradient(
     g = (p - q) / tau2
     gd = np.matmul(g[:, None, :], dv)[:, 0]  # (S, E): each set's g^T D
     d_query = (gd @ model.doc_projection.T).T @ qv
-    return kl_loss(q, p), RerankerGradient(d_query, u.T @ gd, float(g.sum()))
+    return kl_loss(q, p), (d_query, u.T @ gd, float(g.sum()))
 
 
 def loss_gradient(
-    model: RerankerModel,
-    candidate_set: CandidateSet,
-    tau1: float,
-    tau2: float,
-    index: PostingsIndex,
-) -> tuple[float, RerankerGradient]:
-    """Analytic KL loss and gradient for one candidate set: training's pass with S = 1."""
+    model: RerankerModel, candidate_set: CandidateSet, tau1: float, tau2: float, index: PostingsIndex
+) -> tuple[float, tuple[np.ndarray, np.ndarray, float]]:
+    """One candidate set's KL loss and its (d_query, d_doc, d_bias): training's pass with S = 1."""
     losses, grad = _batch_loss_gradient(model, _batch(model, [candidate_set], index, tau1), tau2)
     return float(losses[0]), grad
 
@@ -316,12 +294,12 @@ def train(
     trace: list[float] = []
     with np.errstate(over="ignore", invalid="ignore"):  # divergence shows in the trace
         for epoch in range(epochs + 1):
-            losses, grad = _batch_loss_gradient(trained, batch, tau2)
+            losses, (d_query, d_doc, d_bias) = _batch_loss_gradient(trained, batch, tau2)
             trace.append(float(losses.sum()) / len(candidate_sets))
             if epoch < epochs:
-                trained.query_projection -= scale * grad.d_query_projection
-                trained.doc_projection -= scale * grad.d_doc_projection
-                trained.bias -= scale * grad.d_bias
+                trained.query_projection -= scale * d_query
+                trained.doc_projection -= scale * d_doc
+                trained.bias -= scale * d_bias
                 trained.step += 1
     return trained, trace
 
@@ -356,7 +334,7 @@ def build_candidate_set(
 
 def rerank_batch(
     index: PostingsIndex,
-    model: RerankerModel | Sequence[Scorer],
+    model: RerankerModel | Sequence[dict[str, float]],
     questions: Sequence[str],
     kappa_star: int = DEFAULT_KAPPA_STAR,
     k: int = 1,
@@ -366,11 +344,14 @@ def rerank_batch(
     Every question is retrieved first; the first with no candidate raises
     EmptyCandidates. A RerankerModel builds the rows of all candidates once,
     then folds each question with its own mat-vec, so a question's scores do
-    not depend on the others. ``model`` may instead be one (doc_id, doc_text,
-    query_text) -> score callable per question. Ties break by ascending doc_id.
+    not depend on the others. ``model`` may instead be one {doc_id: score}
+    table per question, where a missing doc_id scores 0.0; another number of
+    tables raises ValueError. Ties break by ascending doc_id.
     """
     if not 1 <= k <= kappa_star:
         raise ValueError(f"need kappa_star >= k >= 1, got kappa_star={kappa_star} k={k}")
+    if not isinstance(model, RerankerModel) and len(model) != len(questions):
+        raise ValueError(f"{len(model)} score tables for {len(questions)} questions")
     tops = [top_ordinals(index, bm25_scores(index, tokenize(q)), kappa_star) for q in questions]
     for question, top in zip(questions, tops):
         if not len(top):
@@ -385,8 +366,8 @@ def rerank_batch(
         ]
     else:
         scores = [
-            np.array([scorer(index.doc_ids[o], index.texts[o], q) for o in top.tolist()], float)
-            for scorer, q, top in zip(model, questions, tops)
+            np.array([table.get(index.doc_ids[o], 0.0) for o in top.tolist()], float)
+            for table, top in zip(model, tops)
         ]
     ranked = []
     for row, top in zip(scores, tops):
@@ -398,38 +379,40 @@ def rerank_batch(
 
 def rerank_inference(
     index: PostingsIndex,
-    model: RerankerModel | Scorer,
+    model: RerankerModel | dict[str, float],
     question: str,
     kappa_star: int = DEFAULT_KAPPA_STAR,
     k: int = 1,
 ) -> list[ScoredDoc]:
-    """``rerank_batch`` of one question, scored by a RerankerModel or one scorer callable."""
-    scorers = model if isinstance(model, RerankerModel) else [model]
-    return rerank_batch(index, scorers, [question], kappa_star, k)[0]
+    """``rerank_batch`` of one question, scored by a RerankerModel or one {doc_id: score} table."""
+    tables = model if isinstance(model, RerankerModel) else [model]
+    return rerank_batch(index, tables, [question], kappa_star, k)[0]
 
 
 class FileScorer:
-    """External-scorer plug-in: scores read from a JSONL exchange file.
+    """External scores read from a JSONL exchange file, one {doc_id: score} table per example.
 
-    Lines are {"id": example id, "doc_id": ..., "score": ...}; a score
-    must be finite. Pairs not present in the file score 0.0.
+    Lines are {"id": example id, "doc_id": ..., "score": ...}; a score must be
+    finite, and a later line for the same pair wins. ``rerank_batch`` scores a
+    pair the file lacks 0.0.
     """
 
-    def __init__(self, scores: dict[tuple[str, str], float]):
-        self._scores = scores
+    def __init__(self, tables: dict[str, dict[str, float]]):
+        self._tables = tables
 
     @classmethod
     def load(cls, path: str | Path) -> "FileScorer":
+        tables: dict[str, dict[str, float]] = {}
         rows = read_jsonl(
-            path, lambda obj: ((field(obj, "id"), field(obj, "doc_id")), field(obj, "score", float))
+            path, lambda obj: (field(obj, "id"), field(obj, "doc_id"), field(obj, "score", float))
         )
-        return cls(dict(rows))
+        for example_id, doc_id, score in rows:
+            tables.setdefault(example_id, {})[doc_id] = score
+        return cls(tables)
 
-    def for_example(self, example_id: str) -> Scorer:
-        def scorer(doc_id: str, doc_text: str, query_text: str) -> float:
-            return self._scores.get((example_id, doc_id), 0.0)
-
-        return scorer
+    def for_example(self, example_id: str) -> dict[str, float]:
+        """The example's {doc_id: score} table, or {} for an example the file lacks."""
+        return self._tables.get(example_id, {})
 
 
 def serialize_model(model: RerankerModel) -> bytes:

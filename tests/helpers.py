@@ -35,7 +35,7 @@ from radkit.corpus import (
 )
 from radkit.errors import DuplicateDocId, EmptyDocument
 from radkit.records import arrays_bytes
-from radkit.reranker import CandidateSet, RerankerModel, featurize, serialize_model
+from radkit.reranker import CandidateSet, RerankerModel, _fold, doc_rows, featurize, serialize_model
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -97,6 +97,15 @@ def unchecked_checkpoint(model: RerankerModel) -> bytes:
         query_projection=model.query_projection,
         doc_projection=model.doc_projection,
     )
+
+
+def model_scores(model: RerankerModel, query_text: str, index: PostingsIndex, ordinals):
+    """``model``'s scores of the index's documents at ``ordinals`` against the query.
+
+    The rows and the fold are the ones training and ``rerank_batch`` score through.
+    """
+    dim, seed = model.embedding_dim, model.hash_seed
+    return _fold(model, featurize(query_text, dim, seed), doc_rows(index, ordinals, dim, seed))[1]
 
 
 def bm25_oracle_score(

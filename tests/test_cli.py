@@ -5,9 +5,15 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 import numpy as np
 import pytest
@@ -971,6 +977,71 @@ def test_manifest_out_naming_the_out_file_is_one_error_line(tmp_path, manifest):
     assert [path.name for path in tmp_path.iterdir()] == ["x.json"]
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "index --corpus {c} --out {c}",
+        "index --corpus {c} --out {dir}/i.npz --manifest-out {c}",
+        "index --corpus {c} --out {dir}/./c.jsonl",
+        "index --corpus {c} --out {dir}/c.jsonl.npz --manifest-out {dir}/sub/../c.jsonl",
+        "emit-train --index {i} --rationales {r} --out {dir}/t.jsonl"
+        " --filter verdict-file:{v} --manifest-out {v}",
+        "emit-train --index {i} --rationales {r} --out {h} --template custom:{h}",
+        "rerank-infer --index {i} --questions {r} --out {dir}/x.jsonl --manifest-out {i}",
+    ],
+    ids=["out", "manifest", "out-dot", "manifest-dotdot", "verdict-file", "custom", "index"],
+)
+def test_output_naming_an_input_is_one_error_line(pipeline, tmp_path, command):
+    """Every file the stage reads keeps its bytes, and no output is written."""
+    paths, _, _ = pipeline
+    (tmp_path / "sub").mkdir()
+    where = {name: tmp_path / file for name, file in [
+        ("c", "c.jsonl"), ("i", "i.npz"), ("r", "r.jsonl"), ("v", "v.jsonl"), ("h", "h.txt"),
+    ]}
+    where["c"].write_bytes((DATA_DIR / "corpus.jsonl").read_bytes())
+    where["i"].write_bytes(paths["index"].read_bytes())
+    where["r"].write_bytes((DATA_DIR / "rationales.jsonl").read_bytes())
+    where["v"].write_text(json.dumps({"id": "ex-01", "j": 0, "keep": True}) + "\n")
+    where["h"].write_text("Answer the question.\n")
+    before = {path: path.read_bytes() for path in where.values()}
+    proc = run_cli(*command.format(dir=tmp_path, **where).split())
+    assert_one_error_line(proc, "names the input file")
+    assert {path: path.read_bytes() for path in where.values()} == before
+    assert sorted(tmp_path.iterdir()) == sorted([tmp_path / "sub", *before])
+
+
+def run_cli_capped(*args):
+    """``run_cli`` in a child whose address space is capped at 2 GiB, so that an
+    allocation past the cap fails at once instead of being made."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}  # one BLAS thread's buffers fit the cap
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "radkit", *args],
+        capture_output=True, text=True, preexec_fn=cap, env=env,
+    )
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module (POSIX)")
+@pytest.mark.parametrize(
+    "command, allocation",
+    [
+        ("simulate --N 100000000000 --d 128 --trials 1 --tests 1 --out {out}", "11.6 TiB"),
+        ("rerank-train --index {index} --candidates {cands} --out {out} --dim 1000000", "7.28 TiB"),
+    ],
+    ids=["simulate", "rerank-train"],
+)
+def test_out_of_memory_is_one_error_line(pipeline, tmp_path, command, allocation):
+    """A flag that sizes an allocation past memory stops the stage, and nothing is written."""
+    paths, _, _ = pipeline
+    out = tmp_path / "out"
+    proc = run_cli_capped(*command.format(out=out, **paths).split())
+    assert_one_error_line(proc, f"Unable to allocate {allocation}")
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestSimulateCommand:
     def test_default_small_run_prints_report(self):
         proc = run_cli(
@@ -1473,15 +1544,28 @@ class TestArbitraryArrayFile:
     )
     @given(data=st.data())
     def test_stage_writes_its_output_or_one_error_line(self, pipeline, tmp_path, file, data):
-        """One meta field replaced by an arbitrary JSON value, or one member by an array of
-        another dtype or rank, in the pipeline's index or checkpoint.
+        """One meta field replaced by an arbitrary JSON value, one member by an array of
+        another dtype or rank, or one index tf by a huge one, in the pipeline's index or checkpoint.
 
         The stage runs in-process, so a traceback would raise here. A stage that writes
         its output has read the field as its JSON type, or the member as radkit wrote it.
+        A huge tf is refused with its document's length raised to match or not.
         """
         paths, _, _ = pipeline
         meta, arrays = _array_file(paths[file])
-        if data.draw(st.booleans(), label="replace a meta field"):
+        kinds = ["meta field", "member"] + ["huge tf"] * (file == "index")
+        kind = data.draw(st.sampled_from(kinds), label="replace")
+        if kind == "huge tf":
+            name, at = "tfs", data.draw(st.integers(0, len(arrays["tfs"]) - 1), label="posting")
+            tf = data.draw(st.sampled_from([2**31 - 1, 10**6, 1000]), label="tf")
+            tfs, lengths = arrays["tfs"].astype(np.int64), arrays["doc_lengths"].astype(np.int64)
+            if data.draw(st.booleans(), label="length matches"):
+                lengths[arrays["ordinals"][at]] += tf - tfs[at]
+            tfs[at] = tf
+            arrays["tfs"] = tfs.astype(np.int32)
+            arrays["doc_lengths"] = lengths.clip(max=2**31 - 1).astype(np.int32)
+            held = False  # every passage is under 1,000 code points
+        elif kind == "meta field":
             name = data.draw(st.sampled_from(sorted(ARRAY_META_TYPES[file])), label="field")
             value = data.draw(ARRAY_META_VALUES, label="value")
             (meta if name in meta else meta["build_params"])[name] = value

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from radkit.corpus import (
@@ -162,6 +162,18 @@ class TestBuildIndex:
         corpus = [Document(f"d{i}", "", " ".join(words)) for i, words in enumerate(docs)]
         want = serialize_index(reference_build_index(corpus, k1=k1, b=b))
         assert serialize_index(build_index(corpus, k1=k1, b=b)) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(st.sampled_from("İİi\u0307Σ.") | st.characters(), min_size=1))
+    @example(text="İİİ")  # the bound is tight: "i\u0307" three times, three tokens "i"
+    def test_document_length_is_at_most_its_text_in_code_points(self, tmp_path_factory, text):
+        """``İ`` lowercases to two code points, ``i`` and a mark; a length load accepts."""
+        assume(tokenize(text))
+        index = build_index([Document("d", "", text), Document("e", "", "fever")])
+        assert index.doc_lengths[0] == len(tokenize(text)) <= len(text)
+        path = tmp_path_factory.mktemp("index") / "index.npz"
+        save_index(index, path)
+        assert load_index(path).doc_lengths.tolist() == index.doc_lengths.tolist()
 
 
 class TestBm25Score:
@@ -469,6 +481,9 @@ class TestSerialization:
             (None, {"text_offsets": lambda a: np.r_[0, a[2], a[1], a[3:]]}),
             (None, {"text_offsets": lambda a: np.r_[a[:-1], a[-1] + 1]}),
             (None, {"text_offsets": lambda a: np.r_[a[:-1], a[-1] - 1]}),
+            (None, {"tfs": _int32(lambda a: np.r_[a[0] + 1, a[1:]])}),
+            (None, {"tfs": _int32(lambda a: np.r_[2**31 - 1, a[1:]])}),
+            (None, {"tfs": lambda a: 1000 * a, "doc_lengths": lambda a: 1000 * a}),
         ],
         ids=[
             "no-documents", "one-document-short", "one-term-short", "one-term-extra",
@@ -479,7 +494,7 @@ class TestSerialization:
             "ordinals-2d", "offsets-int64", "lengths-2d", "one-title-short", "texts-int8",
             "texts-2d", "texts-not-utf8", "text-offsets-int32", "text-offsets-short",
             "text-offsets-from-1", "text-offsets-decrease", "text-offsets-past-text",
-            "text-offsets-short-of-text",
+            "text-offsets-short-of-text", "tfs-above-length", "tf-2**31-1", "lengths-past-texts",
         ],
     )
     def test_arrays_that_do_not_fit_meta_are_rejected(self, tmp_path, change, arrays):

@@ -21,6 +21,7 @@ from radkit.errors import (
 )
 from radkit.reranker import (
     CandidateSet,
+    FileScorer,
     RerankerModel,
     _slot_sign,
     build_candidate_set,
@@ -43,6 +44,7 @@ from helpers import (
     DATA_DIR,
     convergence_fixture,
     convergence_targets,
+    model_scores,
     padded_fixture,
     random_reranker_fixture,
     reference_featurize,
@@ -174,7 +176,7 @@ class TestFeaturize:
         with pytest.raises(ValueError, match="ordinals must be"):
             doc_rows(med_index, ordinals, 64, 0)
         with pytest.raises(ValueError, match="ordinals must be"):
-            RerankerModel.identity(64, 0).scores("thyroid hormone", med_index, ordinals)
+            model_scores(RerankerModel.identity(64, 0), "thyroid hormone", med_index, ordinals)
 
     @pytest.mark.parametrize("dim", [0, -3])
     def test_embedding_dim_below_one_rejected(self, med_index, dim):
@@ -189,7 +191,7 @@ class TestFeaturize:
         """A model holds only its parameters, so it keeps no index it has scored alive."""
         model = RerankerModel.identity(8, 1)
         index = text_index({"a": "fever chills", "b": "rest fever"})
-        model.scores("fever", index, [0, 1])
+        model_scores(model, "fever", index, [0, 1])
         ref = weakref.ref(index)
         del index
         gc.collect()
@@ -212,17 +214,17 @@ class TestFeaturize:
 class TestScore:
     def test_empty_query_scores_bias(self):
         model = RerankerModel(16, 0, np.eye(16), np.eye(16), bias=2.5)
-        assert model.scores("", text_index({"d": "some document text"}), [0])[0] == 2.5
+        assert model_scores(model, "", text_index({"d": "some document text"}), [0])[0] == 2.5
 
     def test_identity_self_similarity_is_one(self):
         model = RerankerModel.identity(embedding_dim=32)
         text = "fever chills malaria"
-        assert model.scores(text, text_index({"d": text}), [0])[0] == pytest.approx(1.0)
+        assert model_scores(model, text, text_index({"d": text}), [0])[0] == pytest.approx(1.0)
 
     def test_bag_of_terms_order_invariance(self):
         model = RerankerModel.identity(embedding_dim=32)
         q = "does fever respond to rest"
-        ab, ba = model.scores(q, text_index({"ab": "a b", "ba": "b a"}), [0, 1])
+        ab, ba = model_scores(model, q, text_index({"ab": "a b", "ba": "b a"}), [0, 1])
         assert ab == ba
 
     def test_batch_matches_one_document_at_a_time(self):
@@ -238,8 +240,8 @@ class TestScore:
         docs = [" ".join(rng.choice(words, size=int(rng.integers(0, 9)))) for _ in range(25)]
         index = text_index({f"d{i}": d for i, d in enumerate(docs) if d})  # an empty text has no row
         q = "fever dose for malaria"
-        batch = model.scores(q, index, range(index.doc_count))
-        single = np.array([model.scores(q, index, [o])[0] for o in range(index.doc_count)])
+        batch = model_scores(model, q, index, range(index.doc_count))
+        single = np.array([model_scores(model, q, index, [o])[0] for o in range(index.doc_count)])
         np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-12)
 
 
@@ -364,13 +366,13 @@ class TestLossGradient:
         model = RerankerModel.identity(embedding_dim=16)
         question = "which treatment helps"
         index = text_index({"a": "one passage", "b": "another text here", "c": "third entry"})
-        logits = [model.scores(question, index, [o])[0] for o in range(3)]
+        logits = [model_scores(model, question, index, [o])[0] for o in range(3)]
         cs = CandidateSet("e", 0, question, ("a", "b", "c"), tuple(logits))
-        loss, grad = loss_gradient(model, cs, tau1=2.0, tau2=2.0, index=index)
+        loss, (d_query, d_doc, d_bias) = loss_gradient(model, cs, tau1=2.0, tau2=2.0, index=index)
         assert loss == 0.0
-        assert not grad.d_query_projection.any()
-        assert not grad.d_doc_projection.any()
-        assert grad.d_bias == 0.0
+        assert not d_query.any()
+        assert not d_doc.any()
+        assert d_bias == 0.0
 
     def test_three_candidate_fixture_matches_central_differences(self):
         rng = np.random.default_rng(33)
@@ -384,19 +386,19 @@ class TestLossGradient:
         index = text_index({"a": "alpha beta", "b": "gamma delta beta", "c": "epsilon zeta"})
         cs = CandidateSet("e", 0, "beta zeta query", ("a", "b", "c"), (2.0, 0.5, -1.0))
         tau1, tau2 = 1.0, 100.0
-        _, grad = loss_gradient(model, cs, tau1, tau2, index)
+        _, (d_query, d_doc, d_bias) = loss_gradient(model, cs, tau1, tau2, index)
         fd_q, fd_d, fd_b = finite_difference_gradient(model, cs, tau1, tau2, index)
-        assert_gradients_close(grad.d_query_projection, fd_q)
-        assert_gradients_close(grad.d_doc_projection, fd_d)
-        assert abs(grad.d_bias - fd_b) <= 1e-9
+        assert_gradients_close(d_query, fd_q)
+        assert_gradients_close(d_doc, fd_d)
+        assert abs(d_bias - fd_b) <= 1e-9
 
     def test_bias_gradient_vanishes(self):
         """Both distributions sum to one, so the bias partial cancels."""
         rng = np.random.default_rng(77)
         for _ in range(10):
             model, cs, index = random_reranker_fixture(rng, embedding_dim=8)
-            _, grad = loss_gradient(model, cs, 1.0, 100.0, index)
-            assert abs(grad.d_bias) <= 1e-12
+            _, (_, _, d_bias) = loss_gradient(model, cs, 1.0, 100.0, index)
+            assert abs(d_bias) <= 1e-12
 
     def test_random_fixtures_match_central_differences(self):
         rng = np.random.default_rng(99)
@@ -404,11 +406,11 @@ class TestLossGradient:
             model, cs, index = random_reranker_fixture(rng, embedding_dim=8)
             tau1 = float(rng.uniform(0.5, 3))
             tau2 = float(rng.uniform(0.5, 120))
-            _, grad = loss_gradient(model, cs, tau1, tau2, index)
+            _, (d_query, d_doc, d_bias) = loss_gradient(model, cs, tau1, tau2, index)
             fd_q, fd_d, fd_b = finite_difference_gradient(model, cs, tau1, tau2, index)
-            assert_gradients_close(grad.d_query_projection, fd_q)
-            assert_gradients_close(grad.d_doc_projection, fd_d)
-            assert abs(grad.d_bias - fd_b) <= 1e-9
+            assert_gradients_close(d_query, fd_q)
+            assert_gradients_close(d_doc, fd_d)
+            assert abs(d_bias - fd_b) <= 1e-9
 
 
 class TestTrain:
@@ -428,7 +430,8 @@ class TestTrain:
         targets = convergence_targets()
         aligned = 0
         for cs, target in zip(sets, targets):
-            logits = trained.scores(cs.question, index, [index.ordinal(d) for d in cs.doc_ids])
+            ordinals = [index.ordinal(d) for d in cs.doc_ids]
+            logits = model_scores(trained, cs.question, index, ordinals)
             aligned += int(np.argmax(logits)) == target
         assert aligned >= 9
 
@@ -568,34 +571,28 @@ class TestRerankInference:
             assert scores == sorted(scores, reverse=True)
             assert [sd.rank for sd in out] == list(range(1, len(out) + 1))
 
-    def test_constant_scorer_breaks_ties_by_doc_id(self, med_index):
-        def flat(doc_id, doc_text, query):
-            return 1.0
-
-        out = rerank_inference(med_index, flat, "fever pregnancy thyroid", 100, 3)
+    @pytest.mark.parametrize("table", [{}, "flat"])
+    def test_constant_table_breaks_ties_by_doc_id(self, med_index, table):
+        """An empty table scores every candidate 0.0, a flat one 1.0."""
+        table = dict.fromkeys(med_index.doc_ids, 1.0) if table == "flat" else table
+        out = rerank_inference(med_index, table, "fever pregnancy thyroid", 100, 3)
         ids = [sd.doc_id for sd in out]
         assert ids == sorted(ids)
+        assert {sd.score for sd in out} == {1.0 if table else 0.0}
 
-    def test_scorer_gets_each_candidates_own_id_and_text(self):
-        """Ordinals map back to the right document when corpus order is not id order."""
+    def test_table_scores_each_candidate_by_its_own_id(self):
+        """Ordinals map back to the right doc id when corpus order is not id order."""
         names = ["delta", "alpha", "echo", "charlie", "bravo"]
         docs = [
             Document(name, "", f"fever {name} " + "cough " * i) for i, name in enumerate(names)
         ]
         index = build_index(docs)
-        calls = []
-
-        def record(doc_id, doc_text, query):
-            calls.append((doc_id, doc_text, query))
-            return 0.0
-
-        rerank_inference(index, record, "fever cough", 4, 2)
-        bm25 = retrieve(index, "fever cough", 4)
-        assert [(doc_id, text) for doc_id, text, _ in calls] == [
-            (sd.doc_id, index.document(sd.doc_id).text) for sd in bm25
-        ]
-        assert all(text.split()[1] == doc_id for doc_id, text, _ in calls)
-        assert {query for _, _, query in calls} == {"fever cough"}
+        table = {name: float(i) for i, name in enumerate(names)}
+        got = rerank_inference(index, table, "fever cough", 4, 4)
+        bm25 = sorted(retrieve(index, "fever cough", 4), key=lambda sd: -table[sd.doc_id])
+        want = [(sd.doc_id, table[sd.doc_id]) for sd in bm25]
+        assert [(sd.doc_id, sd.score) for sd in got] == want
+        assert "delta" not in {sd.doc_id for sd in got}  # BM25 ranks it fifth: not a candidate
 
     def test_no_candidates_raises(self, med_index):
         model = RerankerModel.identity()
@@ -635,8 +632,9 @@ def _bits(ranked):
     return [(sd.doc_id, sd.score.hex(), sd.rank) for sd in ranked]
 
 
-def _length_scorer(doc_id, doc_text, query):
-    return float((len(doc_text) * len(query)) % 7)
+def _length_table(index, question):
+    texts = zip(index.doc_ids, index.texts)
+    return {doc_id: float((len(text) * len(question)) % 7) for doc_id, text in texts}
 
 
 class TestRerankBatch:
@@ -649,19 +647,20 @@ class TestRerankBatch:
         questions = data.draw(st.lists(st.sampled_from(FIXTURE_QUESTIONS), min_size=1, max_size=10))
         kappa_star = data.draw(st.integers(1, 12))
         k = data.draw(st.integers(1, kappa_star))
-        kind = data.draw(st.sampled_from(["random", "identity", "callable"]))
+        kind = data.draw(st.sampled_from(["random", "identity", "table"]))
         if kind == "random":
             rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
             model = RerankerModel(24, 6, rng.normal(0, 1, (24, 24)), rng.normal(0, 1, (24, 24)), 0.3)
         elif kind == "identity":
             model = RerankerModel.identity(embedding_dim=32)
         else:
-            model = _length_scorer
-        batch_model = model if kind != "callable" else [model] * len(questions)
+            model = None
+        scorers = [model or _length_table(med_index, q) for q in questions]
+        batch_model = model or scorers
         batch = rerank_batch(med_index, batch_model, questions, kappa_star, k)
         assert len(batch) == len(questions)
-        for question, ranked in zip(questions, batch):
-            alone = rerank_inference(med_index, model, question, kappa_star, k)
+        for question, scorer, ranked in zip(questions, scorers, batch):
+            alone = rerank_inference(med_index, scorer, question, kappa_star, k)
             assert _bits(ranked) == _bits(alone)
 
     @settings(
@@ -679,6 +678,44 @@ class TestRerankBatch:
 
     def test_no_questions_give_no_rows(self, med_index):
         assert rerank_batch(med_index, RerankerModel.identity(), [], 10, 3) == []
+        assert rerank_batch(med_index, [], [], 10, 3) == []
+
+    @pytest.mark.parametrize("tables", [0, 1, 4])
+    def test_one_table_per_question(self, med_index, tables):
+        """Another number of tables than questions is refused, not cut to the shorter."""
+        with pytest.raises(ValueError, match=f"^{tables} score tables for 3 questions$"):
+            rerank_batch(med_index, [{}] * tables, FIXTURE_QUESTIONS[:3], 10, 3)
+
+
+class TestFileScorer:
+    def test_one_table_per_example(self, tmp_path):
+        """A later line for the same pair wins; an example the file lacks has an empty table."""
+        lines = [
+            {"id": "q1", "doc_id": "a", "score": 1.5},
+            {"id": "q2", "doc_id": "a", "score": -1},
+            {"id": "q1", "doc_id": "b", "score": 2.0},
+            {"id": "q1", "doc_id": "a", "score": 3.0},
+        ]
+        path = tmp_path / "scores.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        scorer = FileScorer.load(path)
+        assert scorer.for_example("q1") == {"a": 3.0, "b": 2.0}
+        assert scorer.for_example("q2") == {"a": -1.0}
+        assert scorer.for_example("q3") == {}
+
+    def test_table_ranks_as_the_file_says(self, med_index, tmp_path):
+        """A candidate the table lacks scores 0.0, below a positive score and above a negative."""
+        question = "fever pregnancy thyroid"
+        first, second, third = (sd.doc_id for sd in retrieve(med_index, question, 3))
+        lines = [
+            {"id": "q", "doc_id": third, "score": 2.0},
+            {"id": "q", "doc_id": first, "score": -1.0},
+        ]
+        path = tmp_path / "scores.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        ranked = rerank_inference(med_index, FileScorer.load(path).for_example("q"), question, 3, 3)
+        want = [(third, 2.0), (second, 0.0), (first, -1.0)]
+        assert [(sd.doc_id, sd.score) for sd in ranked] == want
 
 
 class TestModelSerialization:
@@ -698,8 +735,8 @@ class TestModelSerialization:
         assert clone.step == 17
         index = text_index({"fc": "fever chills", "abc": "a b c"})
         for ordinal, query in [(0, "malaria"), (1, "c d")]:
-            want = model.scores(query, index, [ordinal])[0]
-            assert clone.scores(query, index, [ordinal])[0] == want
+            want = model_scores(model, query, index, [ordinal])[0]
+            assert model_scores(clone, query, index, [ordinal])[0] == want
 
     def test_candidates_jsonl_round_trip(self, tmp_path):
         sets = [
