@@ -86,36 +86,51 @@ def _params(args) -> dict:
     return {name: value for name, value in vars(args).items() if name not in skip}
 
 
-def _finish(args, text: str | bytes, summary: str | None = None) -> int:
-    """The end of every stage: ``text`` to ``--out`` with the run manifest, then stdout.
-
-    The manifest goes to ``--manifest-out``, else next to ``--out``. It holds
-    the subcommand, its ``_params``, and the digests of the output and of the
-    files read (the parser's ``inputs``, a ``verdict-file:`` or ``custom:``
-    file). The two are written as a pair: if either fails, both name one
-    file, or either names a file read, neither is replaced. ``summary`` is
-    printed unless ``--quiet``; with none, ``text`` is.
-    """
-    data = text.encode("utf-8") if isinstance(text, str) else text
-    files = {args.out: data} if args.out else {}
-    target = args.manifest_out or (args.out and f"{Path(args.out)}.manifest.json")
-    if args.out and Path(target).resolve() == Path(args.out).resolve():
-        raise ValueError(f"--manifest-out names the --out file {args.out}")
+def _inputs(args) -> list:
+    """The files the stage reads: the parser's ``inputs``, a ``verdict-file:`` or ``custom:``
+    file (None where a flag is not given)."""
     params = _params(args)
     inputs = [getattr(args, name) for name in args.inputs]
     inputs.append(_option_file(params.get("filter", ""), "verdict-file:"))
     inputs.append(_option_file(params.get("template", ""), "custom:"))
-    read = {Path(path).resolve(): path for path in filter(None, inputs)}
+    return inputs
+
+
+def _manifest_path(args) -> str | None:
+    """``--manifest-out``, else the path next to ``--out``; None with neither."""
+    return args.manifest_out or (args.out and f"{Path(args.out)}.manifest.json")
+
+
+def _check_outputs(args) -> None:
+    """Raise ValueError if the manifest names the ``--out`` file, or either names a file the
+    stage reads. ``main`` runs this before the stage, so a refused stage does no work."""
+    target = _manifest_path(args)
+    if args.out and Path(target).resolve() == Path(args.out).resolve():
+        raise ValueError(f"--manifest-out names the --out file {args.out}")
+    read = {Path(path).resolve(): path for path in filter(None, _inputs(args))}
     for name, out in (("--out", args.out), ("the manifest", target)):
         if out and (path := read.get(Path(out).resolve())):
             raise ValueError(f"{name} {out} names the input file {path}")
+
+
+def _finish(args, text: str | bytes, summary: str | None = None) -> int:
+    """The end of every stage: ``text`` to ``--out`` with the run manifest, then stdout.
+
+    The manifest goes to ``_manifest_path``. It holds the subcommand, its
+    ``_params``, and the digests of the output and of the ``_inputs``. The two
+    are written as a pair: if either fails, neither is replaced. ``summary`` is
+    printed unless ``--quiet``; with none, ``text`` is.
+    """
+    data = text.encode("utf-8") if isinstance(text, str) else text
+    files = {args.out: data} if args.out else {}
+    target = _manifest_path(args)
     if target:
         manifest = {
             "tool": "radkit",
             "version": __version__,
             "command": args.command,
-            "params": params,
-            "inputs": _digests(inputs),
+            "params": _params(args),
+            "inputs": _digests(_inputs(args)),
             "outputs": {str(Path(out)): hashlib.sha256(data).hexdigest() for out in files},
         }
         files[target] = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -407,6 +422,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except (RadkitError, OSError, ValueError, MemoryError) as exc:
         # One line, even where the message echoes a path or input text with a line break.

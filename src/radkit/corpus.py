@@ -18,14 +18,20 @@ import numpy as np
 from .errors import DuplicateDocId, EmptyDocument, InvalidOrdinal, UnknownFormatVersion
 from .records import arrays_bytes, atomic_write, field, read_arrays, read_jsonl
 
-INDEX_FORMAT_VERSION = 3
+INDEX_FORMAT_VERSION = 4
 TOKENIZER_VERSION = "lower-alnum-2"
 
 DEFAULT_K1 = 0.9
 DEFAULT_B = 0.4
 
-# The index file's CSR members, all int32.
+# The index file's CSR members, each at its ``_narrowest`` unsigned width.
 _ARRAYS = ("offsets", "ordinals", "tfs", "doc_lengths")
+
+# Postings per block where a load works through all of them (``_blocks``). A temporary as
+# long as the postings, made and dropped by every stage that loads the index, decides
+# whether glibc hands heap pages back between two stages run in one process and faults
+# them in again in the next.
+_BLOCK = 1 << 16
 
 # Unicode alphanumeric runs; underscore is a separator like any other punctuation.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -73,11 +79,12 @@ class PostingsIndex:
     source passages are embedded as three sequences indexed by ordinal,
     ``doc_ids``, ``titles`` and ``texts``, so downstream stages can resolve
     passage texts from the index file alone; ``document(doc_id)`` builds one
-    ``Document`` from them. Arrays that are not 1-D int32 or do not fit the
-    passages and terms, a repeated doc id or term, a tf or length below 1, a
-    document whose tfs do not sum to its length or whose length exceeds its
-    text's in code points, k1 < 0, b outside [0, 1] or a non-finite k1 or b
-    raise ValueError, whether built or loaded.
+    ``Document`` from them. Arrays that are not 1-D at their ``_narrowest``
+    unsigned dtype or do not fit the passages and terms, a repeated doc id or
+    term, a tf or length below 1, a document whose tfs do not sum to its
+    length or whose length exceeds its text's in code points, k1 < 0, b
+    outside [0, 1] or a non-finite k1 or b raise ValueError, whether built or
+    loaded.
     """
 
     def __init__(
@@ -123,13 +130,15 @@ class PostingsIndex:
         distinct = np.flatnonzero(idf_of_df)
         idf_of_df[distinct] = [math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in distinct.tolist()]
         norm = k1 * (1.0 - b + b * doc_lengths / self.avg_doc_length)
-        # idf * tf * (k1 + 1) / (tf + norm), in place: the same bits, fewer temporaries.
+        # idf * tf * (k1 + 1) / (tf + norm), in place and the denominator block by block: the
+        # same bits, and no temporary as long as the postings.
         impacts = np.repeat(idf_of_df[df], df)
         impacts *= tfs
         impacts *= k1 + 1.0
-        denominator = norm[ordinals]
-        denominator += tfs
-        impacts /= denominator
+        for block in _blocks(len(ordinals), _BLOCK):
+            denominator = norm[ordinals[block]]
+            denominator += tfs[block]
+            impacts[block] /= denominator
         self.impacts = impacts
 
     def ordinal(self, doc_id: str) -> int:
@@ -140,10 +149,32 @@ class PostingsIndex:
         return Document(doc_id, self.titles[o], self.texts[o])
 
 
+def _blocks(n: int, size: int) -> list[slice]:
+    """``range(n)`` cut into slices ``size`` long, the last one shorter."""
+    return [slice(i, i + size) for i in range(0, n, size)]
+
+
+def _narrowest(a: np.ndarray) -> np.dtype:
+    """The narrowest unsigned dtype that holds the largest value of ``a`` (uint8 if empty)."""
+    return np.min_scalar_type(int(a.max(initial=0)))
+
+
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """The non-negative integers ``a`` at their ``_narrowest`` unsigned dtype."""
+    return a.astype(_narrowest(a))
+
+
+def _check_narrowest(name: str, a: np.ndarray) -> None:
+    """Raise ValueError unless ``a`` is 1-D, unsigned and at its ``_narrowest`` dtype."""
+    if a.ndim != 1 or a.dtype.kind != "u" or a.dtype != _narrowest(a):
+        want = _narrowest(a) if a.dtype.kind == "u" else "unsigned"
+        raise ValueError(f"{name} must be a 1-D {want} array, got {a.ndim}-D {a.dtype}")
+
+
 def _check_fit(n_docs, n_titles, texts, n_terms, offsets, ordinals, tfs, doc_lengths, k1, b):
-    """Raise ValueError unless the CSR arrays are 1-D int32 and fit the passages and terms,
-    the passages have one title and one text each, and k1, b are valid. A document's tfs sum
-    to its length, at most its text's code points: each token holds one, as only ``İ``
+    """Raise ValueError unless the CSR arrays pass ``_check_narrowest`` and fit the passages
+    and terms, the passages have one title and one text each, and k1, b are valid. A document's
+    tfs sum to its length, at most its text's code points: each token holds one, as only ``İ``
     lowercases to two (``i`` and a mark). So no tf outgrows the file, nor featurize's table."""
     if not (math.isfinite(k1) and k1 >= 0.0):
         raise ValueError(f"k1 must be finite and >= 0, got {k1}")
@@ -154,21 +185,23 @@ def _check_fit(n_docs, n_titles, texts, n_terms, offsets, ordinals, tfs, doc_len
     if not n_titles == len(texts) == n_docs:
         raise ValueError(f"{n_titles} titles and {len(texts)} texts for {n_docs} documents")
     for name, a in zip(_ARRAYS, (offsets, ordinals, tfs, doc_lengths)):
-        if a.dtype != np.int32 or a.ndim != 1:
-            raise ValueError(f"{name} must be a 1-D int32 array, got {a.ndim}-D {a.dtype}")
+        _check_narrowest(name, a)
     if len(doc_lengths) != n_docs:
         raise ValueError(f"{len(doc_lengths)} document lengths for {n_docs} documents")
     if len(offsets) != n_terms + 1:
         raise ValueError(f"{len(offsets)} offsets for {n_terms} terms")
     if len(tfs) != len(ordinals) or offsets[0] != 0 or offsets[-1] != len(ordinals):
         raise ValueError("offsets must run from 0 to the number of postings")
-    if np.any(np.diff(offsets) < 0):
+    if np.any(offsets[1:] < offsets[:-1]):  # np.diff of unsigned offsets wraps around
         raise ValueError("offsets must be non-decreasing")
-    if len(ordinals) and not 0 <= ordinals.min() <= ordinals.max() < n_docs:
+    if len(ordinals) and ordinals.max() >= n_docs:
         raise ValueError(f"posting ordinals must lie in [0, {n_docs})")
     if len(tfs) and tfs.min() < 1 or doc_lengths.min() < 1:
         raise ValueError("term frequencies and document lengths must be >= 1")
-    if np.any(np.bincount(ordinals, tfs, minlength=n_docs) != doc_lengths):
+    lengths = np.zeros(n_docs)  # each block's bincount is n_docs long, so no block is shorter
+    for block in _blocks(len(ordinals), max(_BLOCK, n_docs)):
+        lengths += np.bincount(ordinals[block], tfs[block], minlength=n_docs)
+    if np.any(lengths != doc_lengths):
         raise ValueError("each document's term frequencies must sum to its length")
     if np.any(doc_lengths > np.fromiter(map(len, texts), np.int64, n_docs)):
         raise ValueError("a document length must not exceed its text's length in code points")
@@ -214,7 +247,7 @@ def build_index(
     keys += np.repeat(np.arange(n, dtype=np.int64), doc_lengths)
     keys, tfs = np.unique(keys, return_counts=True)
     offsets = np.searchsorted(keys, np.arange(len(vocabulary) + 1, dtype=np.int64) * n)
-    ordinals, tfs, offsets = (a.astype(np.int32) for a in (keys % n, tfs, offsets))
+    offsets, ordinals, tfs, doc_lengths = map(_narrow, (offsets, keys % n, tfs, doc_lengths))
     doc_ids, titles = tuple(d.doc_id for d in docs), tuple(d.title for d in docs)
     texts = [d.text for d in docs]
     return PostingsIndex(
@@ -283,10 +316,11 @@ def load_corpus_jsonl(path: str | Path) -> list[Document]:
 
 
 def serialize_index(index: PostingsIndex) -> bytes:
-    """Index format 3: an array file of the int32 CSR arrays and the passage texts.
+    """Index format 4: an array file of the CSR arrays and the passage texts.
 
-    The texts are one UTF-8 ``uint8`` member ``texts``, cut by the int64
-    code-point offsets ``text_offsets``. Its ``meta`` holds the build
+    The texts are one UTF-8 ``uint8`` member ``texts``, cut by the code-point
+    offsets ``text_offsets``. Every other member is stored at its ``_narrowest``
+    unsigned dtype, as ``build_index`` holds it. Its ``meta`` holds the build
     parameters, the terms in id order, and the passage ids and titles.
     Impacts are recomputed at load.
     """
@@ -301,21 +335,23 @@ def serialize_index(index: PostingsIndex) -> bytes:
     np.cumsum([len(text) for text in index.texts], out=text_offsets[1:])
     texts = np.frombuffer("".join(index.texts).encode("utf-8"), dtype=np.uint8)
     arrays = {name: getattr(index, name) for name in _ARRAYS}
-    return arrays_bytes(meta, {**arrays, "texts": texts, "text_offsets": text_offsets})
+    return arrays_bytes(meta, {**arrays, "texts": texts, "text_offsets": _narrow(text_offsets)})
 
 
 def _texts(blob: np.ndarray, offsets: np.ndarray, n_docs: int) -> list[str]:
     """The passage texts: ``blob`` decoded once, cut at the code-point ``offsets``.
 
-    Raises ValueError unless ``blob`` is 1-D uint8 UTF-8 and ``offsets`` are
-    1-D int64, ``n_docs + 1`` of them, running from 0 up to the decoded length.
+    Raises ValueError unless ``blob`` is 1-D uint8 UTF-8 and ``offsets`` pass
+    ``_check_narrowest``, ``n_docs + 1`` of them, running from 0 up to the
+    decoded length.
     """
     if blob.dtype != np.uint8 or blob.ndim != 1:
         raise ValueError(f"texts must be a 1-D uint8 array, got {blob.ndim}-D {blob.dtype}")
-    if offsets.dtype != np.int64 or offsets.ndim != 1 or len(offsets) != n_docs + 1:
-        raise ValueError(f"text_offsets must be {n_docs + 1} int64 values")
+    _check_narrowest("text_offsets", offsets)
+    if len(offsets) != n_docs + 1:
+        raise ValueError(f"{len(offsets)} text_offsets for {n_docs} documents")
     joined = str(blob.data, "utf-8")
-    if offsets[0] != 0 or offsets[-1] != len(joined) or np.any(np.diff(offsets) < 0):
+    if offsets[0] != 0 or offsets[-1] != len(joined) or np.any(offsets[1:] < offsets[:-1]):
         raise ValueError("text_offsets must run non-decreasing from 0 to the text length")
     bounds = offsets.tolist()
     return [joined[i:j] for i, j in zip(bounds, bounds[1:])]

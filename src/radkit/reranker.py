@@ -131,7 +131,7 @@ def doc_rows(
     row_of[ordinals] = np.arange(len(ordinals))
     if np.count_nonzero(row_of >= 0) != len(ordinals):
         raise ValueError("ordinals must be distinct")
-    hit = np.flatnonzero(row_of[index.ordinals] >= 0)
+    hit = np.flatnonzero((row_of >= 0)[index.ordinals])  # a bool per posting, not an int64
     return _unit_rows(
         row_of[index.ordinals[hit]], np.searchsorted(index.offsets, hit, side="right") - 1,
         index.tfs[hit], index.terms, len(ordinals), embedding_dim, hash_seed,

@@ -47,10 +47,26 @@ FORMAT_1_INDEX = (
 )
 
 
+def narrowest(a) -> np.ndarray:
+    """The non-negative integers ``a`` at the narrowest unsigned dtype that holds the largest,
+    as index format 4 stores each of its integer members."""
+    a = np.asarray(a)
+    return a.astype(np.min_scalar_type(int(a.max(initial=0))))
+
+
+def decreasing(a: np.ndarray) -> np.ndarray:
+    """``a`` with its second and third values swapped, at its own dtype: offsets that decrease."""
+    return np.r_[a[:1], a[2], a[1], a[3:]].astype(a.dtype)
+
+
 def format_2_index(data: bytes) -> bytes:
-    """A format-3 index file rewritten as format 2 wrote it: every text in ``meta``."""
+    """A format-4 index file rewritten as format 2 wrote it: int32 CSR arrays, every text in
+    ``meta``."""
     with np.load(io.BytesIO(data)) as members:
-        arrays = {name: members[name] for name in ("offsets", "ordinals", "tfs", "doc_lengths")}
+        arrays = {
+            name: members[name].astype(np.int32)
+            for name in ("offsets", "ordinals", "tfs", "doc_lengths")
+        }
         meta = json.loads(members["meta"].tobytes())
         joined, bounds = members["texts"].tobytes().decode(), members["text_offsets"].tolist()
     texts = [joined[i:j] for i, j in zip(bounds, bounds[1:])]
@@ -61,6 +77,18 @@ def format_2_index(data: bytes) -> bytes:
         "documents": [list(doc) for doc in zip(meta["doc_ids"], meta["titles"], texts)],
     }
     return arrays_bytes(meta, arrays)
+
+
+def format_3_index(data: bytes) -> bytes:
+    """A format-4 index file rewritten as format 3 wrote it: int32 CSR arrays and int64
+    ``text_offsets``."""
+    with np.load(io.BytesIO(data)) as members:
+        arrays = {name: members[name] for name in members.files if name != "meta"}
+        meta = json.loads(members["meta"].tobytes())
+    for name in ("offsets", "ordinals", "tfs", "doc_lengths"):
+        arrays[name] = arrays[name].astype(np.int32)
+    arrays["text_offsets"] = arrays["text_offsets"].astype(np.int64)
+    return arrays_bytes({**meta, "format_version": 3}, arrays)
 
 
 def npz_bytes(**arrays) -> bytes:
@@ -187,15 +215,15 @@ def reference_build_index(
         doc_lengths.append(len(tokens))
         for term, tf in sorted(Counter(tokens).items()):
             postings.extend((vocabulary.setdefault(term, len(vocabulary)), ordinal, tf))
-    flat = np.array(postings, dtype=np.int32).reshape(-1, 3)
-    term_ids, ordinals, tfs = flat[np.argsort(flat[:, 0], kind="stable")].T.copy()
-    offsets = np.zeros(len(vocabulary) + 1, dtype=np.int32)
+    flat = np.array(postings, dtype=np.int64).reshape(-1, 3)
+    term_ids, ordinals, tfs = flat[np.argsort(flat[:, 0], kind="stable")].T
+    offsets = np.zeros(len(vocabulary) + 1, dtype=np.int64)
     np.cumsum(np.bincount(term_ids, minlength=len(vocabulary)), out=offsets[1:])
-    lengths = np.array(doc_lengths, dtype=np.int32)
+    arrays = map(narrowest, (offsets, ordinals, tfs, doc_lengths))
     doc_ids, titles = [d.doc_id for d in docs], [d.title for d in docs]
     texts = [d.text for d in docs]
     terms = list(vocabulary)
-    return PostingsIndex(doc_ids, titles, texts, terms, offsets, ordinals, tfs, lengths, k1, b)
+    return PostingsIndex(doc_ids, titles, texts, terms, *arrays, k1, b)
 
 
 def text_index(doc_texts: dict[str, str]) -> PostingsIndex:

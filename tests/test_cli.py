@@ -25,7 +25,16 @@ from radkit.cli import main
 from radkit.corpus import INDEX_FORMAT_VERSION
 from radkit.records import arrays_bytes
 from radkit.reranker import MODEL_FORMAT_VERSION
-from helpers import DATA_DIR, FORMAT_1_INDEX, format_2_index, unchecked_checkpoint, with_meta
+from helpers import (
+    DATA_DIR,
+    FORMAT_1_INDEX,
+    decreasing,
+    format_2_index,
+    format_3_index,
+    narrowest,
+    unchecked_checkpoint,
+    with_meta,
+)
 
 
 def run_cli(*args, cwd=None, timeout=None):
@@ -117,6 +126,17 @@ def pipeline(tmp_path_factory):
     return paths, steps, results
 
 
+# Each stage that reads an index, as an invocation with {index} and {out}.
+INDEX_READERS = [
+    "emit-train --index {index} --rationales {rationales} --out {out}",
+    "candidates --index {index} --rationales {rationales} --out {out}",
+    "rerank-train --index {index} --candidates {cands} --out {out}",
+    "rerank-infer --index {index} --questions {rationales} --out {out}",
+    "eval --index {index} --rationales {rationales} --retrieved {retrieved} --out {out}",
+]
+INDEX_READER_IDS = ["emit-train", "candidates", "rerank-train", "rerank-infer", "eval"]
+
+
 class TestIndexCommand:
     def test_valid_corpus(self, tmp_path):
         out = tmp_path / "index.json"
@@ -196,20 +216,10 @@ class TestIndexCommand:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines() == [
-            f"error: {index}: unknown file format version 1 (expected 3)"
+            f"error: {index}: unknown file format version 1 (expected 4)"
         ], proc.stderr
 
-    @pytest.mark.parametrize(
-        "command",
-        [
-            "emit-train --index {index} --rationales {rationales} --out {out}",
-            "candidates --index {index} --rationales {rationales} --out {out}",
-            "rerank-train --index {index} --candidates {cands} --out {out}",
-            "rerank-infer --index {index} --questions {rationales} --out {out}",
-            "eval --index {index} --rationales {rationales} --retrieved {retrieved} --out {out}",
-        ],
-        ids=["emit-train", "candidates", "rerank-train", "rerank-infer", "eval"],
-    )
+    @pytest.mark.parametrize("command", INDEX_READERS, ids=INDEX_READER_IDS)
     def test_format_2_index_is_one_error_line(self, pipeline, tmp_path, command):
         """An index written before the texts moved out of ``meta`` must be rebuilt."""
         paths, _, _ = pipeline
@@ -219,7 +229,22 @@ class TestIndexCommand:
         proc = run_cli(*command.format(**where).split())
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [
-            f"error: {index}: unknown file format version 2 (expected 3)"
+            f"error: {index}: unknown file format version 2 (expected 4)"
+        ], proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", INDEX_READERS, ids=INDEX_READER_IDS)
+    def test_format_3_index_is_one_error_line(self, pipeline, tmp_path, command):
+        """An index of int32 CSR arrays, written before each member took its narrowest
+        unsigned width, must be rebuilt."""
+        paths, _, _ = pipeline
+        index, out = tmp_path / "index.npz", tmp_path / "out"
+        index.write_bytes(format_3_index(paths["index"].read_bytes()))
+        where = {**paths, "index": index, "out": out, "rationales": DATA_DIR / "rationales.jsonl"}
+        proc = run_cli(*command.format(**where).split())
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"error: {index}: unknown file format version 3 (expected 4)"
         ], proc.stderr
         assert not out.exists()
 
@@ -233,7 +258,7 @@ class TestIndexCommand:
         )
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [
-            f"error: {index}: unknown file format version None (expected 3)"
+            f"error: {index}: unknown file format version None (expected 4)"
         ], proc.stderr
 
 
@@ -615,8 +640,8 @@ def _cast_projections(dtype):
 @pytest.mark.parametrize(
     "file, change, expected",
     [
-        ("index", lambda meta, arrays: meta.update(format_version=3.0),
-         "unknown file format version 3.0 (expected 3)"),
+        ("index", lambda meta, arrays: meta.update(format_version=4.0),
+         "unknown file format version 4.0 (expected 4)"),
         ("model", lambda meta, arrays: meta.update(format_version=2.0),
          "unknown file format version 2.0 (expected 2)"),
     ] + [
@@ -1008,6 +1033,25 @@ def test_output_naming_an_input_is_one_error_line(pipeline, tmp_path, command):
     assert_one_error_line(proc, "names the input file")
     assert {path: path.read_bytes() for path in where.values()} == before
     assert sorted(tmp_path.iterdir()) == sorted([tmp_path / "sub", *before])
+
+
+def test_output_naming_an_input_stops_the_stage_before_its_work(pipeline, tmp_path, monkeypatch):
+    """The path checks run before the stage: a long training run is refused without training."""
+    paths, _, _ = pipeline
+    cands = tmp_path / "c.jsonl"
+    cands.write_bytes(paths["cands"].read_bytes())
+    monkeypatch.setattr(radkit.cli, "train", lambda *a, **kw: pytest.fail("train was called"))
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main([
+            "rerank-train", "--index", str(paths["index"]), "--candidates", str(cands),
+            "--out", str(cands), "--epochs", "3000", "--dim", "512",
+        ])
+    assert (code, stderr.getvalue().splitlines()) == (
+        1, [f"error: --out {cands} names the input file {cands}"]
+    )
+    assert cands.read_bytes() == paths["cands"].read_bytes()
+    assert list(tmp_path.iterdir()) == [cands]
 
 
 def run_cli_capped(*args):
@@ -1531,9 +1575,12 @@ ARRAY_META_TYPES = {
 }
 # Huge integers, non-finite floats and the float spellings of the versions and of E, drawn often.
 ARRAY_META_VALUES = JSON_VALUES | st.sampled_from(
-    [10**400, -(10**400), math.inf, -math.inf, math.nan, 2.0, 3.0, 64.0, True]
+    [10**400, -(10**400), math.inf, -math.inf, math.nan, 2.0, 3.0, 4.0, 64.0, True]
 )
-ARRAY_DTYPES = ["int32", "int64", "uint8", "bool", "float32", "float64", ">f8", "complex128"]
+ARRAY_DTYPES = [
+    "int32", "int64", "uint8", "uint16", "uint32", "uint64", ">u2", "bool", "float32", "float64",
+    ">f8", "complex128",
+]
 
 
 class TestArbitraryArrayFile:
@@ -1562,8 +1609,7 @@ class TestArbitraryArrayFile:
             if data.draw(st.booleans(), label="length matches"):
                 lengths[arrays["ordinals"][at]] += tf - tfs[at]
             tfs[at] = tf
-            arrays["tfs"] = tfs.astype(np.int32)
-            arrays["doc_lengths"] = lengths.clip(max=2**31 - 1).astype(np.int32)
+            arrays["tfs"], arrays["doc_lengths"] = narrowest(tfs), narrowest(lengths)
             held = False  # every passage is under 1,000 code points
         elif kind == "meta field":
             name = data.draw(st.sampled_from(sorted(ARRAY_META_TYPES[file])), label="field")
@@ -1584,3 +1630,36 @@ class TestArbitraryArrayFile:
         assert all(line.startswith("error: ") for line in lines), lines
         if code == 0:
             assert held, name
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("ordinals", lambda a: a.astype(np.int32)),
+            ("tfs", lambda a: a.astype(np.int16)),
+            ("doc_lengths", lambda a: a.astype(np.float64)),
+            ("text_offsets", lambda a: a.astype(np.float32)),
+            ("ordinals", lambda a: a.astype(np.uint16)),
+            ("ordinals", lambda a: a.astype(np.uint32)),
+            ("text_offsets", lambda a: a.astype(np.uint32)),
+            ("offsets", lambda a: a.astype(">u2")),
+            ("offsets", decreasing),
+            ("text_offsets", decreasing),
+        ],
+        ids=[
+            "ordinals-signed", "tfs-signed", "lengths-float", "text-offsets-float",
+            "ordinals-one-width-wider", "ordinals-two-widths-wider", "text-offsets-one-width-wider",
+            "offsets-big-endian", "offsets-decrease", "text-offsets-decrease",
+        ],
+    )
+    def test_index_member_format_4_does_not_write_is_one_line(self, pipeline, tmp_path, name, edit):
+        """Format 4 stores each integer member unsigned, at the narrowest width of its largest
+        value, and its offsets non-decreasing; tests/data's 12 documents fit ``uint8`` ordinals."""
+        paths, _, _ = pipeline
+        meta, arrays = _array_file(paths["index"])
+        widths = {name: str(arrays[name].dtype) for name in ("ordinals", "offsets", "text_offsets")}
+        assert widths == {"ordinals": "uint8", "offsets": "uint16", "text_offsets": "uint16"}
+        arrays[name] = edit(arrays[name])
+        code, lines, bad = _read_array_file(paths, tmp_path, "index", meta, arrays)
+        expected = f"error: {bad}: unknown file format version None (expected 4)"
+        assert (code, lines) == (1, [expected])
+        assert not (tmp_path / "out.jsonl").exists()

@@ -1,7 +1,9 @@
 """Index construction and BM25 retrieval against an exhaustive oracle."""
 
+import hashlib
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from radkit.corpus import (
     INDEX_FORMAT_VERSION,
     TOKENIZER_VERSION,
     Document,
+    PostingsIndex,
     build_index,
     bm25_score,
     bm25_scores,
@@ -31,7 +34,7 @@ from radkit.errors import (
     UnknownFormatVersion,
 )
 
-from radkit.reranker import MODEL_FORMAT_VERSION, load_model
+from radkit.reranker import MODEL_FORMAT_VERSION, doc_rows, load_model
 
 from helpers import (
     DATA_DIR,
@@ -39,6 +42,8 @@ from helpers import (
     bm25_oracle_ranked,
     bm25_oracle_score,
     bm25_oracle_topk,
+    decreasing,
+    narrowest,
     npy_bytes,
     npz_bytes,
     random_corpus,
@@ -352,9 +357,17 @@ class TestRetrieve:
         assert got == bm25_oracle_ranked(corpus, " ".join(query), k, k1, b)
 
 
-def _int32(edit):
-    """An edit of an int32 member whose result is stored as int32 again."""
-    return lambda a: edit(a).astype(np.int32)
+def _stored(edit):
+    """An edit of an integer member's values as int64, stored as format 4 stores it: unsigned,
+    at the narrowest width of its largest value; so no dtype check refuses it before the check
+    it aims at."""
+    return lambda a: narrowest(edit(a.astype(np.int64)))
+
+
+def _signed(edit):
+    """An edit of an integer member's values as int64, stored signed, as int16: a negative
+    value cannot be written into the unsigned member format 4 stores."""
+    return lambda a: edit(a.astype(np.int64)).astype(np.int16)
 
 
 # Passages whose ids, titles and texts hold non-ASCII, astral and empty strings.
@@ -456,16 +469,17 @@ class TestSerialization:
             (lambda m: m["doc_ids"].__setitem__(1, m["doc_ids"][0]), {}),
             (lambda m: m["build_params"].update(k1=-0.5), {}),
             (lambda m: m["build_params"].update(b=5.0), {}),
-            (None, {"doc_lengths": lambda a: a[:-1]}),
-            (None, {"offsets": _int32(lambda a: np.r_[1, a[1:]])}),
-            (None, {"offsets": _int32(lambda a: np.r_[0, a[-1], a[2:]])}),
-            (None, {"offsets": _int32(lambda a: np.r_[a[:-1], a[-1] - 1])}),
-            (None, {"tfs": lambda a: a[:-1]}),
-            (None, {"ordinals": _int32(lambda a: np.r_[a[:-1], 5])}),
-            (None, {"ordinals": _int32(lambda a: np.r_[-1, a[1:]])}),
-            (None, {"tfs": _int32(lambda a: np.r_[0, a[1:]])}),
-            (None, {"tfs": _int32(lambda a: np.r_[a[:-1], -1])}),
-            (None, {"doc_lengths": _int32(lambda a: np.r_[a[:-1], 0])}),
+            (None, {"doc_lengths": _stored(lambda a: a[:-1])}),
+            (None, {"offsets": _stored(lambda a: np.r_[1, a[1:]])}),
+            (None, {"offsets": _stored(lambda a: np.r_[0, a[-1], a[2:]])}),
+            (None, {"offsets": _stored(lambda a: np.r_[a[:-1], a[-1] - 1])}),
+            (None, {"tfs": _stored(lambda a: a[:-1])}),
+            (None, {"ordinals": _stored(lambda a: np.r_[a[:-1], 5])}),
+            (None, {"ordinals": _signed(lambda a: np.r_[-1, a[1:]])}),
+            (None, {"ordinals": lambda a: a.astype(np.int8)}),
+            (None, {"tfs": _stored(lambda a: np.r_[0, a[1:]])}),
+            (None, {"tfs": _signed(lambda a: np.r_[a[:-1], -1])}),
+            (None, {"doc_lengths": _stored(lambda a: np.r_[a[:-1], 0])}),
             (None, {"doc_lengths": lambda a: 0 * a}),
             (None, {"ordinals": lambda a: a.astype(np.float64)}),
             (None, {"ordinals": lambda a: a.reshape(-1, 1)}),
@@ -476,24 +490,30 @@ class TestSerialization:
             (None, {"texts": lambda a: a.reshape(1, -1)}),
             (None, {"texts": lambda a: np.r_[a[:-1], 0xFF].astype(np.uint8)}),
             (None, {"text_offsets": lambda a: a.astype(np.int32)}),
-            (None, {"text_offsets": lambda a: a[:-1]}),
-            (None, {"text_offsets": lambda a: np.r_[1, a[1:]]}),
-            (None, {"text_offsets": lambda a: np.r_[0, a[2], a[1], a[3:]]}),
-            (None, {"text_offsets": lambda a: np.r_[a[:-1], a[-1] + 1]}),
-            (None, {"text_offsets": lambda a: np.r_[a[:-1], a[-1] - 1]}),
-            (None, {"tfs": _int32(lambda a: np.r_[a[0] + 1, a[1:]])}),
-            (None, {"tfs": _int32(lambda a: np.r_[2**31 - 1, a[1:]])}),
-            (None, {"tfs": lambda a: 1000 * a, "doc_lengths": lambda a: 1000 * a}),
+            (None, {"text_offsets": lambda a: a.astype(np.float64)}),
+            (None, {"ordinals": lambda a: a.astype(np.uint16)}),
+            (None, {"tfs": lambda a: a.astype(np.uint64)}),
+            (None, {"text_offsets": lambda a: a.astype(np.uint16)}),
+            (None, {"text_offsets": _stored(lambda a: a[:-1])}),
+            (None, {"text_offsets": _stored(lambda a: np.r_[1, a[1:]])}),
+            (None, {"text_offsets": _stored(lambda a: np.r_[0, a[2], a[1], a[3:]])}),
+            (None, {"text_offsets": _stored(lambda a: np.r_[a[:-1], a[-1] + 1])}),
+            (None, {"text_offsets": _stored(lambda a: np.r_[a[:-1], a[-1] - 1])}),
+            (None, {"tfs": _stored(lambda a: np.r_[a[0] + 1, a[1:]])}),
+            (None, {"tfs": _stored(lambda a: np.r_[2**31 - 1, a[1:]])}),
+            (None, {name: _stored(lambda a: 1000 * a) for name in ("tfs", "doc_lengths")}),
         ],
         ids=[
             "no-documents", "one-document-short", "one-term-short", "one-term-extra",
             "one-term-repeated", "one-doc-id-repeated",
             "k1-negative", "b-above-one", "lengths-short", "offsets-from-1", "offsets-decrease",
             "offsets-short-of-postings", "tfs-short", "ordinal-past-end", "ordinal-negative",
-            "tf-zero", "tf-negative", "length-zero", "lengths-all-zero", "ordinals-float64",
-            "ordinals-2d", "offsets-int64", "lengths-2d", "one-title-short", "texts-int8",
-            "texts-2d", "texts-not-utf8", "text-offsets-int32", "text-offsets-short",
-            "text-offsets-from-1", "text-offsets-decrease", "text-offsets-past-text",
+            "ordinals-signed", "tf-zero", "tf-negative", "length-zero", "lengths-all-zero",
+            "ordinals-float64", "ordinals-2d", "offsets-int64", "lengths-2d", "one-title-short",
+            "texts-int8", "texts-2d", "texts-not-utf8", "text-offsets-int32",
+            "text-offsets-float64", "ordinals-one-width-wider", "tfs-uint64",
+            "text-offsets-one-width-wider", "text-offsets-short", "text-offsets-from-1",
+            "text-offsets-decrease", "text-offsets-past-text",
             "text-offsets-short-of-text", "tfs-above-length", "tf-2**31-1", "lengths-past-texts",
         ],
     )
@@ -506,6 +526,35 @@ class TestSerialization:
         with pytest.raises(UnknownFormatVersion) as err:
             load_index(path)
         assert str(err.value) == f"{path}: {UnknownFormatVersion(None, INDEX_FORMAT_VERSION)}"
+
+    @pytest.mark.parametrize(
+        "name, cause",
+        [
+            ("offsets", "offsets must be non-decreasing"),
+            ("text_offsets", "text_offsets must run non-decreasing from 0 to the text length"),
+        ],
+        ids=["offsets", "text_offsets"],
+    )
+    def test_decreasing_unsigned_offsets_are_refused_as_decreasing(self, tmp_path, name, cause):
+        """``np.diff`` of unsigned offsets wraps a decrease round to a large step, so the check
+        compares neighbours; a decrease is refused by it, not by a later check it upsets."""
+        data = serialize_index(build_index(FIVE_DOCS))
+        with np.load(io.BytesIO(data)) as members:
+            offsets = members[name]
+        swapped = decreasing(offsets)
+        assert offsets.dtype.kind == "u" and swapped[2] < swapped[1]
+        path = index_file(tmp_path, with_meta(data, lambda m: None, **{name: swapped}))
+        with pytest.raises(UnknownFormatVersion) as err:
+            load_index(path)
+        assert str(err.value) == f"{path}: {UnknownFormatVersion(None, INDEX_FORMAT_VERSION)}"
+        assert str(err.value.__cause__) == cause
+
+    def test_index_of_the_test_corpus_is_pinned(self):
+        """The bytes of the index of tests/data, so that a format change is made on purpose."""
+        data = serialize_index(build_index(load_corpus_jsonl(DATA_DIR / "corpus.jsonl")))
+        assert hashlib.sha256(data).hexdigest() == (
+            "c0f0019f6e89b554d1a6647ea437342e09051e2cb2dbda1b5002c2fffeb8c1ae"
+        )
 
     def test_file_round_trip(self, tmp_path):
         docs = load_corpus_jsonl(DATA_DIR / "corpus.jsonl") + UNICODE_DOCS
@@ -562,6 +611,71 @@ class TestSerialization:
         assert serialize_index(clone) == data
         for query in ("fever", "cough été 42", "x y zebra 𝔲𝔫𝔦"):
             assert retrieve(clone, query, 3) == retrieve(index, query, 3)
+
+
+# Up to 8 documents of (term, tf) pairs, or the same ones 40 times: tfs, lengths and offsets
+# above 255 and ordinals above 255 are drawn, so each member takes uint8 in some and uint16 in
+# others.
+NARROW_CORPORA = st.lists(
+    st.lists(st.tuples(st.integers(0, 39), st.integers(1, 300)), min_size=1, max_size=4),
+    min_size=1,
+    max_size=8,
+).flatmap(lambda docs: st.sampled_from([docs, docs * 40]))
+
+
+class TestNarrowArrays:
+    @settings(max_examples=40, deadline=None)
+    @given(docs=NARROW_CORPORA, k1=st.floats(0.0, 3.0), b=st.floats(0.0, 1.0))
+    @example(docs=[[(0, 300), (1, 1)], [(1, 2)]] * 150, k1=0.9, b=0.4)
+    def test_same_bits_as_int32_arrays(self, tmp_path_factory, docs, k1, b):
+        """Each member at its narrowest unsigned width gives the impacts, BM25 scores and
+        feature rows that the same values as int32, format 3's layout, give, bit for bit;
+        and a save and a load give the same bytes and dtypes back."""
+        corpus = [
+            Document(f"d{i}", "", " ".join(f"w{t}" for t, tf in pairs for _ in range(tf)))
+            for i, pairs in enumerate(docs)
+        ]
+        narrow = build_index(corpus, k1=k1, b=b)
+        names = ("offsets", "ordinals", "tfs", "doc_lengths")
+        wide_arrays = [getattr(narrow, name).astype(np.int32) for name in names]
+        with mock.patch("radkit.corpus._check_fit"):  # it refuses int32 members
+            wide = PostingsIndex(
+                narrow.doc_ids, narrow.titles, narrow.texts, narrow.terms, *wide_arrays, k1, b
+            )
+        assert narrow.impacts.tobytes() == wide.impacts.tobytes()
+        for query in (["w0"], ["w1", "w3", "w0"], [f"w{t}" for t in range(40)]):
+            assert bm25_scores(narrow, query).tobytes() == bm25_scores(wide, query).tobytes()
+        ordinals = np.arange(narrow.doc_count)[::-1]
+        rows = [doc_rows(index, ordinals, 16, 7).tobytes() for index in (narrow, wide)]
+        assert rows[0] == rows[1]
+        data = serialize_index(narrow)
+        clone = load_index(index_file(tmp_path_factory.mktemp("narrow"), data))
+        for name in (*names, "impacts"):
+            want, got = getattr(narrow, name), getattr(clone, name)
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
+        assert serialize_index(clone) == data
+
+
+class TestBlocks:
+    """A load works through the postings block by block; the block size shows in no result."""
+
+    def test_several_blocks_give_the_impacts_of_one(self, monkeypatch):
+        docs = load_corpus_jsonl(DATA_DIR / "corpus.jsonl")
+        whole = build_index(docs)
+        monkeypatch.setattr("radkit.corpus._BLOCK", 3)
+        blocked = build_index(docs)  # the tf sums are checked in blocks of len(docs) postings
+        assert len(blocked.ordinals) > 3 * len(docs)
+        assert blocked.impacts.tobytes() == whole.impacts.tobytes()
+
+    def test_a_length_that_the_last_block_contradicts_is_refused(self, monkeypatch):
+        index = build_index(load_corpus_jsonl(DATA_DIR / "corpus.jsonl"))
+        monkeypatch.setattr("radkit.corpus._BLOCK", 3)
+        lengths = index.doc_lengths.copy()
+        lengths[index.ordinals[-1]] -= 1  # every length is at least 2, and the widest stays
+        assert lengths.min() >= 1 and lengths.max() == index.doc_lengths.max()
+        arrays = index.offsets, index.ordinals, index.tfs, lengths
+        with pytest.raises(ValueError, match="term frequencies must sum to its length"):
+            PostingsIndex(index.doc_ids, index.titles, index.texts, index.terms, *arrays, 0.9, 0.4)
 
 
 class TestCorpusIngestion:

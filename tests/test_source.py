@@ -1,11 +1,16 @@
-"""Source checks that need no linter: every name a radkit module imports is read, and a
-name imported only for the bench tracer (``# noqa: F401``) is one the tracer wraps."""
+"""Source checks that need no linter: every name a radkit module imports is read, a
+name imported only for the bench tracer (``# noqa: F401``) is one the tracer wraps, and
+README's file-format table names the format versions the code writes."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
+from radkit.corpus import INDEX_FORMAT_VERSION
+from radkit.reranker import MODEL_FORMAT_VERSION
+
+README = Path(__file__).parent.parent / "README.md"
 SRC_DIR = Path(__file__).parent.parent / "src" / "radkit"
 SPANS_FILE = Path(__file__).parent.parent / "perfbench" / "spans.py"
 
@@ -84,3 +89,14 @@ def test_traced_attributes_are_both_tables_keys():
         "COUNTS = {('m', 'f'): 'z'}\n"
     )
     assert traced_attributes(spans) == {("cli", "load_index"), ("m", "f")}
+
+
+@pytest.mark.parametrize(
+    "row, version",
+    [("index", INDEX_FORMAT_VERSION), ("model checkpoint", MODEL_FORMAT_VERSION)],
+)
+def test_readme_names_the_format_version(row, version):
+    """A format change that leaves README's file-format table behind fails here."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    [line] = [line for line in lines if line.startswith(f"| {row} |")]
+    assert line.startswith(f"| {row} | format {version}: "), line[:60]
