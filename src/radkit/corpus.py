@@ -11,11 +11,18 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DuplicateDocId, EmptyDocument, InvalidOrdinal, UnknownFormatVersion
+from .errors import (
+    DuplicateDocId,
+    EmptyDocument,
+    InvalidOrdinal,
+    UnencodableDocument,
+    UnknownFormatVersion,
+)
 from .records import arrays_bytes, atomic_write, field, read_arrays, read_jsonl
 
 INDEX_FORMAT_VERSION = 4
@@ -222,15 +229,34 @@ def _checked(doc: Document, seen: set[str]) -> Document:
     return doc
 
 
+def _check_utf8(doc_ids, titles, texts) -> None:
+    """Raise UnencodableDocument for the first document whose id, title or text UTF-8 cannot
+    encode (a lone surrogate). Only a string that is not ASCII can hold a surrogate, and
+    ``str.isascii`` reads a flag, so an ASCII corpus costs one call per string."""
+    if all(map(str.isascii, chain(doc_ids, titles, texts))):
+        return
+    for fields in zip(doc_ids, titles, texts):
+        for name, value in zip(("id", "title", "text"), fields):
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise UnencodableDocument(fields[0], name, exc) from None
+
+
 def build_index(
     docs: list[Document], k1: float = DEFAULT_K1, b: float = DEFAULT_B
 ) -> PostingsIndex:
     """Build a BM25 index; deterministic for identical input.
 
-    Raises DuplicateDocId / EmptyDocument on bad input. Term ids follow the
-    first document a term appears in, then alphabetical order within that
-    document, so rebuilding from the same corpus serializes byte-identically.
+    Raises UnencodableDocument for an id, title or text that UTF-8 cannot
+    encode, which no index file holds, and DuplicateDocId / EmptyDocument on
+    other bad input. Term ids follow the first document a term appears in,
+    then alphabetical order within that document, so rebuilding from the same
+    corpus serializes byte-identically.
     """
+    doc_ids, titles = tuple(d.doc_id for d in docs), tuple(d.title for d in docs)
+    texts = [d.text for d in docs]
+    _check_utf8(doc_ids, titles, texts)
     seen: set[str] = set()
     vocabulary: dict[str, int] = {}
     term_ids, lengths = array("i"), array("i")  # one term id per token; tokens per document
@@ -248,8 +274,6 @@ def build_index(
     keys, tfs = np.unique(keys, return_counts=True)
     offsets = np.searchsorted(keys, np.arange(len(vocabulary) + 1, dtype=np.int64) * n)
     offsets, ordinals, tfs, doc_lengths = map(_narrow, (offsets, keys % n, tfs, doc_lengths))
-    doc_ids, titles = tuple(d.doc_id for d in docs), tuple(d.title for d in docs)
-    texts = [d.text for d in docs]
     return PostingsIndex(
         doc_ids, titles, texts, tuple(vocabulary), offsets, ordinals, tfs, doc_lengths, k1, b
     )

@@ -18,6 +18,11 @@ class EmptyDocument(RadkitError):
         super().__init__(f"document {doc_id!r} has no tokens")
 
 
+class UnencodableDocument(RadkitError):
+    def __init__(self, doc_id: str, name: str, exc: UnicodeEncodeError):
+        super().__init__(f"document {doc_id!r}: {name} cannot be written as UTF-8: {exc.reason}")
+
+
 class InvalidOrdinal(RadkitError):
     def __init__(self, ordinal: int, doc_count: int):
         super().__init__(f"ordinal {ordinal} out of range for {doc_count} documents")

@@ -80,26 +80,45 @@ def _slot_sign(terms: Sequence[str], embedding_dim: int, hash_seed: int):
     return slots.astype(np.int64), np.where(table[:, 8] & 1, 1.0, -1.0)
 
 
-def _unit_rows(rows, term_ids, tfs, terms, n_rows: int, dim: int, seed: int):
-    """(n_rows, dim) feature rows of (row, term id, tf) triples, each row L2-normalized.
+def _runs(rows, tfs, terms, per_term, n_rows: int, dim: int, seed: int):
+    """The (slot, weight) entries of (row, tf) pairs grouped by term, each row's as one run.
 
-    ``terms[t]`` is the text of term id ``t``. Each distinct term is hashed once;
-    each triple adds sign * ln(1 + tf) at its term's slot in its row, and each
-    slot adds its weights in ascending order, whatever order the triples come in.
+    The pairs come term by term: the first ``per_term[0]`` are of term text
+    ``terms[0]``, and so on. Each term is hashed once, and each pair gives
+    sign * ln(1 + tf) at its term's slot. Returns ``(bounds, slots, weights)``:
+    row ``r``'s run is ``[bounds[r]:bounds[r + 1]]`` of ``slots`` and ``weights``,
+    in ascending weight order, ties in pair order.
     """
     if dim < 1:
         raise ValueError(f"embedding dim must be >= 1, got {dim}")
-    distinct_terms, term_of = np.unique(term_ids, return_inverse=True)
-    slots, signs = _slot_sign([terms[t] for t in distinct_terms.tolist()], dim, seed)
+    slots, signs = _slot_sign(terms, dim, seed)
     log1p = np.array([math.log1p(tf) for tf in range(int(tfs.max(initial=0)) + 1)])
-    slots, weights = slots[term_of], signs[term_of] * log1p[tfs]
-    del term_ids, tfs, term_of
-    order = np.argsort(weights, kind="stable")
-    keys = rows[order] * dim
-    keys += slots[order]
-    vecs = np.bincount(keys, weights[order], minlength=n_rows * dim)  # int if empty
-    del rows, slots, weights, order, keys  # the triples go before the dense rows are normalized
-    vecs = vecs.astype(np.float64, copy=False).reshape(n_rows, dim)
+    weights = np.repeat(signs, per_term)
+    weights *= log1p[tfs]
+    order = np.lexsort((weights, rows))
+    bounds = np.zeros(n_rows + 1, np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=bounds[1:])
+    # A slot in 1 or 2 bytes where E allows: rerank_batch holds the runs for its whole call.
+    slots = np.repeat(slots.astype(np.min_scalar_type(dim - 1)), per_term)
+    return bounds, slots[order], weights[order]
+
+
+def _unit_rows(runs, picks, dim: int) -> np.ndarray:
+    """(len(picks), dim) C-contiguous rows, row i from run ``picks[i]``, each L2-normalized.
+
+    Each slot adds its run's weights in run order, so a row's bits do not depend
+    on the other rows built with it. An all-zero row stays zero.
+    """
+    bounds, slots, weights = runs
+    picks = np.asarray(picks, np.int64)
+    starts, lengths = bounds[picks], bounds[picks + 1] - bounds[picks]
+    firsts = np.cumsum(lengths) - lengths  # where each run lands in the picked entries
+    at = np.arange(int(lengths.sum())) + np.repeat(starts - firsts, lengths)
+    keys = np.repeat(np.arange(len(picks)) * dim, lengths)
+    keys += slots[at]
+    vecs = np.bincount(keys, weights[at], minlength=len(picks) * dim)  # int if empty
+    del at, keys  # the entries go before the dense rows are normalized
+    vecs = vecs.astype(np.float64, copy=False).reshape(len(picks), dim)
     norms = np.linalg.norm(vecs, axis=-1, keepdims=True)
     return np.divide(vecs, norms, out=vecs, where=norms > 0.0)
 
@@ -113,8 +132,31 @@ def featurize(text: str, embedding_dim: int, hash_seed: int) -> np.ndarray:
     """
     counts = Counter(tokenize(text))
     n, tfs = len(counts), np.fromiter(counts.values(), np.int64, len(counts))
-    zeros, ids = np.zeros(n, np.int64), np.arange(n)
-    return _unit_rows(zeros, ids, tfs, list(counts), 1, embedding_dim, hash_seed)[0]
+    zeros, ones = np.zeros(n, np.int64), np.ones(n, np.int64)
+    runs = _runs(zeros, tfs, list(counts), ones, 1, embedding_dim, hash_seed)
+    return _unit_rows(runs, [0], embedding_dim)[0]
+
+
+def _doc_runs(
+    index: PostingsIndex, ordinals: Sequence[int], embedding_dim: int, hash_seed: int
+):
+    """``_runs`` of the index's documents at distinct ``ordinals``, run i that of ``ordinals[i]``.
+
+    One pass over their postings. A repeated or negative ordinal raises ValueError.
+    """
+    if np.min(ordinals, initial=0) < 0:
+        raise ValueError("ordinals must be >= 0")
+    row_of = np.full(index.doc_count, -1, dtype=np.int64)
+    row_of[ordinals] = np.arange(len(ordinals))
+    if np.count_nonzero(row_of >= 0) != len(ordinals):
+        raise ValueError("ordinals must be distinct")
+    hit = np.flatnonzero((row_of >= 0)[index.ordinals])  # a bool per posting, not an int64
+    per_term = np.diff(np.searchsorted(hit, index.offsets))  # postings picked of each term
+    terms = np.flatnonzero(per_term)
+    return _runs(
+        row_of[index.ordinals[hit]], index.tfs[hit], [index.terms[t] for t in terms.tolist()],
+        per_term[terms], len(ordinals), embedding_dim, hash_seed,
+    )
 
 
 def doc_rows(
@@ -125,17 +167,8 @@ def doc_rows(
     Built from the postings, equal to ``featurize(doc.text)`` bit for bit. A
     repeated or negative ordinal raises ValueError.
     """
-    if np.min(ordinals, initial=0) < 0:
-        raise ValueError("ordinals must be >= 0")
-    row_of = np.full(index.doc_count, -1, dtype=np.int64)
-    row_of[ordinals] = np.arange(len(ordinals))
-    if np.count_nonzero(row_of >= 0) != len(ordinals):
-        raise ValueError("ordinals must be distinct")
-    hit = np.flatnonzero((row_of >= 0)[index.ordinals])  # a bool per posting, not an int64
-    return _unit_rows(
-        row_of[index.ordinals[hit]], np.searchsorted(index.offsets, hit, side="right") - 1,
-        index.tfs[hit], index.terms, len(ordinals), embedding_dim, hash_seed,
-    )
+    runs = _doc_runs(index, ordinals, embedding_dim, hash_seed)
+    return _unit_rows(runs, np.arange(len(ordinals)), embedding_dim)
 
 
 class RerankerModel:
@@ -342,11 +375,13 @@ def rerank_batch(
     """Two-stage retrieval of each question: BM25 top-kappa_star, then rerank and keep top-k.
 
     Every question is retrieved first; the first with no candidate raises
-    EmptyCandidates. A RerankerModel builds the rows of all candidates once,
-    then folds each question with its own mat-vec, so a question's scores do
-    not depend on the others. ``model`` may instead be one {doc_id: score}
-    table per question, where a missing doc_id scores 0.0; another number of
-    tables raises ValueError. Ties break by ascending doc_id.
+    EmptyCandidates. A RerankerModel reads the postings of all candidates once,
+    then builds each question's candidate rows just before it folds that
+    question with its own mat-vec, so a question's scores do not depend on the
+    others and one question's rows at a time are held. ``model`` may instead
+    be one {doc_id: score} table per question, where a missing doc_id scores
+    0.0; another number of tables raises ValueError. Ties break by ascending
+    doc_id.
     """
     if not 1 <= k <= kappa_star:
         raise ValueError(f"need kappa_star >= k >= 1, got kappa_star={kappa_star} k={k}")
@@ -359,11 +394,11 @@ def rerank_batch(
     if isinstance(model, RerankerModel):
         dim, seed = model.embedding_dim, model.hash_seed
         union = np.unique(np.concatenate([np.empty(0, np.int64), *tops]))
-        rows = doc_rows(index, union, dim, seed)
-        scores = [
-            _fold(model, featurize(q, dim, seed), rows[np.searchsorted(union, top)])[1]
-            for q, top in zip(questions, tops)
-        ]
+        runs = _doc_runs(index, union, dim, seed)
+        scores = []
+        for q, top in zip(questions, tops):
+            rows = _unit_rows(runs, np.searchsorted(union, top), dim)
+            scores.append(_fold(model, featurize(q, dim, seed), rows)[1])
     else:
         scores = [
             np.array([table.get(index.doc_ids[o], 0.0) for o in top.tolist()], float)

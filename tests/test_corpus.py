@@ -31,6 +31,7 @@ from radkit.errors import (
     EmptyDocument,
     InvalidOrdinal,
     RadkitError,
+    UnencodableDocument,
     UnknownFormatVersion,
 )
 
@@ -139,6 +140,22 @@ class TestBuildIndex:
         with pytest.raises(EmptyDocument):
             build_index([Document("a", "", "..!! --")])
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (Document("a", "", "fever \ud800"), "document 'a': text"),
+            (Document("a", "t\udfff", "fever"), "document 'a': title"),
+            (Document("İ\ud800", "", "fever"), "document 'İ\\ud800': id"),
+        ],
+        ids=["text", "title", "id"],
+    )
+    def test_string_utf8_cannot_encode_is_refused_naming_the_document(self, doc, message):
+        """A lone surrogate, which no index file can hold, is refused by the build, not the save."""
+        docs = [Document("ok", "", "été fever"), doc]
+        with pytest.raises(UnencodableDocument) as err:
+            build_index(docs)
+        assert str(err.value) == f"{message} cannot be written as UTF-8: surrogates not allowed"
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             build_index([])
@@ -169,7 +186,9 @@ class TestBuildIndex:
         assert serialize_index(build_index(corpus, k1=k1, b=b)) == want
 
     @settings(max_examples=300, deadline=None)
-    @given(text=st.text(st.sampled_from("İİi\u0307Σ.") | st.characters(), min_size=1))
+    @given(text=st.text(
+        st.sampled_from("İİi\u0307Σ.") | st.characters(codec="utf-8"), min_size=1
+    ))
     @example(text="İİİ")  # the bound is tight: "i\u0307" three times, three tokens "i"
     def test_document_length_is_at_most_its_text_in_code_points(self, tmp_path_factory, text):
         """``İ`` lowercases to two code points, ``i`` and a mark; a length load accepts."""

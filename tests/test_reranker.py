@@ -4,7 +4,9 @@ import gc
 import json
 import math
 import struct
+import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +14,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from radkit.corpus import Document, build_index, load_corpus_jsonl, retrieve, tokenize, bm25_score
+from radkit import reranker
+from radkit.corpus import (
+    Document,
+    bm25_score,
+    bm25_scores,
+    build_index,
+    load_corpus_jsonl,
+    retrieve,
+    tokenize,
+    top_ordinals,
+)
 from radkit.distill import RationaleRecord, ingest_rationales, retrieve_knowledge
 from radkit.errors import (
     DegenerateCandidateSet,
@@ -679,6 +691,60 @@ class TestRerankBatch:
     def test_no_questions_give_no_rows(self, med_index):
         assert rerank_batch(med_index, RerankerModel.identity(), [], 10, 3) == []
         assert rerank_batch(med_index, [], [], 10, 3) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        texts=st.lists(st.lists(WORDS, min_size=1, max_size=12), min_size=1, max_size=12),
+        dim=st.sampled_from([1, 2, 8, 256]),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_each_question_is_scored_on_the_doc_rows_of_its_top(self, data, texts, dim, seed):
+        """The rows a question folds with, built per question, are ``doc_rows`` of its BM25 top."""
+        docs = [Document(f"d{i}", "", " ".join(words)) for i, words in enumerate(texts)]
+        index = build_index(docs)
+        vocabulary = sorted({word for words in texts for word in words})
+        question = st.lists(st.sampled_from(vocabulary), min_size=1, max_size=4).map(" ".join)
+        questions = data.draw(st.lists(question, min_size=1, max_size=8))
+        kappa_star = data.draw(st.integers(1, len(texts)))
+        folded, fold = [], reranker._fold
+
+        def recording(model, qv, dv):
+            folded.append(dv)
+            return fold(model, qv, dv)
+
+        with mock.patch.object(reranker, "_fold", recording):
+            rerank_batch(index, RerankerModel.identity(dim, seed), questions, kappa_star, 1)
+        assert len(folded) == len(questions)
+        for question, rows in zip(questions, folded):
+            top = top_ordinals(index, bm25_scores(index, tokenize(question)), kappa_star)
+            assert rows.flags.c_contiguous and rows.shape == (len(top), dim)
+            assert rows.tobytes() == doc_rows(index, top, dim, seed).tobytes()
+
+    def test_peak_memory_does_not_hold_rows_of_every_question(self):
+        """Going from N to 4N questions with disjoint candidates adds less than their rows.
+
+        Rows built for the union of all candidates at once would add 3N x kappa* x E float64.
+        """
+        n, kappa_star, dim = 6, 10, 256
+        index = build_index([
+            Document(f"q{q}-{i}", "", f"q{q} only{q}x{i}")
+            for q in range(4 * n) for i in range(kappa_star)
+        ])
+        model = RerankerModel.identity(dim, 0)
+
+        def peak(questions):
+            ranked = rerank_batch(index, model, questions, kappa_star, kappa_star)  # caches warm
+            assert [{sd.doc_id.split("-")[0] for sd in r} for r in ranked] == [{q} for q in questions]
+            tracemalloc.start()
+            try:
+                rerank_batch(index, model, questions, kappa_star, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = peak([f"q{q}" for q in range(n)]), peak([f"q{q}" for q in range(4 * n)])
+        assert many - few < 3 * n * kappa_star * dim * 8
 
     @pytest.mark.parametrize("tables", [0, 1, 4])
     def test_one_table_per_question(self, med_index, tables):
