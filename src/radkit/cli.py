@@ -148,46 +148,41 @@ def cmd_index(args) -> int:
     return _finish(args, serialize_index(index), summary)
 
 
-def _load_filtered_records(args):
+def _kept_rationales(args) -> tuple[list, int]:
+    """The (record, j) of each rationale the ``--filter`` keep rule keeps, and the count dropped.
+
+    ``record`` holds only its kept rationales, so ``j`` counts kept rationales.
+    """
     records = ingest_rationales(args.rationales)
-    mode, verdicts = args.filter, _option_file(args.filter, "verdict-file:")
-    if mode == "none":
-        return records, {}
-    if mode == "answer-match":
-        keep = answer_matches
-    elif verdicts is not None:
-        keep = load_verdicts(verdicts)
-    else:
-        raise ValueError(f"unknown --filter mode {mode!r}")
-    return filter_rationales(records, keep)
+    rules = {"answer-match": answer_matches, "none": lambda record, j: True}
+    verdicts = _option_file(args.filter, "verdict-file:")
+    keep = load_verdicts(verdicts) if verdicts is not None else rules.get(args.filter)
+    if keep is None:
+        raise ValueError(f"unknown --filter mode {args.filter!r}")
+    records, drops = filter_rationales(records, keep)
+    kept = [(record, j) for record in records for j in range(len(record.rationales))]
+    return kept, sum(drops.values())
 
 
 def cmd_emit_train(args) -> int:
     if args.max_knowledge_chars is not None and args.max_knowledge_chars < 1:
         raise ValueError(f"--max-knowledge-chars must be >= 1, got {args.max_knowledge_chars}")
     index = load_index(args.index)
-    records, drops = _load_filtered_records(args)
+    kept, dropped = _kept_rationales(args)
     template = TrainingTemplate.named(args.template, with_knowledge=not args.no_knowledge)
     examples = []
-    for record in records:
-        for j in range(len(record.rationales)):
-            scored = retrieve_knowledge(index, record, j, args.k) if template.with_knowledge else []
-            docs = [index.document(sd.doc_id) for sd in scored]
-            examples.append(
-                emit_training_example(record, j, docs, template, args.max_knowledge_chars)
-            )
-    dropped = sum(drops.values())
+    for record, j in kept:
+        scored = retrieve_knowledge(index, record, j, args.k) if template.with_knowledge else []
+        docs = [index.document(sd.doc_id) for sd in scored]
+        examples.append(emit_training_example(record, j, docs, template, args.max_knowledge_chars))
     summary = f"emitted {len(examples)} training examples ({dropped} rationales filtered out)"
     return _finish(args, training_jsonl_text(examples), summary)
 
 
 def cmd_candidates(args) -> int:
     index = load_index(args.index)
-    records, _ = _load_filtered_records(args)
-    sets = []
-    for record in records:
-        for j in range(len(record.rationales)):
-            sets.append(build_candidate_set(index, record, j, args.kappa1, args.kappa2))
+    kept, _ = _kept_rationales(args)
+    sets = [build_candidate_set(index, record, j, args.kappa1, args.kappa2) for record, j in kept]
     return _finish(args, candidates_jsonl_text(sets), f"built {len(sets)} candidate sets")
 
 
@@ -225,11 +220,15 @@ def cmd_rerank_infer(args) -> int:
     return _finish(args, jsonl_text(rows), f"reranked {len(rows)} questions")
 
 
-def _retrieved_list(obj: dict, silver: dict) -> tuple[str, tuple[str, ...]]:
-    """A retrieved line's id and doc ids; an id with no silver set raises MissingSilver."""
+def _retrieved_list(obj: dict, silver: dict, seen: set) -> tuple[str, tuple[str, ...]]:
+    """A retrieved line's id and doc ids; an id with no silver set raises MissingSilver, and an
+    id in ``seen``, the ids of the lines before, raises ValueError."""
     example_id, doc_ids = field(obj, "id"), field(obj, "doc_ids", many=True)
     if example_id not in silver:
         raise MissingSilver(example_id)
+    if example_id in seen:
+        raise ValueError(f"repeated id {example_id!r}: an example has one retrieved list")
+    seen.add(example_id)
     return example_id, doc_ids
 
 
@@ -251,7 +250,8 @@ def cmd_eval(args) -> int:
             for r in records
             if len(r.rationales) > args.j_gold
         }
-        retrieved = dict(read_jsonl(args.retrieved, lambda obj: _retrieved_list(obj, silver)))
+        seen: set[str] = set()
+        retrieved = dict(read_jsonl(args.retrieved, lambda obj: _retrieved_list(obj, silver, seen)))
         mode = "all" if args.all_silver else "any"
         report.update(hits_report(retrieved, silver, ks, mode))
     elif args.index or args.rationales:
@@ -292,19 +292,16 @@ def cmd_simulate(args) -> int:
         param, values = _parse_sweep(args.sweep)
         if param not in base:
             raise ValueError(f"--sweep {args.sweep!r}: unknown parameter {param!r}")
-        lines = [
-            "param,value,m,err_phi,se_phi,err_opt,se_opt,err_naive,se_naive,gap,"
-            "mean_bits_phi,bits_naive,bits_budget"
+        columns = [
+            ("m", ""), ("err_phi", ".6f"), ("se_phi", ".6f"), ("err_opt", ".6f"),
+            ("se_opt", ".6f"), ("err_naive", ".6f"), ("se_naive", ".6f"), ("gap", ".6f"),
+            ("mean_bits_phi", ".2f"), ("bits_naive", ".2f"), ("bits_budget", ""),
         ]
+        lines = [",".join(["param", "value", *(name for name, _ in columns)])]
         for value in values:
-            cfg = SimConfig(**{**base, param: value})
-            rep = run_simulation(cfg)
-            lines.append(
-                f"{param},{value},{rep.m},{rep.err_phi:.6f},{rep.se_phi:.6f},"
-                f"{rep.err_opt:.6f},{rep.se_opt:.6f},{rep.err_naive:.6f},{rep.se_naive:.6f},"
-                f"{rep.gap:.6f},{rep.mean_bits_phi:.2f},{rep.bits_naive:.2f},"
-                f"{rep.bits_budget}"
-            )
+            rep = run_simulation(SimConfig(**{**base, param: value}))
+            cells = (format(getattr(rep, name), spec) for name, spec in columns)
+            lines.append(",".join([param, str(value), *cells]))
         text = "\n".join(lines) + "\n"
     else:
         report = run_simulation(SimConfig(**base))

@@ -46,7 +46,8 @@ class CandidateSet:
 
     ``teacher_scores`` are retriever scores against the rationale, aligned
     with ``doc_ids``; documents reached only through the question query
-    keep their directly computed rationale score, which may be 0.
+    keep their directly computed rationale score, which may be 0. A set of
+    fewer than two documents raises DegenerateCandidateSet.
     """
 
     example_id: str
@@ -60,6 +61,8 @@ class CandidateSet:
             raise ValueError("doc_ids and teacher_scores must be aligned")
         if len(set(self.doc_ids)) != len(self.doc_ids):
             raise ValueError("candidate doc_ids must be unique")
+        if len(self.doc_ids) < 2:
+            raise DegenerateCandidateSet(self.example_id, self.rationale_index, len(self.doc_ids))
         if not all(math.isfinite(s) for s in self.teacher_scores):
             raise ValueError("teacher scores must be finite")
 
@@ -260,21 +263,18 @@ def _batch(
     """
     questions: dict[str, int] = {}
     docs: dict[str, int] = {}
-    for cs in candidate_sets:
-        questions.setdefault(cs.question, len(questions))
-        for doc_id in cs.doc_ids:
-            docs.setdefault(doc_id, len(docs))
     width = max(len(cs.doc_ids) for cs in candidate_sets)
-    cols = np.full((len(candidate_sets), width), len(docs))
+    cols = np.full((len(candidate_sets), width), -1)  # a pad picks d_rows' last row, all zeros
     teacher = np.full(cols.shape, -np.inf)
+    picks = []
     for s, cs in enumerate(candidate_sets):
-        cols[s, : len(cs.doc_ids)] = [docs[doc_id] for doc_id in cs.doc_ids]
+        picks.append(questions.setdefault(cs.question, len(questions)))
+        cols[s, : len(cs.doc_ids)] = [docs.setdefault(doc_id, len(docs)) for doc_id in cs.doc_ids]
         teacher[s, : len(cs.doc_ids)] = cs.teacher_scores
     dim, seed = model.embedding_dim, model.hash_seed
     q_rows = np.stack([featurize(q, dim, seed) for q in questions])
     d_rows = np.vstack([doc_rows(index, list(map(index.ordinal, docs)), dim, seed), np.zeros(dim)])
-    qv = q_rows[[questions[cs.question] for cs in candidate_sets]]
-    return qv, d_rows[cols], cols < len(docs), softmax_normalize(teacher, tau1)
+    return q_rows[picks], d_rows[cols], cols >= 0, softmax_normalize(teacher, tau1)
 
 
 def _batch_loss_gradient(model: RerankerModel, batch: tuple, tau2: float):
@@ -348,8 +348,8 @@ def build_candidate_set(
 
     Every member's teacher score is its entry in the rationale's BM25 score
     array; ordering is by descending teacher score, then doc_id. Raises
-    ValueError for a negative kappa, and DegenerateCandidateSet when fewer than
-    two distinct documents are found.
+    ValueError for a negative kappa, and ``CandidateSet`` raises DegenerateCandidateSet
+    when fewer than two distinct documents are found.
     """
     if kappa1 < 0 or kappa2 < 0:
         raise ValueError(f"kappa1 and kappa2 must be >= 0, got {kappa1} and {kappa2}")
@@ -358,8 +358,6 @@ def build_candidate_set(
     if kappa2 > 0:
         question = bm25_scores(index, tokenize(record.question))
         members = np.union1d(members, top_ordinals(index, question, kappa2))
-    if len(members) < 2:
-        raise DegenerateCandidateSet(record.example_id, j, len(members))
     members = members[np.lexsort((index.doc_id_rank[members], -teacher[members]))].tolist()
     doc_ids, scores = tuple(index.doc_ids[o] for o in members), tuple(teacher[members].tolist())
     return CandidateSet(record.example_id, j, record.question, doc_ids, scores)

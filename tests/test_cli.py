@@ -1405,6 +1405,23 @@ MALFORMED_CASES = [
         "retrieved", b'{"id": "nope", "doc_ids": ["med-001"]}', "no silver set for example 'nope'",
         id="retrieved-id-without-silver",
     ),
+    # A second list for an id is refused, not kept in place of the first.
+    pytest.param(
+        "retrieved", b'{"id": "ex-01", "doc_ids": ["med-004"]}', "repeated id 'ex-01'",
+        id="retrieved-repeated-id",
+    ),
+] + [
+    # A set read from a file obeys the two-document rule of a built one.
+    pytest.param(
+        "candidates",
+        json.dumps(
+            {**JSONL_INPUTS["candidates"][0], "example_id": "ex-03", "j": 1,
+             "doc_ids": ["med-003"][:size], "teacher_scores": [1.0][:size]}
+        ).encode(),
+        f"record 'ex-03' rationale 1: only {size} distinct candidate document(s), need at least 2",
+        id=f"candidates-{size}-documents",
+    )
+    for size in (0, 1)
 ] + [
     # The reader checks each line as it reads it: line 2 is named, not the broken line 3.
     pytest.param(name, second + b"\n{", expected, id=f"{name}-{label}-before-a-broken-line")
@@ -1528,6 +1545,10 @@ JSON_VALUES = st.recursive(
 )
 
 
+# Inputs whose ids must differ from line to line: line 2 takes another id before its replacements.
+SECOND_LINE_IDS = {"corpus": {"id": "d2"}, "retrieved": {"id": "ex-02"}}
+
+
 class TestArbitraryJsonlLine:
     @pytest.mark.parametrize("name", list(JSONL_INPUTS))
     @settings(
@@ -1545,7 +1566,8 @@ class TestArbitraryJsonlLine:
         row, _, command = JSONL_INPUTS[name]
         replaced = data.draw(st.dictionaries(st.sampled_from(sorted(row)), JSON_VALUES, min_size=1))
         bad = tmp_path / "bad.jsonl"
-        bad.write_text(json.dumps(row) + "\n" + json.dumps({**row, **replaced}) + "\n")
+        second = {**row, **SECOND_LINE_IDS.get(name, {}), **replaced}
+        bad.write_text(json.dumps(row) + "\n" + json.dumps(second) + "\n")
         where = {
             "bad": bad,
             "out": tmp_path / "out",

@@ -6,14 +6,21 @@ its SPANS and COUNTS tables, and its retrieve counter reads the index's
 would otherwise surface only in a traced benchmark run.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
+import json
 from pathlib import Path
+
+import pytest
 
 import radkit
 import radkit.cli
 from radkit.corpus import Document, build_index, tokenize
 from radkit.memsim import SimConfig
+
+from helpers import DATA_DIR
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -71,3 +78,34 @@ def test_simulator_layers_are_traced_once_per_trial():
     layers = tracer.layers()
     for name in ("sample_task", "learn_budgeted", "learn_opt", "build_prefix_index"):
         assert layers[f"memsim.{name}"]["calls"] == 3, name
+
+
+@pytest.mark.parametrize("mode, kept", [("answer-match", 5), ("none", 7)])
+def test_filtered_stages_call_the_traced_names(tmp_path, mode, kept):
+    """``emit-train`` and ``candidates`` filter, retrieve, emit and build through the ``cli``
+    attributes the tracer wraps, one filter call per stage under every ``--filter`` mode.
+
+    The fixture has 7 rationales; 5 declare the gold answer.
+    """
+    rationales = DATA_DIR / "rationales.jsonl"
+    lines = rationales.read_text().splitlines()
+    assert sum(len(json.loads(line)["rationales"]) for line in lines) == 7
+    index = tmp_path / "index.npz"
+    corpus = DATA_DIR / "corpus.jsonl"
+    assert radkit.cli.main(["index", "--corpus", str(corpus), "--out", str(index), "--quiet"]) == 0
+    common = ["--index", str(index), "--rationales", str(rationales), "--filter", mode, "--quiet"]
+    tracer = _spans_module().Tracer(radkit)
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert radkit.cli.main(["emit-train", *common, "--out", str(tmp_path / "t.jsonl")]) == 0
+            assert radkit.cli.main(["candidates", *common, "--out", str(tmp_path / "c.jsonl")]) == 0
+    finally:
+        tracer.uninstall()
+    layers = tracer.layers()
+    assert layers["distill.filter_rationales"]["calls"] == 2
+    assert tracer.counts["distill.filter_rationales.in"] == 2 * 7
+    assert tracer.counts["distill.filter_rationales.kept"] == 2 * kept
+    assert layers["distill.retrieve_knowledge"]["calls"] == kept
+    assert layers["distill.emit_training_example"]["calls"] == kept
+    assert layers["reranker.build_candidate_set"]["calls"] == kept
