@@ -60,7 +60,7 @@ from .reranker import (
     train,
 )
 from .reranker import rerank_inference  # noqa: F401 (perfbench/spans.py wraps it here)
-from .records import atomic_write, field, jsonl_text, read_jsonl
+from .records import atomic_write, field, jsonl_text, one_line_per_id, read_jsonl
 
 
 def _digests(paths: list) -> dict[str, str]:
@@ -206,7 +206,8 @@ def cmd_rerank_infer(args) -> int:
     index = load_index(args.index)
     file_scorer = FileScorer.load(args.score_file) if args.score_file else None
     model = load_model(args.model) if args.model else None
-    questions = read_jsonl(args.questions, lambda obj: (field(obj, "id"), field(obj, "question")))
+    question = one_line_per_id(lambda obj: (field(obj, "id"), field(obj, "question")))
+    questions = read_jsonl(args.questions, question)
     if file_scorer:
         model = [file_scorer.for_example(example_id) for example_id, _ in questions]
     elif model is None:
@@ -220,15 +221,11 @@ def cmd_rerank_infer(args) -> int:
     return _finish(args, jsonl_text(rows), f"reranked {len(rows)} questions")
 
 
-def _retrieved_list(obj: dict, silver: dict, seen: set) -> tuple[str, tuple[str, ...]]:
-    """A retrieved line's id and doc ids; an id with no silver set raises MissingSilver, and an
-    id in ``seen``, the ids of the lines before, raises ValueError."""
+def _retrieved_list(obj: dict, silver: dict) -> tuple[str, tuple[str, ...]]:
+    """A retrieved line's id and doc ids; an id with no silver set raises MissingSilver."""
     example_id, doc_ids = field(obj, "id"), field(obj, "doc_ids", many=True)
     if example_id not in silver:
         raise MissingSilver(example_id)
-    if example_id in seen:
-        raise ValueError(f"repeated id {example_id!r}: an example has one retrieved list")
-    seen.add(example_id)
     return example_id, doc_ids
 
 
@@ -250,8 +247,8 @@ def cmd_eval(args) -> int:
             for r in records
             if len(r.rationales) > args.j_gold
         }
-        seen: set[str] = set()
-        retrieved = dict(read_jsonl(args.retrieved, lambda obj: _retrieved_list(obj, silver, seen)))
+        retrieved_list = one_line_per_id(lambda obj: _retrieved_list(obj, silver))
+        retrieved = dict(read_jsonl(args.retrieved, retrieved_list))
         mode = "all" if args.all_silver else "any"
         report.update(hits_report(retrieved, silver, ks, mode))
     elif args.index or args.rationales:

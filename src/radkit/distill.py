@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 from .corpus import Document, PostingsIndex, ScoredDoc, retrieve
 from .errors import AnswerNotInOptions, NoKnowledge
-from .records import field, jsonl_text, read_jsonl
+from .records import field, jsonl_text, one_line_per_id, read_jsonl
 
 QUESTION_MARKER = "Question: "
 KNOWLEDGE_MARKER = "Knowledge: "
@@ -124,10 +124,11 @@ def _rationale_record(obj: dict) -> RationaleRecord:
 def ingest_rationales(path: str | Path) -> list[RationaleRecord]:
     """Read and validate a JSONL file of {"id", "question", "answer", "rationales"}.
 
-    Raises ParseError with the offending line number, or AnswerNotInOptions
-    when a gold answer is not among the question's option letters.
+    Raises ParseError with the offending line number, also for an id an earlier
+    line had, or AnswerNotInOptions when a gold answer is not among the
+    question's option letters.
     """
-    return read_jsonl(path, _rationale_record)
+    return read_jsonl(path, one_line_per_id(_rationale_record))
 
 
 # keep(record, j) decides whether rationale j of a record survives filtering.

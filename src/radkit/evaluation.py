@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 from .corpus import PostingsIndex, retrieve
 from .distill import RationaleRecord, extract_answer
 from .errors import EmptyEvaluation, MissingSilver
-from .records import field, read_jsonl
+from .records import field, one_line_per_id, read_jsonl
 
 SILVER_K = 3
 
@@ -123,5 +123,5 @@ def _prediction_bundle(obj: dict) -> PredictionBundle:
 
 
 def load_predictions_jsonl(path: str | Path) -> list[PredictionBundle]:
-    """Read {"id", "texts", "gold"} prediction bundles."""
-    return read_jsonl(path, _prediction_bundle)
+    """Read {"id", "texts", "gold"} prediction bundles, one line per id."""
+    return read_jsonl(path, one_line_per_id(_prediction_bundle))

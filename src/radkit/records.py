@@ -68,6 +68,21 @@ def read_jsonl(path: str | Path, make: Callable[[dict], T]) -> list[T]:
     return records
 
 
+def one_line_per_id(make: Callable[[dict], T]) -> Callable[[dict], T]:
+    """``make`` for one ``read_jsonl`` call that also refuses, with ValueError, an ``"id"``
+    an earlier line had: after ``make`` reads the line, so its own faults come first."""
+    seen: set[str] = set()
+
+    def once(obj: dict) -> T:
+        record, example_id = make(obj), field(obj, "id")
+        if example_id in seen:
+            raise ValueError(f"repeated id {example_id!r}: each id is on one line")
+        seen.add(example_id)
+        return record
+
+    return once
+
+
 def _check_strings(obj: dict, path, line_no: int) -> None:
     """Raise ParseError naming the first field of ``obj`` with a string UTF-8 cannot encode."""
     try:

@@ -131,7 +131,7 @@ def featurize(text: str, embedding_dim: int, hash_seed: int) -> np.ndarray:
 
     Each distinct term adds ln(1 + tf) with a hash-derived sign at a hash-derived
     slot, each slot in ascending weight order, so the row is independent of token
-    order and equals ``doc_rows`` of the same text bit for bit.
+    order and equals the row training and ``rerank_batch`` build of a document with this text.
     """
     counts = Counter(tokenize(text))
     n, tfs = len(counts), np.fromiter(counts.values(), np.int64, len(counts))
@@ -143,39 +143,24 @@ def featurize(text: str, embedding_dim: int, hash_seed: int) -> np.ndarray:
 def _doc_runs(
     index: PostingsIndex, ordinals: Sequence[int], embedding_dim: int, hash_seed: int
 ):
-    """``_runs`` of the index's documents at distinct ``ordinals``, run i that of ``ordinals[i]``.
+    """``_runs`` of the index's documents at ``ordinals``, run ``o`` that of document ``o``.
 
-    One pass over their postings. A repeated or negative ordinal raises ValueError.
+    One pass over their postings. The run of any other document is empty, and so
+    is run ``doc_count``, one past the last: picking it gives a zero row.
     """
-    if np.min(ordinals, initial=0) < 0:
-        raise ValueError("ordinals must be >= 0")
-    row_of = np.full(index.doc_count, -1, dtype=np.int64)
-    row_of[ordinals] = np.arange(len(ordinals))
-    if np.count_nonzero(row_of >= 0) != len(ordinals):
-        raise ValueError("ordinals must be distinct")
-    hit = np.flatnonzero((row_of >= 0)[index.ordinals])  # a bool per posting, not an int64
+    wanted = np.zeros(index.doc_count + 1, bool)
+    wanted[ordinals] = True
+    hit = np.flatnonzero(wanted[index.ordinals])
     per_term = np.diff(np.searchsorted(hit, index.offsets))  # postings picked of each term
     terms = np.flatnonzero(per_term)
     return _runs(
-        row_of[index.ordinals[hit]], index.tfs[hit], [index.terms[t] for t in terms.tolist()],
-        per_term[terms], len(ordinals), embedding_dim, hash_seed,
+        index.ordinals[hit], index.tfs[hit], [index.terms[t] for t in terms.tolist()],
+        per_term[terms], index.doc_count + 1, embedding_dim, hash_seed,
     )
 
 
-def doc_rows(
-    index: PostingsIndex, ordinals: Sequence[int], embedding_dim: int, hash_seed: int
-) -> np.ndarray:
-    """Feature rows (len(ordinals), E) of the index's documents at distinct ``ordinals``.
-
-    Built from the postings, equal to ``featurize(doc.text)`` bit for bit. A
-    repeated or negative ordinal raises ValueError.
-    """
-    runs = _doc_runs(index, ordinals, embedding_dim, hash_seed)
-    return _unit_rows(runs, np.arange(len(ordinals)), embedding_dim)
-
-
 class RerankerModel:
-    """Bilinear scorer: dot(Wq f(query), Wd f(doc)) + bias, f as ``featurize`` and ``doc_rows``."""
+    """Bilinear scorer: dot(Wq f(query), Wd f(doc)) + bias, f as ``featurize``."""
 
     def __init__(
         self, embedding_dim: int, hash_seed: int, query_projection: np.ndarray,
@@ -262,19 +247,20 @@ def _batch(
     with a zero row and a -inf teacher score, which the mask marks False.
     """
     questions: dict[str, int] = {}
-    docs: dict[str, int] = {}
     width = max(len(cs.doc_ids) for cs in candidate_sets)
-    cols = np.full((len(candidate_sets), width), -1)  # a pad picks d_rows' last row, all zeros
+    cols = np.full((len(candidate_sets), width), index.doc_count)  # a pad picks the empty run
     teacher = np.full(cols.shape, -np.inf)
     picks = []
     for s, cs in enumerate(candidate_sets):
         picks.append(questions.setdefault(cs.question, len(questions)))
-        cols[s, : len(cs.doc_ids)] = [docs.setdefault(doc_id, len(docs)) for doc_id in cs.doc_ids]
+        cols[s, : len(cs.doc_ids)] = list(map(index.ordinal, cs.doc_ids))
         teacher[s, : len(cs.doc_ids)] = cs.teacher_scores
     dim, seed = model.embedding_dim, model.hash_seed
     q_rows = np.stack([featurize(q, dim, seed) for q in questions])
-    d_rows = np.vstack([doc_rows(index, list(map(index.ordinal, docs)), dim, seed), np.zeros(dim)])
-    return q_rows[picks], d_rows[cols], cols >= 0, softmax_normalize(teacher, tau1)
+    distinct, inverse = np.unique(cols, return_inverse=True)
+    d_rows = _unit_rows(_doc_runs(index, distinct, dim, seed), distinct, dim)
+    d_rows = d_rows[inverse.reshape(cols.shape)]
+    return q_rows[picks], d_rows, cols < index.doc_count, softmax_normalize(teacher, tau1)
 
 
 def _batch_loss_gradient(model: RerankerModel, batch: tuple, tau2: float):
@@ -391,12 +377,11 @@ def rerank_batch(
             raise EmptyCandidates(question)
     if isinstance(model, RerankerModel):
         dim, seed = model.embedding_dim, model.hash_seed
-        union = np.unique(np.concatenate([np.empty(0, np.int64), *tops]))
-        runs = _doc_runs(index, union, dim, seed)
-        scores = []
-        for q, top in zip(questions, tops):
-            rows = _unit_rows(runs, np.searchsorted(union, top), dim)
-            scores.append(_fold(model, featurize(q, dim, seed), rows)[1])
+        runs = _doc_runs(index, np.concatenate([np.empty(0, np.int64), *tops]), dim, seed)
+        scores = [
+            _fold(model, featurize(q, dim, seed), _unit_rows(runs, top, dim))[1]
+            for q, top in zip(questions, tops)
+        ]
     else:
         scores = [
             np.array([table.get(index.doc_ids[o], 0.0) for o in top.tolist()], float)

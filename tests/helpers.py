@@ -35,7 +35,15 @@ from radkit.corpus import (
 )
 from radkit.errors import DuplicateDocId, EmptyDocument
 from radkit.records import arrays_bytes
-from radkit.reranker import CandidateSet, RerankerModel, _fold, doc_rows, featurize, serialize_model
+from radkit.reranker import (
+    CandidateSet,
+    RerankerModel,
+    _doc_runs,
+    _fold,
+    _unit_rows,
+    featurize,
+    serialize_model,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -125,6 +133,12 @@ def unchecked_checkpoint(model: RerankerModel) -> bytes:
         query_projection=model.query_projection,
         doc_projection=model.doc_projection,
     )
+
+
+def doc_rows(index: PostingsIndex, ordinals, embedding_dim: int, hash_seed: int) -> np.ndarray:
+    """Rows (len(ordinals), E) of the index's documents at ``ordinals``, as training and
+    ``rerank_batch`` build them: from the runs of ``_doc_runs``, picked by ordinal."""
+    return _unit_rows(_doc_runs(index, ordinals, embedding_dim, hash_seed), ordinals, embedding_dim)
 
 
 def model_scores(model: RerankerModel, query_text: str, index: PostingsIndex, ordinals):

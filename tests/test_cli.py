@@ -1411,6 +1411,15 @@ MALFORMED_CASES = [
         id="retrieved-repeated-id",
     ),
 ] + [
+    # The other files of one line per id refuse a second line for it too: a rationale
+    # record would replace the first one's silver set, a question would be answered twice,
+    # and a prediction counted twice.
+    pytest.param(
+        name, json.dumps(JSONL_INPUTS[name][0]).encode(),
+        f"repeated id {JSONL_INPUTS[name][0]['id']!r}", id=f"{name}-repeated-id",
+    )
+    for name in ("rationales", "questions", "predictions")
+] + [
     # A set read from a file obeys the two-document rule of a built one.
     pytest.param(
         "candidates",
@@ -1545,8 +1554,22 @@ JSON_VALUES = st.recursive(
 )
 
 
+def _of_type(kind) -> st.SearchStrategy:
+    """Values JSON gives as ``kind``, as ``_has_json_type`` tells them."""
+    if isinstance(kind, list):
+        return st.lists(_of_type(kind[0]), max_size=3)
+    finite = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**60), 2**60)
+    return {str: st.text(max_size=8), int: st.integers(), bool: st.booleans(), float: finite}[kind]
+
+
 # Inputs whose ids must differ from line to line: line 2 takes another id before its replacements.
-SECOND_LINE_IDS = {"corpus": {"id": "d2"}, "retrieved": {"id": "ex-02"}}
+SECOND_LINE_IDS = {
+    "corpus": {"id": "d2"},
+    "rationales": {"id": "r2"},
+    "questions": {"id": "ex-02"},
+    "retrieved": {"id": "ex-02"},
+    "predictions": {"id": "e2"},
+}
 
 
 class TestArbitraryJsonlLine:
@@ -1557,16 +1580,23 @@ class TestArbitraryJsonlLine:
     )
     @given(data=st.data())
     def test_stage_writes_its_output_or_one_error_line(self, pipeline, tmp_path, name, data):
-        """Line 2 is the valid row with some fields replaced by arbitrary JSON values.
+        """Line 2 is the valid row with some fields replaced: by the value they had, by
+        another value of the field's JSON type, or by an arbitrary JSON value.
 
         The stage runs in-process, so a traceback would raise here. A stage that writes
         its output has read every replaced field as its JSON type.
         """
         paths, _, _ = pipeline
         row, _, command = JSONL_INPUTS[name]
-        replaced = data.draw(st.dictionaries(st.sampled_from(sorted(row)), JSON_VALUES, min_size=1))
+        second = {**row, **SECOND_LINE_IDS.get(name, {})}
+        types = JSONL_FIELD_TYPES[name]
+        values = {
+            f: st.one_of(st.just(v), _of_type(types[f]) if f in types else JSON_VALUES, JSON_VALUES)
+            for f, v in second.items()
+        }
+        replaced = data.draw(st.fixed_dictionaries({}, optional=values), label="replaced")
+        second.update(replaced)
         bad = tmp_path / "bad.jsonl"
-        second = {**row, **SECOND_LINE_IDS.get(name, {}), **replaced}
         bad.write_text(json.dumps(row) + "\n" + json.dumps(second) + "\n")
         where = {
             "bad": bad,
@@ -1581,7 +1611,6 @@ class TestArbitraryJsonlLine:
         assert code == 0 and lines == [] or code == 1 and len(lines) == 1, stderr.getvalue()
         assert all(line.startswith("error: ") for line in lines), lines
         if code == 0:
-            types = JSONL_FIELD_TYPES[name]
             held = {f: _has_json_type(v, types[f]) for f, v in replaced.items() if f in types}
             assert all(held.values()), (replaced, held)
 

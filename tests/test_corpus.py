@@ -35,7 +35,7 @@ from radkit.errors import (
     UnknownFormatVersion,
 )
 
-from radkit.reranker import MODEL_FORMAT_VERSION, doc_rows, load_model
+from radkit.reranker import MODEL_FORMAT_VERSION, load_model
 
 from helpers import (
     DATA_DIR,
@@ -44,6 +44,7 @@ from helpers import (
     bm25_oracle_score,
     bm25_oracle_topk,
     decreasing,
+    doc_rows,
     narrowest,
     npy_bytes,
     npz_bytes,

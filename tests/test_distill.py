@@ -99,6 +99,16 @@ class TestIngest:
         with pytest.raises(ParseError):
             ingest_rationales(path)
 
+    def test_repeated_id_rejected_with_its_line(self, tmp_path):
+        """A second record of an id is refused, not read in place of the first or beside it."""
+        first, second = (DATA_DIR / "rationales.jsonl").read_text(encoding="utf-8").splitlines()[:2]
+        path = tmp_path / "r.jsonl"
+        path.write_text(first + "\n" + json.dumps({**json.loads(second), "id": "ex-01"}) + "\n")
+        want = re.escape(f"{path}: line 2: repeated id 'ex-01'")
+        with pytest.raises(ParseError, match=want) as err:
+            ingest_rationales(path)
+        assert err.value.line_no == 2
+
 
 class TestFilter:
     def test_answer_match_keeps_and_drops(self):

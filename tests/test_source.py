@@ -1,9 +1,11 @@
 """Source checks that need no linter: every name a radkit module imports is read, a
 name imported only for the bench tracer (``# noqa: F401``) is one the tracer wraps,
-README's file-format table names the format versions the code writes, and every
-hypothesis ``characters`` strategy in the tests passes ``codec=`` or excludes category Cs."""
+every module-level function or class has a caller outside the tests, README's
+file-format table names the format versions the code writes, and every hypothesis
+``characters`` strategy in the tests passes ``codec=`` or excludes category Cs."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,8 @@ from radkit.reranker import MODEL_FORMAT_VERSION
 
 README = Path(__file__).parent.parent / "README.md"
 SRC_DIR = Path(__file__).parent.parent / "src" / "radkit"
-SPANS_FILE = Path(__file__).parent.parent / "perfbench" / "spans.py"
+BENCH_DIR = Path(__file__).parent.parent / "perfbench"
+SPANS_FILE = BENCH_DIR / "spans.py"
 TESTS_DIR = Path(__file__).parent
 
 
@@ -91,6 +94,54 @@ def test_traced_attributes_are_both_tables_keys():
         "COUNTS = {('m', 'f'): 'z'}\n"
     )
     assert traced_attributes(spans) == {("cli", "load_index"), ("m", "f")}
+
+
+def uncalled_definitions(sources: dict[str, str], elsewhere: str) -> list[str]:
+    """The ``module.name`` of each module-level function or class in ``sources`` (module
+    name to source) that no module names outside its own definition, no ``__all__``
+    lists and ``elsewhere`` does not hold as a word, sorted."""
+    uses = [
+        (module, node, {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)})
+        for module, source in sources.items()
+        for node in ast.parse(source).body
+    ]
+    exported = set()
+    for _, node, _ in uses:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__":
+            exported.update(ast.literal_eval(node.value))
+    return sorted(
+        f"{module}.{node.name}"
+        for module, node, _ in uses
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in exported
+        and not re.search(rf"\b{re.escape(node.name)}\b", elsewhere)
+        and not any(node.name in names for _, other, names in uses if other is not node)
+    )
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    """A function only tests call moves to the tests, unless the bench or README's Library
+    section names it (``save_model`` is a library saver no stage calls)."""
+    readme = README.read_text(encoding="utf-8")
+    library = readme[readme.index("\n## Library\n"):]
+    bench = "".join(path.read_text(encoding="utf-8") for path in sorted(BENCH_DIR.glob("*.py")))
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC_DIR.glob("*.py"))}
+    assert uncalled_definitions(sources, library + bench) == []
+
+
+def test_a_test_only_definition_is_found():
+    sources = {
+        "a": (
+            "__all__ = ['exported']\n"
+            "def recursive(n):\n    return recursive(n - 1)\n"
+            "def called(): pass\n"
+            "def exported(): pass\n"
+            "def documented(): pass\n"
+            "class Stray: pass\n"
+        ),
+        "b": "from .a import called, recursive\nx = called()\n",
+    }
+    assert uncalled_definitions(sources, "see documented()") == ["a.Stray", "a.recursive"]
 
 
 def surrogate_draws(source: str) -> list[int]:
