@@ -10,14 +10,16 @@ from __future__ import annotations
 import math
 import re
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count, pairwise
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
     DuplicateDocId,
+    EmptyCorpus,
     EmptyDocument,
     InvalidOrdinal,
     UnencodableDocument,
@@ -40,8 +42,17 @@ _ARRAYS = ("offsets", "ordinals", "tfs", "doc_lengths")
 # them in again in the next.
 _BLOCK = 1 << 16
 
+# Documents per block of a build (``build_index``). Each block's tokens are reduced to its
+# postings at once, so no temporary of the build is as long as all the corpus's tokens.
+_DOC_BLOCK = 1024
+
 # Unicode alphanumeric runs; underscore is a separator like any other punctuation.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+# ASCII text's fold for ``tokenize``: A-Z lowercased, every other character that is not
+# alphanumeric made a space.
+_ASCII = "".join(map(chr, range(128)))
+_ASCII_FOLD = str.maketrans(_ASCII, "".join(c.lower() if c.isalnum() else " " for c in _ASCII))
 
 
 @dataclass(frozen=True)
@@ -61,7 +72,14 @@ class ScoredDoc:
 
 
 def tokenize(text: str) -> list[str]:
-    """Alphanumeric runs of the lowercased text, repeats kept, in order; no stemming or stopwords."""
+    """Alphanumeric runs of the lowercased text, repeats kept, in order; no stemming or stopwords.
+
+    ASCII text is folded by ``_ASCII_FOLD`` and split at whitespace: the same runs, since
+    ``_TOKEN_RE`` matches exactly what ``str.isalnum`` accepts and no alphanumeric is
+    whitespace. So the tokens, and ``TOKENIZER_VERSION``, are the same on either path.
+    """
+    if text.isascii():
+        return text.translate(_ASCII_FOLD).split()
     return _TOKEN_RE.findall(text.lower())
 
 
@@ -250,33 +268,79 @@ def build_index(
 
     Raises UnencodableDocument for an id, title or text that UTF-8 cannot
     encode, which no index file holds, and DuplicateDocId / EmptyDocument on
-    other bad input. Term ids follow the first document a term appears in,
-    then alphabetical order within that document, so rebuilding from the same
-    corpus serializes byte-identically.
+    other bad input, for the first bad document in input order. Term ids follow
+    the first document a term appears in, then alphabetical order within that
+    document, so rebuilding from the same corpus serializes byte-identically.
+    The build works through ``_DOC_BLOCK`` documents at a time: beyond the
+    index, its memory grows with the postings and one block's tokens.
     """
     doc_ids, titles = tuple(d.doc_id for d in docs), tuple(d.title for d in docs)
     texts = [d.text for d in docs]
     _check_utf8(doc_ids, titles, texts)
+    if not docs:
+        raise ValueError("cannot index an empty corpus")
     seen: set[str] = set()
-    vocabulary: dict[str, int] = {}
-    term_ids, lengths = array("i"), array("i")  # one term id per token; tokens per document
-    for doc in docs:
-        tokens = tokenize(_checked(doc, seen).text)
-        for term in sorted(set(tokens).difference(vocabulary)):
-            vocabulary[term] = len(vocabulary)
-        term_ids.extend(map(vocabulary.__getitem__, tokens))
-        lengths.append(len(tokens))
-    # One key term_id * n + ordinal per token: np.unique's keys are the postings, counts the tfs.
-    n, doc_lengths = len(docs), np.array(lengths, dtype=np.int32)
+    first_seen = defaultdict(count().__next__)  # each term's id in order of first sight
+    new_terms_end, lengths = array("i"), array("i")  # vocabulary size, tokens: per document
+    ordinal_type = np.min_scalar_type(len(docs) - 1)
+    blocks = []  # each block's postings, as ``_block_postings`` gives them
+    for start in range(0, len(docs), _DOC_BLOCK):
+        term_ids = array("i")  # one first-sight id per token of the block
+        for doc in docs[start : start + _DOC_BLOCK]:
+            tokens = tokenize(_checked(doc, seen).text)
+            term_ids.extend(map(first_seen.__getitem__, tokens))
+            lengths.append(len(tokens))
+            new_terms_end.append(len(first_seen))
+        blocks.append(_block_postings(term_ids, lengths[start:], start, ordinal_type))
+    # A term's final id: by the document it first appears in, then alphabetical there.
+    terms = list(first_seen)
+    by_final_id = [
+        i
+        for lo, hi in pairwise(chain((0,), new_terms_end))
+        for i in sorted(range(lo, hi), key=terms.__getitem__)
+    ]
+    order = np.array(by_final_id, dtype=np.int64)  # the first-sight id of each final id
+    df = np.zeros(len(terms), dtype=np.int64)  # by first-sight id, as ``free``
+    for block_terms, runs, _, _ in blocks:
+        df[block_terms] += runs
+    offsets = np.zeros(len(terms) + 1, dtype=np.int64)
+    np.cumsum(df[order], out=offsets[1:])
+    # Each block's run of a term's postings takes the next free slots of the term's row, so
+    # its ordinals stay ascending. The rows are written at their narrowest widths.
+    free = np.empty(len(terms), dtype=np.int64)
+    free[order] = offsets[:-1]
+    ordinals = np.empty(offsets[-1], dtype=ordinal_type)
+    tf_type = np.min_scalar_type(max(int(block[3].max()) for block in blocks))
+    tfs = np.empty(offsets[-1], dtype=tf_type)
+    for block_terms, runs, block_ordinals, block_tfs in blocks:
+        # The i-th posting of a run that starts at s in the block goes to free + i - s.
+        at = np.repeat(free[block_terms] - (np.cumsum(runs) - runs), runs)
+        at += np.arange(len(at))
+        ordinals[at], tfs[at] = block_ordinals, block_tfs
+        free[block_terms] += runs
+    del blocks
+    doc_lengths = _narrow(np.array(lengths, dtype=np.int32))
+    return PostingsIndex(
+        doc_ids, titles, texts, tuple(map(terms.__getitem__, by_final_id)),
+        _narrow(offsets), ordinals, tfs, doc_lengths, k1, b,
+    )
+
+
+def _block_postings(
+    term_ids: array, lengths: array, start: int, ordinal_type: np.dtype
+) -> tuple[np.ndarray, ...]:
+    """The postings of the documents from ordinal ``start`` on, ``lengths`` tokens each, whose
+    tokens' term ids are ``term_ids``: the distinct term ids, ascending, and the number of
+    postings of each; then the postings' ordinals and tfs, by term id, then ordinal. One key
+    ``term_id * n + ordinal`` per token: np.unique's keys are the postings, its counts the tfs.
+    """
+    n = len(lengths)
     keys = np.array(term_ids, dtype=np.int64)
     keys *= n
-    keys += np.repeat(np.arange(n, dtype=np.int64), doc_lengths)
+    keys += np.repeat(np.arange(n, dtype=np.int32), np.array(lengths, dtype=np.int32))
     keys, tfs = np.unique(keys, return_counts=True)
-    offsets = np.searchsorted(keys, np.arange(len(vocabulary) + 1, dtype=np.int64) * n)
-    offsets, ordinals, tfs, doc_lengths = map(_narrow, (offsets, keys % n, tfs, doc_lengths))
-    return PostingsIndex(
-        doc_ids, titles, texts, tuple(vocabulary), offsets, ordinals, tfs, doc_lengths, k1, b
-    )
+    block_terms, runs = np.unique(keys // n, return_counts=True)
+    return block_terms, runs, (keys % n + start).astype(ordinal_type), _narrow(tfs)
 
 
 def bm25_scores(index: PostingsIndex, query_terms: list[str]) -> np.ndarray:
@@ -333,10 +397,14 @@ def load_corpus_jsonl(path: str | Path) -> list[Document]:
     """Read a JSONL corpus of {"id", "title", "text"} objects ("title" optional).
 
     A repeated id or a text with no token raises build_index's DuplicateDocId or
-    EmptyDocument, naming the file and the line.
+    EmptyDocument, naming the file and the line; a file with no document raises
+    EmptyCorpus, naming the file.
     """
     seen: set[str] = set()
-    return read_jsonl(path, lambda obj: _checked(_document(obj), seen))
+    docs = read_jsonl(path, lambda obj: _checked(_document(obj), seen))
+    if not docs:
+        raise EmptyCorpus(path)
+    return docs
 
 
 def serialize_index(index: PostingsIndex) -> bytes:

@@ -18,6 +18,11 @@ class EmptyDocument(RadkitError):
         super().__init__(f"document {doc_id!r} has no tokens")
 
 
+class EmptyCorpus(RadkitError):
+    def __init__(self, path):
+        super().__init__(f"{path}: no documents")
+
+
 class UnencodableDocument(RadkitError):
     def __init__(self, doc_id: str, name: str, exc: UnicodeEncodeError):
         super().__init__(f"document {doc_id!r}: {name} cannot be written as UTF-8: {exc.reason}")

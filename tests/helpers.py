@@ -8,8 +8,10 @@ document rows from the index's postings; ``reference_train`` also trains one
 candidate set at a time, with a scalar KL loop and outer-product gradients,
 where ``train`` scores all sets at once. ``reference_build_index`` counts
 each document's terms with a Counter and orders the postings with a stable
-argsort, where ``build_index`` counts (term, document) keys with one
-``np.unique``.
+argsort, where ``build_index`` reduces blocks of documents with ``np.unique``
+and places each block's postings in their terms' rows. ``reference_tokenize``
+is the tokenizer's regular expression alone, where ``tokenize`` folds and
+splits ASCII text.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import hashlib
 import io
 import json
 import math
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -53,6 +56,11 @@ FORMAT_1_INDEX = (
     b'"doc_lengths":[1],"documents":[{"id":"a","text":"alpha","title":""}],'
     b'"format_version":1,"postings":[[[0,1]]],"terms":["alpha"]}'
 )
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """The alphanumeric runs of the lowercased text: ``[^\\W_]`` is ``str.isalnum``."""
+    return re.findall(r"[^\W_]+", text.lower())
 
 
 def narrowest(a) -> np.ndarray:
@@ -223,7 +231,7 @@ def reference_build_index(
         if doc.doc_id in seen:
             raise DuplicateDocId(doc.doc_id)
         seen.add(doc.doc_id)
-        tokens = tokenize(doc.text)
+        tokens = reference_tokenize(doc.text)
         if not tokens:
             raise EmptyDocument(doc.doc_id)
         doc_lengths.append(len(tokens))

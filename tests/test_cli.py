@@ -1541,6 +1541,16 @@ class TestMalformedInput:
         assert expected in lines[0], lines[0]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("content", [b"", b"\n  \n\t\n"], ids=["no-lines", "blank-lines"])
+    def test_a_corpus_with_no_document_is_named(self, tmp_path, content):
+        """A corpus with no line to index has no line to name: the error names the file."""
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(content)
+        proc = run_cli("index", "--corpus", str(corpus), "--out", str(tmp_path / "out"))
+        assert_one_error_line(proc, corpus)
+        assert proc.stderr == f"error: {corpus}: no documents\n"
+        assert not (tmp_path / "out").exists()
+
 
 # Any JSON value, non-finite floats and huge integers included (json.loads reads both),
 # with ids the fixture index knows and line breaks (str.splitlines's) drawn often.

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from radkit.corpus import (
+    _DOC_BLOCK,
     INDEX_FORMAT_VERSION,
     TOKENIZER_VERSION,
     Document,
@@ -51,6 +53,7 @@ from helpers import (
     random_corpus,
     random_query,
     reference_build_index,
+    reference_tokenize,
     with_meta,
 )
 
@@ -102,6 +105,23 @@ class TestTokenize:
     def test_tokens_of_joined_tokens_are_the_tokens(self, text):
         tokens = tokenize(text)
         assert tokenize(" ".join(tokens)) == tokens
+
+    def test_every_ascii_code_point_as_the_reference(self):
+        """ASCII text takes the fold-and-split path; each code point splits or joins a run
+        as the regular expression does, alone, between letters and repeated."""
+        for c in map(chr, range(128)):
+            for text in (c, f"Ab{c}Cd", f"{c}{c}9{c}z"):
+                assert tokenize(text) == reference_tokenize(text), repr(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.characters(codec="ascii"), max_size=40))
+    def test_ascii_text_as_the_reference(self, text):
+        assert tokenize(text) == reference_tokenize(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.sampled_from("Aa_ 9İΣ") | st.characters(codec="utf-8"), max_size=40))
+    def test_any_text_as_the_reference(self, text):
+        assert tokenize(text) == reference_tokenize(text)
 
 
 class TestBuildIndex:
@@ -199,6 +219,80 @@ class TestBuildIndex:
         path = tmp_path_factory.mktemp("index") / "index.npz"
         save_index(index, path)
         assert load_index(path).doc_lengths.tolist() == index.doc_lengths.tolist()
+
+
+BLOCK_CORPORA = st.lists(
+    st.lists(
+        st.sampled_from(["fever", "Fever", "cough", "été", "ΣΟΦΙΑ", "İz", "a", "b_c", "42"]),
+        min_size=1,
+        max_size=8,
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestBuildBlocks:
+    """The build reduces ``_DOC_BLOCK`` documents at a time; the block size shows in no
+    result."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(docs=BLOCK_CORPORA)
+    def test_every_block_size_serializes_as_the_reference_build(self, docs):
+        corpus = [Document(f"d{i}", "", " ".join(words)) for i, words in enumerate(docs)]
+        want = serialize_index(reference_build_index(corpus))
+        for block in (1, 2, 3, _DOC_BLOCK):
+            with mock.patch("radkit.corpus._DOC_BLOCK", block):
+                assert serialize_index(build_index(corpus)) == want, block
+
+    @pytest.mark.parametrize(
+        "docs, error, message",
+        [
+            (
+                [("a", "fever"), ("b", "fever"), ("c", "..."), ("d", "fever"), ("a", "again")],
+                EmptyDocument,
+                "document 'c' has no tokens",
+            ),
+            (
+                [("a", "fever"), ("b", "fever"), ("a", "again"), ("d", "fever"), ("e", "--")],
+                DuplicateDocId,
+                "duplicate document id: 'a'",
+            ),
+        ],
+        ids=["no-tokens-before-a-repeated-id", "repeated-id-before-no-tokens"],
+    )
+    def test_the_first_bad_document_decides_the_error(self, monkeypatch, docs, error, message):
+        """In blocks of two documents, one fault lies in the second block and the other in
+        the third: the one earlier in input order is raised, as the reference raises it."""
+        monkeypatch.setattr("radkit.corpus._DOC_BLOCK", 2)
+        docs = [Document(doc_id, "", text) for doc_id, text in docs]
+        for build in (build_index, reference_build_index):
+            with pytest.raises(error) as err:
+                build(docs)
+            assert str(err.value) == message
+
+
+class TestBuildMemory:
+    def test_transient_grows_with_postings_and_one_block_not_with_tokens(self, monkeypatch):
+        """The build's tracemalloc peak above what the index keeps stays within 64 bytes per
+        posting, per document and per token of one block. Each document holds 10 terms 40
+        times each: a build that kept a temporary per token of the corpus, about 22 bytes a
+        token, would exceed the bound six to eight times over."""
+        monkeypatch.setattr("radkit.corpus._DOC_BLOCK", 16)
+        for n_docs in (1000, 2000):
+            docs = [
+                Document(f"d{i}", "", " ".join([f"w{(7 * i + j) % 997}" for j in range(10)] * 40))
+                for i in range(n_docs)
+            ]
+            tracemalloc.start()
+            try:
+                index = build_index(docs)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert (len(index.ordinals), index.doc_lengths.sum()) == (10 * n_docs, 400 * n_docs)
+            bound = 64 * (10 * n_docs + n_docs + 16 * 400) + (1 << 18)
+            assert peak - kept < bound, (n_docs, peak - kept, bound)
 
 
 class TestBm25Score:
