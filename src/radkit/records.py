@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, TypeVar
 
 import numpy as np
+from numpy.lib import format as npy
 
 from .errors import FieldTypeError, ParseError, RadkitError, UnknownFormatVersion
 
@@ -131,13 +132,21 @@ def jsonl_text(rows: Iterable[dict]) -> str:
 
 
 def arrays_bytes(meta: dict, arrays: Mapping[str, np.ndarray]) -> bytes:
-    """An uncompressed ``.npz`` of ``arrays`` plus a ``meta`` member of compact UTF-8 JSON.
+    """An uncompressed ``.npz`` of the C-contiguous ``arrays`` plus a ``meta`` member of
+    compact UTF-8 JSON, byte for byte what ``np.savez`` writes.
 
-    Equal inputs give equal bytes: ``np.savez`` gives every member one fixed date.
+    Equal inputs give equal bytes: every member has the zip format's fixed default date.
+    Each member is written from its array's own buffer; ``np.savez`` copies each one first
+    (``tobytes``), which for an index is a second copy of all its passage texts.
     """
     text = json.dumps(meta, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    members = {"meta": np.frombuffer(text.encode("utf-8"), dtype=np.uint8), **arrays}
     buf = io.BytesIO()
-    np.savez(buf, meta=np.frombuffer(text.encode("utf-8"), dtype=np.uint8), **arrays)
+    with zipfile.ZipFile(buf, "w", allowZip64=True) as zf:
+        for name, a in members.items():
+            with zf.open(f"{name}.npy", "w", force_zip64=True) as member:
+                npy.write_array_header_1_0(member, npy.header_data_from_array_1_0(a))
+                member.write(a.data)
     return buf.getvalue()
 
 

@@ -1,14 +1,17 @@
 """Records: savers write atomically, JSONL text is strict JSON, read strings are UTF-8,
 and a field is read only as its JSON type."""
 
+import io
+import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from radkit.corpus import build_index, load_corpus_jsonl, save_index
 from radkit.errors import ParseError, RadkitError
-from radkit.records import field, jsonl_text, read_jsonl
+from radkit.records import arrays_bytes, field, jsonl_text, read_jsonl
 from radkit.reranker import RerankerModel, save_model
 
 from helpers import DATA_DIR
@@ -34,6 +37,22 @@ def test_failed_replace_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch,
         save(path)
     assert path.read_text() == "old"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.json"]
+
+
+def test_arrays_bytes_are_what_np_savez_writes():
+    """Members written from their own buffers give np.savez's bytes: 1-D and 2-D members, an
+    empty one, one wider than a 16-bit length, and non-ASCII meta."""
+    arrays = {
+        "ordinals": np.arange(70_000, dtype=np.uint32),
+        "projection": np.random.default_rng(0).normal(size=(7, 3)),
+        "empty": np.zeros(0, dtype=np.uint16),
+        "texts": np.frombuffer("été".encode(), dtype=np.uint8),
+    }
+    meta = {"format_version": 4, "terms": ["été", "a"]}
+    text = json.dumps(meta, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    buf = io.BytesIO()
+    np.savez(buf, meta=np.frombuffer(text.encode(), dtype=np.uint8), **arrays)
+    assert arrays_bytes(meta, arrays) == buf.getvalue()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
